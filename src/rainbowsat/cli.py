@@ -6,7 +6,7 @@ graph6 file, or by name (K4, P4, C4, W8, E5, K1_4, ...).
 
 Exit codes: colorable exits 0/1/2 for COLORABLE/UNCOLORABLE/INDETERMINATE,
 check exits 0/1/2 for SATURATED/NOT_SATURATED/INDETERMINATE, verify-paper
-exits 0 only if every claim passes, and unparsable graph input exits 64.
+exits 0 only if every claim passes, and unparsable or missing input exits 64.
 """
 from __future__ import annotations
 
@@ -40,7 +40,10 @@ EXIT_PARSE = 64
 def _load_graph(token: str) -> Graph:
     if token.startswith("@"):
         with open(token[1:]) as fh:
-            token = fh.read().strip().splitlines()[0]
+            lines = fh.read().strip().splitlines()
+        if not lines:
+            raise ValueError(f"{token[1:]} holds no graph")
+        token = lines[0]
     try:
         return named_graph(token)
     except ValueError:
@@ -114,7 +117,7 @@ def cmd_sat(args) -> int:
 def cmd_satstar(args) -> int:
     patterns = _load_graphs(args.patterns)
     try:
-        res = sat_star_exact(args.n, patterns, threads=args.threads, **_limits(args))
+        res = sat_star_exact(args.n, patterns, **_limits(args))
     except SearchAborted as exc:
         print(f"INDETERMINATE: {exc}", file=sys.stderr)
         return 2
@@ -125,6 +128,8 @@ def cmd_satstar(args) -> int:
 
 def cmd_construct(args) -> int:
     if args.kind == "ehm":
+        if args.r is None:
+            raise ValueError("construct ehm needs --r")
         g = ehm_graph(args.n, args.r)
         payload = {"graph6": graph6_encode(g), "graph": graph_to_json(g)}
         family = [named_graph(f"K{args.r}")]
@@ -140,6 +145,8 @@ def cmd_construct(args) -> int:
         payload = {"graph6": graph6_encode(g), "coloring": coloring.to_json()}
         family = [named_graph("C4")]
     elif args.kind == "ladder":
+        if args.pattern is None:
+            raise ValueError("construct ladder needs --pattern")
         pattern = _load_graph(args.pattern)
         res = ladder_construction(pattern, args.n, **_limits(args))
         g = res.graph
@@ -184,7 +191,6 @@ def cmd_verify_paper(args) -> int:
         extended=args.extended,
         node_limit=args.nodes or verify.DEFAULT_NODE_LIMIT,
         seed=args.seed,
-        threads=args.threads,
     )
     if args.json:
         print(verify.report_json(report))
@@ -203,8 +209,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="seconds per subsearch (0 disables, default 60)")
     common.add_argument("--nodes", type=int, default=argparse.SUPPRESS,
                         help="node budget per subsearch")
-    common.add_argument("--threads", type=int, default=argparse.SUPPRESS,
-                        help="worker count")
     common.add_argument("--seed", type=int, default=argparse.SUPPRESS,
                         help="seed for randomized orders")
 
@@ -254,7 +258,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_GLOBAL_DEFAULTS = {"json": False, "timeout": 60.0, "nodes": None, "threads": 1}
+_GLOBAL_DEFAULTS = {"json": False, "timeout": 60.0, "nodes": None}
 
 
 def main(argv=None) -> int:
@@ -267,8 +271,6 @@ def main(argv=None) -> int:
     if not hasattr(args, "seed"):
         args.seed = verify.DEFAULT_SEED
     try:
-        if args.threads < 1:
-            raise ValueError("worker count must be at least 1")
         if args.timeout < 0:
             raise ValueError("timeout must be nonnegative")
         return args.func(args)

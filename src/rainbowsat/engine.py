@@ -203,29 +203,26 @@ def _matches(host: Graph, pat: Graph, exact: bool = False):
     yield from place(0, 0)
 
 
-@dataclass(frozen=True)
-class EmbeddingList:
-    """All copies of a pattern in a host, as sorted edge-index tuples."""
-
-    host: Graph
-    pattern: Pattern
-    embeddings: tuple
-
-
-def enumerate_embeddings(g: Graph, pattern) -> EmbeddingList:
-    """Every copy of the pattern in g, each edge set listed exactly once."""
-    pat = as_pattern(pattern)
-    if pat.order > g.n:
-        return EmbeddingList(g, pat, ())
+def _copies(g: Graph, core: Graph) -> set:
+    """Edge sets of every copy of a pattern core in g, as sorted edge-index tuples."""
     index = g.edge_index
-    seen = set()
-    for assigned in _matches(g, pat.core):
+    found = set()
+    for assigned in _matches(g, core):
         ids = []
-        for pu, pv in pat.core.edges:
+        for pu, pv in core.edges:
             hu, hv = assigned[pu], assigned[pv]
             ids.append(index[(hu, hv) if hu < hv else (hv, hu)])
-        seen.add(tuple(sorted(ids)))
-    return EmbeddingList(g, pat, tuple(sorted(seen)))
+        found.add(tuple(sorted(ids)))
+    return found
+
+
+def enumerate_embeddings(g: Graph, pattern) -> tuple:
+    """Every copy of the pattern in g as a sorted edge-index tuple, each edge
+    set listed exactly once, in ascending order."""
+    pat = as_pattern(pattern)
+    if pat.order > g.n:
+        return ()
+    return tuple(sorted(_copies(g, pat.core)))
 
 
 def exists_embedding(g: Graph, pattern) -> bool:
@@ -244,7 +241,7 @@ def find_rainbow_embedding(g: Graph, coloring: EdgeColoring, pattern):
     """
     if not is_proper(g, coloring):
         raise ValueError("coloring is not proper")
-    for emb in enumerate_embeddings(g, pattern).embeddings:
+    for emb in enumerate_embeddings(g, pattern):
         classes = [coloring.classes[i] for i in emb]
         if len(set(classes)) == len(classes):
             return emb
@@ -279,16 +276,8 @@ def _collect_embeddings(g: Graph, patterns) -> list:
     only minimal edge sets constrain the search.
     """
     sets = set()
-    index = g.edge_index
     for pat in patterns:
-        if pat.core.n > g.n:
-            continue
-        for assigned in _matches(g, pat.core):
-            ids = []
-            for pu, pv in pat.core.edges:
-                hu, hv = assigned[pu], assigned[pv]
-                ids.append(index[(hu, hv) if hu < hv else (hv, hu)])
-            sets.add(tuple(sorted(ids)))
+        sets |= _copies(g, pat.core)
     if not sets:
         return []
     by_size = sorted(sets, key=lambda t: (len(t), t))
@@ -421,30 +410,82 @@ def _search_component(g: Graph, embeddings, budget: _Budget):
     if status is not Status.COLORABLE:
         return status, None, stats
 
-    # extend the partial witness greedily over copy-free edges
-    classes = {order[i]: solution[i] for i in range(T)}
-    vert_used = [0] * g.n
-    for e, c in classes.items():
-        u, v = edges[e]
-        vert_used[u] |= 1 << c
-        vert_used[v] |= 1 << c
-    for e in range(len(edges)):
-        if e in classes:
-            continue
-        u, v = edges[e]
-        forbidden = vert_used[u] | vert_used[v]
-        c = 0
-        while (forbidden >> c) & 1:
-            c += 1
-        classes[e] = c
-        vert_used[u] |= 1 << c
-        vert_used[v] |= 1 << c
-    return status, [classes[e] for e in range(len(edges))], stats
+    # copy-free edges can never complete a rainbow copy: color them greedily
+    return status, first_fit_classes(g, dict(zip(order, solution))), stats
 
 
-def component_decomposition(g: Graph) -> list:
-    """Connected components with back-maps to original vertex labels."""
-    return [induced_subgraph(g, comp) for comp in g.components()]
+def first_fit_classes(g: Graph, fixed: dict) -> list:
+    """Classes for every edge of g, in edge order.
+
+    ``fixed`` maps edge indices to their classes; every other edge takes the
+    least class unused at both of its ends, in edge order, so the result is
+    proper whenever the fixed part is.
+    """
+    edges = g.edges
+    used = [0] * g.n
+    for e, c in fixed.items():
+        u, v = edges[e]
+        used[u] |= 1 << c
+        used[v] |= 1 << c
+    out = []
+    for e, (u, v) in enumerate(edges):
+        c = fixed.get(e)
+        if c is None:
+            forbidden = used[u] | used[v]
+            c = 0
+            while (forbidden >> c) & 1:
+                c += 1
+            used[u] |= 1 << c
+            used[v] |= 1 << c
+        out.append(c)
+    return out
+
+
+# -- split, solve, merge -----------------------------------------------------
+
+
+def merge_colorings(g: Graph, parts, base: dict | None = None) -> EdgeColoring:
+    """One coloring of g from colorings of vertex-disjoint induced subgraphs.
+
+    ``parts`` holds (subgraph, vertex map, classes) triples, the first two as
+    ``induced_subgraph`` returns them.  Each part gets classes of its own, so
+    a copy inside one part keeps its colors and no class is shared across
+    parts.  Edges that no part covers keep their class in ``base``, a map
+    from edge to class.
+    """
+    merged = dict(base or {})
+    offset = max(merged.values(), default=-1) + 1
+    for sub, vmap, classes in parts:
+        for (u, v), c in zip(sub.edges, classes):
+            merged[vmap[u], vmap[v]] = c + offset
+        offset += max(classes, default=-1) + 1
+    return EdgeColoring(tuple(merged[e] for e in g.edges)).normalized()
+
+
+def solve_components(g: Graph, active, solve) -> ColorabilityResult:
+    """Colorability of g from its components, when that is sound.
+
+    A copy of a connected pattern lies inside one component, so when every
+    active pattern is connected, g is colorable iff every component is, and
+    the component witnesses merge into one for g.  Otherwise, and when g is
+    connected, ``solve(g)`` decides the whole host.  ``solve`` maps a graph to
+    its ColorabilityResult.
+    """
+    if not all(p.core_connected for p in active) or g.is_connected():
+        return solve(g)
+    total = SearchStats(searches=0)
+    parts = []
+    for comp in g.components():
+        sub, vmap = induced_subgraph(g, comp)
+        res = solve(sub)
+        total.nodes += res.stats.nodes
+        total.max_depth = max(total.max_depth, res.stats.max_depth)
+        total.elapsed += res.stats.elapsed
+        total.searches += res.stats.searches
+        if res.status is not Status.COLORABLE:
+            return ColorabilityResult(res.status, None, total)
+        parts.append((sub, vmap, res.witness.classes))
+    return ColorabilityResult(Status.COLORABLE, merge_colorings(g, parts), total)
 
 
 def rainbow_free_colorable(
@@ -453,7 +494,6 @@ def rainbow_free_colorable(
     *,
     node_limit: int | None = None,
     time_limit: float | None = None,
-    decompose: bool = True,
     host_order: int | None = None,
 ) -> ColorabilityResult:
     """Decide whether g has a proper edge coloring with no rainbow family copy.
@@ -477,56 +517,9 @@ def rainbow_free_colorable(
         host_order = g.n
     active = [p for p in patterns if p.order <= host_order]
 
-    parts: list
-    if decompose and all(p.core_connected for p in active) and not g.is_connected():
-        parts = [induced_subgraph(g, comp) for comp in g.components()]
-    else:
-        parts = [(g, tuple(range(g.n)))]
+    def search(sub: Graph) -> ColorabilityResult:
+        status, classes, stats = _search_component(sub, _collect_embeddings(sub, active), budget)
+        witness = None if classes is None else EdgeColoring(tuple(classes)).normalized()
+        return ColorabilityResult(status, witness, stats)
 
-    total = SearchStats(searches=0)
-    merged = {}
-    offset = 0
-    for sub, vmap in parts:
-        embeddings = _collect_embeddings(sub, active)
-        status, classes, stats = _search_component(sub, embeddings, budget)
-        total.nodes += stats.nodes
-        total.max_depth = max(total.max_depth, stats.max_depth)
-        total.elapsed += stats.elapsed
-        total.searches += 1
-        if status is not Status.COLORABLE:
-            return ColorabilityResult(status, None, total)
-        for (u, v), c in zip(sub.edges, classes):
-            a, b = vmap[u], vmap[v]
-            merged[(a, b) if a < b else (b, a)] = c + offset
-        offset += max(classes, default=-1) + 1
-
-    witness = EdgeColoring(tuple(merged[e] for e in g.edges)).normalized()
-    return ColorabilityResult(Status.COLORABLE, witness, total)
-
-
-def proper_partition_count(g: Graph) -> int:
-    """Number of partitions of E(g) into matchings (proper colorings up to renaming)."""
-    edges = g.edges
-    m = len(edges)
-    used = [0] * g.n
-    count = 0
-
-    def assign(i: int, k: int):
-        nonlocal count
-        if i == m:
-            count += 1
-            return
-        u, v = edges[i]
-        forbidden = used[u] | used[v]
-        for c in range(k + 1):
-            if c < k and (forbidden >> c) & 1:
-                continue
-            bit = 1 << c
-            used[u] |= bit
-            used[v] |= bit
-            assign(i + 1, k + 1 if c == k else k)
-            used[u] ^= bit
-            used[v] ^= bit
-
-    assign(0, 0)
-    return count
+    return solve_components(g, active, search)

@@ -131,27 +131,29 @@ class Graph:
 
     # -- structure -------------------------------------------------------
 
+    def component(self, v: int) -> tuple:
+        """The connected component of v as a sorted vertex tuple."""
+        comp = frontier = 1 << v
+        while frontier:
+            nxt = 0
+            for w in iter_bits(frontier):
+                nxt |= self.adj[w]
+            frontier = nxt & ~comp
+            comp |= nxt
+        return tuple(iter_bits(comp))
+
     def components(self) -> list:
         """Connected components as sorted vertex tuples, ordered by minimum."""
-        seen = 0
         out = []
-        for start in range(self.n):
-            if (seen >> start) & 1:
-                continue
-            comp = 1 << start
-            frontier = 1 << start
-            while frontier:
-                nxt = 0
-                for v in iter_bits(frontier):
-                    nxt |= self.adj[v]
-                frontier = nxt & ~comp
-                comp |= nxt
-            seen |= comp
-            out.append(tuple(iter_bits(comp)))
+        seen = set()
+        for v in range(self.n):
+            if v not in seen:
+                out.append(self.component(v))
+                seen.update(out[-1])
         return out
 
     def is_connected(self) -> bool:
-        return self.n <= 1 or len(self.components()) == 1
+        return self.n <= 1 or len(self.component(0)) == self.n
 
     def is_bipartite(self) -> bool:
         color = [-1] * self.n

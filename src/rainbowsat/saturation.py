@@ -19,7 +19,6 @@ Two structural facts carry the heavy lifting:
 from __future__ import annotations
 
 import random
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
 from itertools import combinations
@@ -32,7 +31,10 @@ from .engine import (
     Status,
     as_pattern,
     exists_embedding,
+    first_fit_classes,
+    merge_colorings,
     rainbow_free_colorable,
+    solve_components,
 )
 from .graphs import (
     Graph,
@@ -40,7 +42,6 @@ from .graphs import (
     empty_graph,
     graph6_encode,
     induced_subgraph,
-    iter_bits,
 )
 
 
@@ -128,25 +129,8 @@ class RainbowSolver:
 
     def colorability(self, g: Graph) -> ColorabilityResult:
         """Rainbow-free colorability of g, decomposing into components when sound."""
-        if self.connected and not g.is_connected():
-            merged = {}
-            offset = 0
-            total = SearchStats(searches=0)
-            for comp in g.components():
-                sub, vmap = induced_subgraph(g, comp)
-                res = self._solve(sub, host_order=g.n)
-                total.nodes += res.stats.nodes
-                total.max_depth = max(total.max_depth, res.stats.max_depth)
-                total.searches += res.stats.searches
-                if res.status is not Status.COLORABLE:
-                    return ColorabilityResult(res.status, None, total)
-                for (u, v), c in zip(sub.edges, res.witness.classes):
-                    a, b = vmap[u], vmap[v]
-                    merged[(a, b) if a < b else (b, a)] = c + offset
-                offset += res.witness.num_classes
-            witness = EdgeColoring(tuple(merged[e] for e in g.edges)).normalized()
-            return ColorabilityResult(Status.COLORABLE, witness, total)
-        return self._solve(g, host_order=g.n)
+        active = [p for p in self.patterns if p.order <= g.n]
+        return solve_components(g, active, lambda sub: self._solve(sub, host_order=g.n))
 
     def _solve(self, g: Graph, host_order: int | None = None) -> ColorabilityResult:
         # host_order carries the original order so patterns with isolated
@@ -156,9 +140,8 @@ class RainbowSolver:
         active = [p for p in self.patterns if p.order <= host_order]
         if not active:
             # no pattern fits the host, so any proper coloring witnesses
-            return ColorabilityResult(
-                Status.COLORABLE, self._greedy_proper(g), SearchStats(searches=0)
-            )
+            witness = EdgeColoring(tuple(first_fit_classes(g, {})))
+            return ColorabilityResult(Status.COLORABLE, witness, SearchStats(searches=0))
 
         key = self._key(g) + (host_order if any(p.order > p.core.n for p in active) else 0,)
         hit = self._cache.get(key)
@@ -187,7 +170,6 @@ class RainbowSolver:
             active,
             node_limit=self.node_limit,
             time_limit=self.time_limit,
-            decompose=False,
             host_order=host_order,
         )
         if res.status is not Status.INDETERMINATE:
@@ -196,19 +178,6 @@ class RainbowSolver:
                 classes = self._store_witness(g, res.witness)
             self._cache[key] = (res.status, classes)
         return res
-
-    def _greedy_proper(self, g: Graph) -> EdgeColoring:
-        used = [0] * g.n
-        out = []
-        for u, v in g.edges:
-            forbidden = used[u] | used[v]
-            c = 0
-            while (forbidden >> c) & 1:
-                c += 1
-            used[u] |= 1 << c
-            used[v] |= 1 << c
-            out.append(c)
-        return EdgeColoring(tuple(out))
 
     def _store_witness(self, g: Graph, witness: EdgeColoring):
         if g.n > self.canon_limit:
@@ -236,18 +205,6 @@ class RainbowSolver:
 # -- saturation checks --------------------------------------------------------
 
 
-def _component_of_edge(g: Graph, u: int):
-    comp = 1 << u
-    frontier = 1 << u
-    while frontier:
-        nxt = 0
-        for v in iter_bits(frontier):
-            nxt |= g.adj[v]
-        frontier = nxt & ~comp
-        comp |= nxt
-    return tuple(iter_bits(comp))
-
-
 def is_rainbow_saturated(g: Graph, family=None, *, solver: RainbowSolver | None = None,
                          node_limit=None, time_limit=None) -> SaturationVerdict:
     """Check conditions (a) and (b) of rainbow family saturation.
@@ -271,8 +228,7 @@ def is_rainbow_saturated(g: Graph, family=None, *, solver: RainbowSolver | None 
         g2 = g.with_edge(u, v)
         checked += 1
         if solver.connected:
-            compverts = _component_of_edge(g2, u)
-            sub, vmap = induced_subgraph(g2, compverts)
+            sub, vmap = induced_subgraph(g2, g2.component(u))
             res = solver._solve(sub, host_order=g2.n)
         else:
             sub, vmap = g2, tuple(range(g2.n))
@@ -286,7 +242,10 @@ def is_rainbow_saturated(g: Graph, family=None, *, solver: RainbowSolver | None 
                 nonedges_refuted=refuted,
             )
         if res.status is Status.COLORABLE:
-            coloring = _merge_failing_coloring(g, g2, base.witness, res.witness, vmap)
+            # fresh classes inside the re-searched part, the (a)-witness elsewhere
+            coloring = merge_colorings(
+                g2, [(sub, vmap, res.witness.classes)], dict(zip(g.edges, base.witness.classes))
+            )
             return SaturationVerdict(
                 Verdict.NOT_SATURATED,
                 witness_coloring=base.witness,
@@ -304,31 +263,6 @@ def is_rainbow_saturated(g: Graph, family=None, *, solver: RainbowSolver | None 
         nonedges_checked=checked,
         nonedges_refuted=refuted,
     )
-
-
-def _merge_failing_coloring(g, g2, base_witness, comp_witness, vmap):
-    """Rainbow-free coloring of g+e: fresh classes inside the merged component,
-    the (a)-witness restricted to everything else."""
-    inside = set(vmap)
-    offset = (max(base_witness.classes) + 1) if base_witness.classes else 0
-    pos = {v: i for i, v in enumerate(vmap)}
-    comp_index = {}
-    sub_edges = [
-        (min(pos[a], pos[b]), max(pos[a], pos[b]))
-        for a, b in g2.edges
-        if a in inside and b in inside
-    ]
-    # comp_witness indexes the induced subgraph's lexicographic edge order,
-    # which matches sorted(sub_edges)
-    for e, c in zip(sorted(sub_edges), comp_witness.classes):
-        comp_index[e] = c
-    out = []
-    for a, b in g2.edges:
-        if a in inside and b in inside:
-            out.append(comp_index[(min(pos[a], pos[b]), max(pos[a], pos[b]))] + offset)
-        else:
-            out.append(base_witness.classes[g.edge_index[(a, b)]])
-    return EdgeColoring(tuple(out)).normalized()
 
 
 def is_classically_saturated(g: Graph, h) -> bool:
@@ -412,26 +346,26 @@ def sat_exact(n: int, h, *, edge_budget=None) -> SatNumberResult:
     return SatNumberResult(n, (graph6_encode(pat.graph),), None, (), checked, levels)
 
 
-def _level_verdicts(graphs, solver, threads, context):
-    """Saturation verdicts for one enumeration level, in enumeration order.
+def _exhaustive_solver(family, node_limit, time_limit) -> RainbowSolver:
+    return RainbowSolver(
+        family, node_limit=node_limit, time_limit=time_limit, deletion_propagation=True
+    )
 
-    With threads > 1 the candidates go to a worker pool; results come back in
-    input order, so the output never depends on scheduling.  Verdict caches
-    are shared (duplicate concurrent searches only cost time, the verdicts
-    are equal).
-    """
-    def judge(g):
-        return is_rainbow_saturated(g, solver=solver)
 
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            verdicts = list(pool.map(judge, graphs))
-    else:
-        verdicts = [judge(g) for g in graphs]
-    for g, verdict in zip(graphs, verdicts):
-        if verdict.status is Verdict.INDETERMINATE:
-            raise SearchAborted(f"budget exhausted at {context}, graph {graph6_encode(g)}")
-    return verdicts
+def _saturated_levels(n: int, solver: RainbowSolver, max_edges=None):
+    """Yield (edge count, classes on the level, saturated classes) in ascending
+    edge order; budget exhaustion on any graph raises SearchAborted."""
+    for m, graphs in enumerate_levels(n, max_edges):
+        hits = []
+        for g in graphs:
+            verdict = is_rainbow_saturated(g, solver=solver)
+            if verdict.status is Verdict.INDETERMINATE:
+                raise SearchAborted(
+                    f"budget exhausted at n={n}, level={m}, graph {graph6_encode(g)}"
+                )
+            if verdict.status is Verdict.SATURATED:
+                hits.append(g)
+        yield m, len(graphs), hits
 
 
 def sat_star_exact(
@@ -442,7 +376,6 @@ def sat_star_exact(
     node_limit=None,
     time_limit=None,
     edge_budget=None,
-    threads: int = 1,
 ) -> SatNumberResult:
     """Rainbow saturation number by ascending exhaustive enumeration.
 
@@ -452,17 +385,13 @@ def sat_star_exact(
     Budget exhaustion raises SearchAborted rather than reporting a guess.
     """
     if solver is None:
-        solver = RainbowSolver(
-            family, node_limit=node_limit, time_limit=time_limit, deletion_propagation=True
-        )
+        solver = _exhaustive_solver(family, node_limit, time_limit)
     famkey = tuple(graph6_encode(p.graph) for p in solver.patterns)
     checked = 0
     levels = 0
-    for m, graphs in enumerate_levels(n, edge_budget):
+    for m, size, hits in _saturated_levels(n, solver, edge_budget):
         levels = m
-        verdicts = _level_verdicts(graphs, solver, threads, f"n={n}, level={m}")
-        checked += len(graphs)
-        hits = [g for g, v in zip(graphs, verdicts) if v.status is Verdict.SATURATED]
+        checked += size
         if hits:
             return SatNumberResult(
                 n, famkey, m, tuple(graph6_encode(g) for g in hits), checked, levels
@@ -471,25 +400,22 @@ def sat_star_exact(
 
 
 def all_rainbow_saturated(n: int, family, *, solver: RainbowSolver | None = None,
-                          node_limit=None, time_limit=None, threads: int = 1):
+                          node_limit=None, time_limit=None):
     """Every rainbow family-saturated graph on n vertices, plus the minimum.
 
     Scans all isomorphism classes (not just the first successful level);
     returns (saturated graphs ascending, SatNumberResult).
     """
     if solver is None:
-        solver = RainbowSolver(
-            family, node_limit=node_limit, time_limit=time_limit, deletion_propagation=True
-        )
+        solver = _exhaustive_solver(family, node_limit, time_limit)
     famkey = tuple(graph6_encode(p.graph) for p in solver.patterns)
     found = []
     checked = 0
     levels = 0
-    for m, graphs in enumerate_levels(n, None):
+    for m, size, hits in _saturated_levels(n, solver):
         levels = m
-        verdicts = _level_verdicts(graphs, solver, threads, f"n={n}, level={m}")
-        checked += len(graphs)
-        found.extend(g for g, v in zip(graphs, verdicts) if v.status is Verdict.SATURATED)
+        checked += size
+        found.extend(hits)
     value = min((g.edge_count for g in found), default=None)
     witnesses = tuple(
         graph6_encode(g) for g in found if g.edge_count == value

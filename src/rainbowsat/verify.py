@@ -3,18 +3,18 @@
 Each claim function returns a dict with a status and a list of individual
 checks.  Statuses: "pass", "fail", "indeterminate", and "xfail" for checks
 documented to fail for a known structural reason (recorded in the check
-detail); a claim passes when no check fails or is indeterminate.
+detail); a claim passes when no check fails or is indeterminate, and a
+failure outranks an indeterminate check.
 
 Reports are deterministic: budgets are node counts, never wall-clock, all
-collections are emitted in sorted order, and no timing or worker-count
-information enters the canonical JSON.  Two runs with identical inputs and
-seed produce byte-identical reports regardless of the worker pool size.
+collections are emitted in sorted order, and no timing information enters
+the canonical JSON.  Two runs with identical inputs and seed produce
+byte-identical reports.
 """
 from __future__ import annotations
 
 import json
 import random
-from concurrent.futures import ThreadPoolExecutor
 from itertools import combinations
 
 from .constructions import (
@@ -64,15 +64,19 @@ def _check(name, ok, detail=None, xfail_reason=None):
     return entry
 
 
-def _claim(name, checks):
+def _worst(statuses) -> str:
+    """Combined status: fail beats indeterminate beats pass; xfail counts as pass."""
     worst = "pass"
-    for c in checks:
-        if c["status"] == "indeterminate":
+    for status in statuses:
+        if status == "fail":
+            return "fail"
+        if status == "indeterminate":
             worst = "indeterminate"
-            break
-        if c["status"] == "fail":
-            worst = "fail"
-    return {"claim": name, "status": worst, "checks": checks}
+    return worst
+
+
+def _claim(name, checks):
+    return {"claim": name, "status": _worst(c["status"] for c in checks), "checks": checks}
 
 
 # -- claims -------------------------------------------------------------------
@@ -432,37 +436,20 @@ def run_report(
     extended: bool = False,
     node_limit: int = DEFAULT_NODE_LIMIT,
     seed: int = DEFAULT_SEED,
-    threads: int = 1,
 ) -> dict:
-    """Run the selected claims and assemble the machine-readable report.
-
-    Claims are independent; with threads > 1 they run on a worker pool and
-    are merged back in claim order, so the report bytes do not depend on the
-    pool size.
-    """
+    """Run the selected claims and assemble the machine-readable report."""
     selection = sorted(CLAIMS) if only is None else list(only)
     unknown = [name for name in selection if name not in CLAIMS]
     if unknown:
         raise ValueError(f"unknown claims: {', '.join(unknown)}; known: {', '.join(sorted(CLAIMS))}")
     config = {"extended": extended, "node_limit": node_limit, "seed": seed}
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(lambda name: CLAIMS[name](config), selection))
-    else:
-        results = [CLAIMS[name](config) for name in selection]
-    status = "pass"
-    for r in results:
-        if r["status"] == "indeterminate":
-            status = "indeterminate"
-            break
-        if r["status"] == "fail":
-            status = "fail"
+    results = [CLAIMS[name](config) for name in selection]
     return {
         "schema": SCHEMA_VERSION,
         "seed": seed,
         "extended": extended,
         "node_limit": node_limit,
-        "status": status,
+        "status": _worst(r["status"] for r in results),
         "claims": results,
     }
 

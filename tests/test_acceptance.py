@@ -1,18 +1,29 @@
 """Acceptance suite: every top-level claim checked at its stated tolerance.
 
 Each criterion prints one pass/fail line (run with -s to see them).  All
-comparisons are exact; budgets are deterministic node limits.
+comparisons are exact; budgets are deterministic node limits.  Criteria 1-9
+read their claims from one default report, which criterion 10 compares byte
+for byte with the committed golden report.
 """
+from pathlib import Path
+
 import pytest
 
 from rainbowsat import verify
 from rainbowsat.saturation import sat_exact, sat_formula_oracle
 from rainbowsat.graphs import cycle
 
+GOLDEN = Path(__file__).parent / "golden" / "verify-paper.json"
 
-def _run(name, **kwargs):
-    report = verify.run_report([name], **kwargs)
-    return report["claims"][0]
+
+@pytest.fixture(scope="module")
+def report():
+    return verify.run_report()
+
+
+def _pick(report, name):
+    (claim,) = [c for c in report["claims"] if c["claim"] == name]
+    return claim
 
 
 def _assert_claim(number, claim):
@@ -23,17 +34,17 @@ def _assert_claim(number, claim):
     assert not failed, f"criterion {number} failing checks: {failed}"
 
 
-def test_criterion_1_ehm_cross_check():
+def test_criterion_1_ehm_cross_check(report):
     # sat(n, K_r) equals the closed form with its unique extremal witness,
     # 3 <= r <= n <= 7, exact equality
-    _assert_claim(1, _run("ehm"))
+    _assert_claim(1, _pick(report, "ehm"))
 
 
-def test_criterion_2_classical_formulas():
+def test_criterion_2_classical_formulas(report):
     # sat(n,P4) matches the piecewise closed form for n=4..8 and sat(n,C4)
     # matches floor((3n-5)/2) for n=5..7; the n=4 C4 case is checked
     # separately below because the closed form starts at n=5
-    claim = _run("classical-formulas")
+    claim = _pick(report, "classical-formulas")
     hard_failures = [c["name"] for c in claim["checks"] if c["status"] == "fail"]
     xfails = [c["name"] for c in claim["checks"] if c["status"] == "xfail"]
     status = "PASS" if not hard_failures else "FAIL"
@@ -56,59 +67,59 @@ def test_criterion_2_c4_true_value_at_n4():
     assert sat_exact(4, cycle(4)).value == 4
 
 
-def test_criterion_3_p3_equality():
+def test_criterion_3_p3_equality(report):
     # sat*(n, {P3}) = sat(n, P3) for n = 3..7, exact
-    _assert_claim(3, _run("p3-equality"))
+    _assert_claim(3, _pick(report, "p3-equality"))
 
 
-def test_criterion_4_colored_wheel():
+def test_criterion_4_colored_wheel(report):
     # n=6..9: the colored wheel is proper, rainbow-C4-free and SATURATED with
     # 2(n-1) edges; n=10..14: every chord addition contains a chord gadget,
     # and both gadgets are UNCOLORABLE
-    _assert_claim(4, _run("c4-wheel"))
+    _assert_claim(4, _pick(report, "c4-wheel"))
 
 
-def test_criterion_5_c4_degree_one_bound():
+def test_criterion_5_c4_degree_one_bound(report):
     # every rainbow C4-saturated graph on 5..7 vertices has at most one
     # degree-1 vertex; sat*(n,C4) lies in [n-2, 2n-2]
-    _assert_claim(5, _run("c4-degree1"))
+    _assert_claim(5, _pick(report, "c4-degree1"))
 
 
-def test_criterion_6_p4_disjoint_construction():
+def test_criterion_6_p4_disjoint_construction(report):
     # constructions at n=16..18 are SATURATED with exactly (4n+14a)/5 edges;
     # forcing gadgets UNCOLORABLE, non-forcing components COLORABLE
-    _assert_claim(6, _run("p4-construction"))
+    _assert_claim(6, _pick(report, "p4-construction"))
 
 
-def test_criterion_7_k4_gap():
+def test_criterion_7_k4_gap(report):
     # sat*(5,{K4}) > (5/4) sat(5,K4), strict, plus the degree audit
-    _assert_claim(7, _run("k4-gap"))
+    _assert_claim(7, _pick(report, "k4-gap"))
 
 
 @pytest.mark.extended
 def test_criterion_7_k4_gap_extended_n6():
-    claim = _run("k4-gap", extended=True)
+    claim = verify.run_report(["k4-gap"], extended=True)["claims"][0]
     _assert_claim("7-extended", claim)
     assert any(c["name"] == "n=6" for c in claim["checks"])
 
 
-def test_criterion_8_ladder():
+def test_criterion_8_ladder(report):
     # ladder level sequences for K3/K4; constructions verify SATURATED over
     # the feasible range with |E|/n bounded per pattern
-    _assert_claim(8, _run("ladder"))
+    _assert_claim(8, _pick(report, "ladder"))
 
 
-def test_criterion_9_engine_oracle_equivalence():
+def test_criterion_9_engine_oracle_equivalence(report):
     # 500 seeded random graphs with <= 8 edges plus all gadgets, patterns
     # {P3,P4,C4,K3,K4}: exact agreement with the naive partition oracle
-    _assert_claim(9, _run("engine-oracle"))
+    _assert_claim(9, _pick(report, "engine-oracle"))
 
 
-def test_criterion_10_determinism():
-    # two full runs with different worker counts produce identical bytes
-    r1 = verify.report_json(verify.run_report(threads=1))
-    r2 = verify.report_json(verify.run_report(threads=2))
-    same = r1 == r2
-    print(f"[criterion 10] {'PASS' if same else 'FAIL'}: byte-identical reports "
-          f"({len(r1)} bytes)")
+def test_criterion_10_determinism(report):
+    # the default report is byte-identical to the committed golden report,
+    # which is `rainbowsat verify-paper --json` output at the default seed
+    got = verify.report_json(report) + "\n"
+    same = got.encode() == GOLDEN.read_bytes()
+    print(f"[criterion 10] {'PASS' if same else 'FAIL'}: report matches the golden "
+          f"report ({len(got)} bytes)")
     assert same

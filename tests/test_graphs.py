@@ -132,6 +132,15 @@ def test_eleven_classes_on_four_vertices():
     assert len({canonical_form(g).encoding for g in all_graphs}) == 11
 
 
+def test_canonical_form_separates_graph_atlas():
+    # the atlas lists each graph on at most 7 vertices once, up to isomorphism
+    encodings = {
+        canonical_form(Graph(h.number_of_nodes(), h.edges())).encoding
+        for h in nx.graph_atlas_g()
+    }
+    assert len(encodings) == 1253
+
+
 def test_isomorphism_agrees_with_brute_force_exhaustive_n4():
     pairs = list(combinations(range(4), 2))
     all_graphs = [

@@ -3,14 +3,33 @@ import random
 from itertools import combinations
 from math import comb
 
-from rainbowsat import Graph, Status, complete_graph, cycle, path
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from rainbowsat import (
+    Graph,
+    Status,
+    Verdict,
+    complete_graph,
+    cycle,
+    disjoint_union,
+    empty_graph,
+    find_rainbow_embedding,
+    is_proper,
+    is_rainbow_saturated,
+    path,
+    rainbow_free_colorable,
+)
 from rainbowsat.constructions import gadget, gadget_names
 from rainbowsat.oracle import (
     brute_embeddings,
+    naive_rainbow_free_colorable,
     naive_rainbow_free_colorable_multi,
     set_partitions,
 )
 from rainbowsat.saturation import RainbowSolver
+
+from .strategies import graphs
 
 PATTERNS = {
     "P3": path(3),
@@ -53,3 +72,49 @@ def test_engine_agrees_on_gadgets():
         for pname in PATTERNS:
             eng = solvers[pname].colorability(g).status is Status.COLORABLE
             assert eng == naive[pname], (name, pname)
+
+
+# connected patterns, one whose copies need room for an isolated vertex, and
+# a family with a disconnected member, which keeps the host whole
+MERGE_FAMILIES = {
+    "P4": [path(4)],
+    "K3": [complete_graph(3)],
+    "C4": [cycle(4)],
+    "K3+K1": [disjoint_union([complete_graph(3), empty_graph(1)])],
+    "P3,2K2": [path(3), Graph(4, [(0, 1), (2, 3)])],
+}
+
+
+@st.composite
+def disjoint_unions(draw):
+    parts = draw(st.lists(graphs(min_n=1, max_n=4, max_edges=4), min_size=2, max_size=3))
+    # at most 8 edges keeps the all-partitions oracle cheap
+    assume(sum(part.edge_count for part in parts) <= 8)
+    return disjoint_union(parts)
+
+
+def _rainbow_free(g, coloring, family):
+    return is_proper(g, coloring) and all(
+        find_rainbow_embedding(g, coloring, h) is None for h in family
+    )
+
+
+@settings(max_examples=100, deadline=None)
+@given(disjoint_unions(), st.sampled_from(sorted(MERGE_FAMILIES)))
+def test_merged_witnesses_recheck_on_disjoint_unions(g, name):
+    family = MERGE_FAMILIES[name]
+    want = naive_rainbow_free_colorable(g, family)
+    solver = RainbowSolver(family)
+    first = solver.colorability(g)
+    cached = solver.colorability(g)
+    assert cached.stats.searches == 0
+    for res in (rainbow_free_colorable(g, family), first, cached):
+        assert (res.status is Status.COLORABLE) == want
+        if want:
+            assert _rainbow_free(g, res.witness, family)
+
+    verdict = is_rainbow_saturated(g, solver=solver)
+    assert verdict.status is not Verdict.INDETERMINATE
+    if verdict.status is Verdict.NOT_SATURATED and want:
+        g2 = g.with_edge(*verdict.failing_edge)
+        assert _rainbow_free(g2, verdict.failing_coloring, family)

@@ -1,6 +1,8 @@
 import random
+from collections import Counter
 from itertools import combinations
 
+import networkx as nx
 import pytest
 from hypothesis import given, settings
 
@@ -124,6 +126,15 @@ def test_enumeration_counts():
     assert sum(1 for _ in enumerate_nonisomorphic_graphs(5)) == 34
 
 
+def test_enumeration_counts_match_graph_atlas():
+    # the atlas lists all 1,253 graphs on at most 7 vertices, one per class
+    atlas = Counter((h.number_of_nodes(), h.number_of_edges()) for h in nx.graph_atlas_g())
+    assert sum(atlas.values()) == 1253
+    for n in range(8):
+        levels = {m: len(level) for m, level in enumerate_levels(n)}
+        assert levels == {m: k for (order, m), k in atlas.items() if order == n}
+
+
 def test_enumeration_is_ascending_and_duplicate_free():
     graphs_seen = list(enumerate_nonisomorphic_graphs(5))
     counts = [g.edge_count for g in graphs_seen]
@@ -191,13 +202,6 @@ def test_sat_star_no_saturated_graph_outcome():
 def test_sat_star_budget_aborts():
     with pytest.raises(SearchAborted):
         sat_star_exact(6, [cycle(4)], node_limit=2)
-
-
-def test_sat_star_worker_pool_is_deterministic():
-    seq = sat_star_exact(6, [cycle(4)])
-    par = sat_star_exact(6, [cycle(4)], threads=3)
-    assert seq.value == par.value
-    assert seq.witnesses == par.witnesses
 
 
 # -- downward closure and greedy -------------------------------------------------------
