@@ -15,9 +15,11 @@ in a fixed order.
 """
 from __future__ import annotations
 
+import heapq
 import time
 from dataclasses import dataclass, field
 from enum import Enum
+from itertools import groupby
 from math import factorial
 
 from .graphs import Graph, induced_subgraph, iter_bits
@@ -278,35 +280,55 @@ def _collect_embeddings(g: Graph, patterns) -> list:
     sets = set()
     for pat in patterns:
         sets |= _copies(g, pat.core)
-    if not sets:
-        return []
     by_size = sorted(sets, key=lambda t: (len(t), t))
+    if not by_size or len(by_size[0]) == len(by_size[-1]):
+        # distinct copies of one size never contain one another
+        return by_size
     kept = []
-    kept_sets = []
-    for emb in by_size:
-        s = frozenset(emb)
-        if any(other <= s for other in kept_sets if len(other) < len(s)):
-            continue
-        kept.append(emb)
-        kept_sets.append(s)
+    below = []  # kept copies of the sizes already passed, as sets
+    for _, group in groupby(by_size, key=len):
+        same = []
+        for emb in group:
+            s = frozenset(emb)
+            if not any(other <= s for other in below):
+                kept.append(emb)
+                same.append(s)
+        below.extend(same)
     return kept
 
 
 def _search_order(embeddings: list) -> list:
-    """Edge order that completes copies early: chain copies by overlap."""
-    remaining = list(embeddings)
+    """Edge order that completes copies early: chain copies by overlap.
+
+    The first copy leads; each next one shares the most edges with those
+    placed, ties going to the least edge tuple.  Overlaps only grow, so a
+    heap with one entry per overlap change yields every pick.
+    """
+    containing = {}
+    for i, emb in enumerate(embeddings):
+        for e in emb:
+            containing.setdefault(e, []).append(i)
+    overlap = [0] * len(embeddings)  # None once picked
+    heap = [(0, emb, i) for i, emb in enumerate(embeddings)]
+    heapq.heapify(heap)
     order = []
     placed = set()
-    while remaining:
-        if not order:
-            pick = remaining[0]
-        else:
-            pick = max(remaining, key=lambda emb: (len(placed.intersection(emb)), [-e for e in emb]))
-        remaining.remove(pick)
-        for e in sorted(pick):
+    pick = 0 if embeddings else None
+    while pick is not None:
+        overlap[pick] = None
+        for e in sorted(embeddings[pick]):
             if e not in placed:
                 placed.add(e)
                 order.append(e)
+                for j in containing[e]:
+                    if overlap[j] is not None:
+                        overlap[j] += 1
+                        heapq.heappush(heap, (-overlap[j], embeddings[j], j))
+        pick = None
+        while heap and pick is None:
+            neg, _, j = heapq.heappop(heap)
+            if overlap[j] == -neg:
+                pick = j
     return order
 
 
@@ -336,6 +358,10 @@ def _search_component(g: Graph, embeddings, budget: _Budget):
         # an edgeless pattern fits the host: every coloring is "rainbow"
         stats.elapsed = time.monotonic() - start
         return Status.UNCOLORABLE, None, stats
+    if budget.deadline is not None and time.monotonic() > budget.deadline:
+        # collecting the copies may already have used up the time budget
+        stats.elapsed = time.monotonic() - start
+        return Status.INDETERMINATE, None, stats
 
     order = _search_order(embeddings)
     T = len(order)

@@ -112,19 +112,6 @@ class Graph:
         g._edge_index = None
         return g
 
-    def without_edge(self, u: int, v: int) -> "Graph":
-        if not self.has_edge(u, v):
-            raise ValueError(f"({u},{v}) is not an edge")
-        g = Graph.__new__(Graph)
-        adj = list(self.adj)
-        adj[u] &= ~(1 << v)
-        adj[v] &= ~(1 << u)
-        g.n = self.n
-        g.adj = tuple(adj)
-        g._edges = None
-        g._edge_index = None
-        return g
-
     def relabel(self, perm) -> "Graph":
         """Return the graph with vertex v renamed to perm[v]."""
         return Graph(self.n, [(perm[u], perm[v]) for u, v in self.edges])

@@ -10,8 +10,10 @@ Two structural facts carry the heavy lifting:
 
 * downward closure: a rainbow-free colorable graph stays colorable after
   deleting edges (restrict the witness), so greedy saturation needs a single
-  pass and UNCOLORABLE verdicts propagate to supergraphs on the same
-  vertex set;
+  pass, and the exhaustive search settles a class as UNCOLORABLE without a
+  search when one of its parents (the class minus an edge) is UNCOLORABLE;
+  a colorable class is saturated iff no child (the class plus an edge) is
+  colorable, so each class is decided at most once;
 * for connected patterns a rainbow copy lives inside one component, so
   condition (b) only needs to re-search the component that absorbed the new
   edge.
@@ -91,39 +93,30 @@ class SatNumberResult:
 # -- cached colorability -----------------------------------------------------
 
 
+# hosts up to this order share cache entries by canonical form
+CANON_LIMIT = 12
+
+
 class RainbowSolver:
     """Colorability decisions for one pattern family, memoized across calls.
 
-    Results are cached by canonical form for hosts up to ``canon_limit``
+    Results are cached by canonical form for hosts up to ``CANON_LIMIT``
     vertices (so isomorphic hosts share one search) and by labeled adjacency
-    above that.  With ``deletion_propagation`` an UNCOLORABLE verdict for any
-    single-edge-deleted subgraph settles the host without searching, which
-    turns exhaustive audits over all graphs of a given order into a cheap
-    frontier computation.
+    above that.
     """
 
-    def __init__(
-        self,
-        family,
-        *,
-        node_limit: int | None = None,
-        time_limit: float | None = None,
-        canon_limit: int = 12,
-        deletion_propagation: bool = False,
-    ):
+    def __init__(self, family, *, node_limit: int | None = None, time_limit: float | None = None):
         self.patterns = tuple(as_pattern(p) for p in family)
         if not self.patterns:
             raise ValueError("empty pattern family")
         self.connected = all(p.core_connected for p in self.patterns)
         self.node_limit = node_limit
         self.time_limit = time_limit
-        self.canon_limit = canon_limit
-        self.deletion_propagation = deletion_propagation
         self._cache: dict = {}
 
     # cache keys: ("c", encoding) for canonical, ("l", n, adj) for labeled
     def _key(self, g: Graph):
-        if g.n <= self.canon_limit:
+        if g.n <= CANON_LIMIT:
             return ("c", canonical_form(g).encoding)
         return ("l", g.n, g.adj)
 
@@ -152,19 +145,6 @@ class RainbowSolver:
                 witness = self._restore_witness(g, classes)
             return ColorabilityResult(status, witness, SearchStats(searches=0))
 
-        if (
-            self.deletion_propagation
-            and g.n <= self.canon_limit
-            and g.edges
-        ):
-            for u, v in g.edges:
-                sub = g.without_edge(u, v)
-                subkey = self._key(sub) + (key[-1],)
-                prev = self._cache.get(subkey)
-                if prev is not None and prev[0] is Status.UNCOLORABLE:
-                    self._cache[key] = (Status.UNCOLORABLE, None)
-                    return ColorabilityResult(Status.UNCOLORABLE, None, SearchStats(searches=0))
-
         res = rainbow_free_colorable(
             g,
             active,
@@ -180,7 +160,7 @@ class RainbowSolver:
         return res
 
     def _store_witness(self, g: Graph, witness: EdgeColoring):
-        if g.n > self.canon_limit:
+        if g.n > CANON_LIMIT:
             return witness.classes
         relab = canonical_form(g).relabeling
         canon = g.relabel(relab)
@@ -191,7 +171,7 @@ class RainbowSolver:
         return tuple(classes)
 
     def _restore_witness(self, g: Graph, classes) -> EdgeColoring:
-        if g.n > self.canon_limit:
+        if g.n > CANON_LIMIT:
             return EdgeColoring(tuple(classes))
         relab = canonical_form(g).relabeling
         canon = g.relabel(relab)
@@ -279,7 +259,7 @@ def is_classically_saturated(g: Graph, h) -> bool:
 # -- isomorphism-free enumeration ----------------------------------------------
 
 
-ENUMERATION_LIMIT = 10
+ENUMERATION_LIMIT = 9
 
 
 def enumerate_levels(n: int, max_edges: int | None = None):
@@ -287,7 +267,8 @@ def enumerate_levels(n: int, max_edges: int | None = None):
 
     Level m+1 is generated from level m by single-edge extension and
     deduplicated by canonical form, so every isomorphism class appears
-    exactly once, at its own edge count.
+    exactly once, at its own edge count.  Each level lists its classes in
+    ascending order of canonical encoding.
     """
     if not 0 <= n <= ENUMERATION_LIMIT:
         raise ValueError(f"exhaustive enumeration supports 0..{ENUMERATION_LIMIT} vertices")
@@ -322,50 +303,83 @@ def enumerate_nonisomorphic_graphs(n: int, edge_budget: int | None = None):
 # -- exact saturation numbers ---------------------------------------------------
 
 
+def _saturated_levels(n: int, free, max_edges=None):
+    """Yield (edge count, classes on the level, saturated classes) in ascending
+    edge order, up to ``max_edges`` edges.
+
+    ``free(g)`` decides a property that survives edge deletion (rainbow-free
+    colorable, pattern-free); it is called at most once per class.  A class
+    with a parent (one edge fewer) that is not free is not free either, so it
+    is settled without a call; every other class is decided the first time
+    a free parent reaches it, as that parent plus one edge in the parent's
+    labeling.  A free class is saturated iff none of its children is free;
+    children one edge past ``max_edges`` are decided the same way, so the
+    last level within the budget is judged in full.
+    """
+    levels = enumerate_levels(n, max_edges)
+    m, graphs = next(levels)
+    verdicts = [free(g) for g in graphs]
+    while True:
+        children = {}  # canonical encoding -> free, for each class one level up
+        for g, ok in zip(graphs, verdicts):
+            if not ok:
+                for u, v in g.non_edges():
+                    children[canonical_form(g.with_edge(u, v)).encoding] = False
+        hits = []
+        for g, ok in zip(graphs, verdicts):
+            if ok:
+                saturated = True
+                for u, v in g.non_edges():
+                    h = g.with_edge(u, v)
+                    key = canonical_form(h).encoding
+                    if key not in children:
+                        children[key] = free(h)
+                    saturated = saturated and not children[key]
+                if saturated:
+                    hits.append(g)
+        yield m, len(graphs), hits
+        upper = next(levels, None)
+        if upper is None:
+            return
+        m, graphs = upper
+        # enumerate_levels lists a level in ascending canonical encoding
+        verdicts = [children[key] for key in sorted(children)]
+
+
+def _sat_number(n: int, famkey: tuple, free, edge_budget=None, found=None) -> SatNumberResult:
+    """The first level of _saturated_levels with a saturated class.  Given a
+    list ``found``, every level is scanned and its saturated classes appended."""
+    res = SatNumberResult(n, famkey, None, (), 0, 0)
+    for m, size, hits in _saturated_levels(n, free, edge_budget):
+        res.graphs_checked += size
+        res.levels_searched = m
+        if hits and res.value is None:
+            res.value, res.witnesses = m, tuple(graph6_encode(g) for g in hits)
+            if found is None:
+                break
+        if found is not None:
+            found.extend(hits)
+    return res
+
+
+def _colorable(solver: RainbowSolver):
+    """The solver's COLORABLE verdict as ``free``; budget exhaustion raises."""
+    def free(g: Graph) -> bool:
+        status = solver.colorability(g).status
+        if status is Status.INDETERMINATE:
+            raise SearchAborted(
+                f"budget exhausted at n={g.n}, level={g.edge_count}, graph {graph6_encode(g)}"
+            )
+        return status is Status.COLORABLE
+    return free
+
+
 def sat_exact(n: int, h, *, edge_budget=None) -> SatNumberResult:
     """Classical saturation number by ascending exhaustive enumeration."""
     pat = as_pattern(h)
-    checked = 0
-    levels = 0
-    for m, graphs in enumerate_levels(n, edge_budget):
-        levels = m
-        hits = []
-        for g in graphs:
-            checked += 1
-            if is_classically_saturated(g, pat):
-                hits.append(g)
-        if hits:
-            return SatNumberResult(
-                n,
-                (graph6_encode(pat.graph),),
-                m,
-                tuple(graph6_encode(g) for g in hits),
-                checked,
-                levels,
-            )
-    return SatNumberResult(n, (graph6_encode(pat.graph),), None, (), checked, levels)
-
-
-def _exhaustive_solver(family, node_limit, time_limit) -> RainbowSolver:
-    return RainbowSolver(
-        family, node_limit=node_limit, time_limit=time_limit, deletion_propagation=True
+    return _sat_number(
+        n, (graph6_encode(pat.graph),), lambda g: not exists_embedding(g, pat), edge_budget
     )
-
-
-def _saturated_levels(n: int, solver: RainbowSolver, max_edges=None):
-    """Yield (edge count, classes on the level, saturated classes) in ascending
-    edge order; budget exhaustion on any graph raises SearchAborted."""
-    for m, graphs in enumerate_levels(n, max_edges):
-        hits = []
-        for g in graphs:
-            verdict = is_rainbow_saturated(g, solver=solver)
-            if verdict.status is Verdict.INDETERMINATE:
-                raise SearchAborted(
-                    f"budget exhausted at n={n}, level={m}, graph {graph6_encode(g)}"
-                )
-            if verdict.status is Verdict.SATURATED:
-                hits.append(g)
-        yield m, len(graphs), hits
 
 
 def sat_star_exact(
@@ -385,18 +399,9 @@ def sat_star_exact(
     Budget exhaustion raises SearchAborted rather than reporting a guess.
     """
     if solver is None:
-        solver = _exhaustive_solver(family, node_limit, time_limit)
+        solver = RainbowSolver(family, node_limit=node_limit, time_limit=time_limit)
     famkey = tuple(graph6_encode(p.graph) for p in solver.patterns)
-    checked = 0
-    levels = 0
-    for m, size, hits in _saturated_levels(n, solver, edge_budget):
-        levels = m
-        checked += size
-        if hits:
-            return SatNumberResult(
-                n, famkey, m, tuple(graph6_encode(g) for g in hits), checked, levels
-            )
-    return SatNumberResult(n, famkey, None, (), checked, levels)
+    return _sat_number(n, famkey, _colorable(solver), edge_budget)
 
 
 def all_rainbow_saturated(n: int, family, *, solver: RainbowSolver | None = None,
@@ -407,20 +412,11 @@ def all_rainbow_saturated(n: int, family, *, solver: RainbowSolver | None = None
     returns (saturated graphs ascending, SatNumberResult).
     """
     if solver is None:
-        solver = _exhaustive_solver(family, node_limit, time_limit)
+        solver = RainbowSolver(family, node_limit=node_limit, time_limit=time_limit)
     famkey = tuple(graph6_encode(p.graph) for p in solver.patterns)
     found = []
-    checked = 0
-    levels = 0
-    for m, size, hits in _saturated_levels(n, solver):
-        levels = m
-        checked += size
-        found.extend(hits)
-    value = min((g.edge_count for g in found), default=None)
-    witnesses = tuple(
-        graph6_encode(g) for g in found if g.edge_count == value
-    ) if value is not None else ()
-    return found, SatNumberResult(n, famkey, value, witnesses, checked, levels)
+    res = _sat_number(n, famkey, _colorable(solver), found=found)
+    return found, res
 
 
 # -- greedy saturation ----------------------------------------------------------

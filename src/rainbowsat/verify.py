@@ -54,8 +54,12 @@ DEFAULT_NODE_LIMIT = 20_000_000
 DEFAULT_SEED = 20260810
 
 
-def _check(name, ok, detail=None, xfail_reason=None):
+def _check(name, ok, detail=None, xfail_reason=None, indeterminate=False):
+    """One check entry; ``indeterminate`` marks a check whose deciding search
+    ran out of budget while nothing else about it failed."""
     status = "pass" if ok else ("xfail" if xfail_reason else "fail")
+    if indeterminate:
+        status = "indeterminate"
     entry = {"name": name, "status": status}
     if detail is not None:
         entry["detail"] = detail
@@ -160,32 +164,27 @@ def claim_c4_wheel(config):
         verdict = is_rainbow_saturated(
             cg.graph, [cycle(4)], node_limit=config["node_limit"]
         )
-        edges_ok = cg.graph.edge_count == 2 * (n - 1)
-        ok = proper and no_rainbow and edges_ok and verdict.status is Verdict.SATURATED
-        entry = _check(
+        facts = proper and no_rainbow and cg.graph.edge_count == 2 * (n - 1)
+        checks.append(_check(
             f"wheel({n})",
-            ok,
+            facts and verdict.status is Verdict.SATURATED,
             {
                 "proper": proper,
                 "rainbow_free": no_rainbow,
                 "edges": cg.graph.edge_count,
                 "verdict": verdict.status.value,
             },
-        )
-        if verdict.status is Verdict.INDETERMINATE:
-            entry["status"] = "indeterminate"
-        checks.append(entry)
+            indeterminate=facts and verdict.status is Verdict.INDETERMINATE,
+        ))
     ga, gb = gadget("GA"), gadget("GB")
     solver = RainbowSolver([cycle(4)], node_limit=config["node_limit"])
     for gd in (ga, gb):
         res = solver.colorability(gd.graph)
-        entry = _check(
+        checks.append(_check(
             f"gadget {gd.name} uncolorable", res.status is Status.UNCOLORABLE,
             {"status": res.status.value},
-        )
-        if res.status is Status.INDETERMINATE:
-            entry["status"] = "indeterminate"
-        checks.append(entry)
+            indeterminate=res.status is Status.INDETERMINATE,
+        ))
     for n in range(10, 15):
         w = wheel(n)
         covered = all(
@@ -236,24 +235,17 @@ def claim_p4_construction(config):
         proper = is_proper(cg.graph, cg.coloring)
         no_rainbow = find_rainbow_embedding(cg.graph, cg.coloring, path(4)) is None
         verdict = is_rainbow_saturated(cg.graph, [path(4)], node_limit=config["node_limit"])
-        ok = (
-            proper
-            and no_rainbow
-            and cg.graph.edge_count == want_edges
-            and verdict.status is Verdict.SATURATED
-        )
-        entry = _check(
+        facts = proper and no_rainbow and cg.graph.edge_count == want_edges
+        checks.append(_check(
             f"n={n}",
-            ok,
+            facts and verdict.status is Verdict.SATURATED,
             {
                 "edges": cg.graph.edge_count,
                 "expected_edges": want_edges,
                 "verdict": verdict.status.value,
             },
-        )
-        if verdict.status is Verdict.INDETERMINATE:
-            entry["status"] = "indeterminate"
-        checks.append(entry)
+            indeterminate=facts and verdict.status is Verdict.INDETERMINATE,
+        ))
     solver = RainbowSolver([path(4)], node_limit=config["node_limit"])
     expectations = {
         "star_plus_chord": Status.UNCOLORABLE,
@@ -264,14 +256,12 @@ def claim_p4_construction(config):
     }
     for name in sorted(expectations):
         res = solver.colorability(gadget(name).graph)
-        entry = _check(
+        checks.append(_check(
             f"gadget {name}",
             res.status is expectations[name],
             {"status": res.status.value, "expected": expectations[name].value},
-        )
-        if res.status is Status.INDETERMINATE:
-            entry["status"] = "indeterminate"
-        checks.append(entry)
+            indeterminate=res.status is Status.INDETERMINATE,
+        ))
     return _claim("p4-construction", checks)
 
 
@@ -348,7 +338,7 @@ def claim_ladder(config):
                 res.graph, [pats[name]], node_limit=config["node_limit"]
             )
             ratios.append(res.graph.edge_count / n)
-            entry = _check(
+            checks.append(_check(
                 f"{name} n={n}",
                 verdict.status is Verdict.SATURATED,
                 {
@@ -356,10 +346,8 @@ def claim_ladder(config):
                     "verdict": verdict.status.value,
                     "lift_sizes": res.trace["lift_sizes"],
                 },
-            )
-            if verdict.status is Verdict.INDETERMINATE:
-                entry["status"] = "indeterminate"
-            checks.append(entry)
+                indeterminate=verdict.status is Verdict.INDETERMINATE,
+            ))
         checks.append(
             _check(
                 f"{name} linear edge growth",
@@ -411,9 +399,8 @@ def claim_engine_oracle(config):
             "patterns": sorted(pats),
             "mismatches": mismatches[:10],
         },
+        indeterminate=indeterminate > 0 and not mismatches,
     )
-    if indeterminate and not mismatches:
-        entry["status"] = "indeterminate"
     return _claim("engine-oracle", [entry])
 
 

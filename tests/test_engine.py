@@ -1,4 +1,5 @@
 import random
+import time
 from itertools import combinations
 
 import pytest
@@ -23,6 +24,7 @@ from rainbowsat import (
     wheel,
 )
 from rainbowsat.constructions import wheel_construction
+from rainbowsat.engine import _Budget, _collect_embeddings, _search_component, _search_order
 from rainbowsat.graphs import induced_subgraph
 from rainbowsat.oracle import brute_embeddings, naive_rainbow_free_colorable
 
@@ -181,7 +183,7 @@ def test_restriction_closure(g):
     res = rainbow_free_colorable(g, fam)
     if res.status is Status.COLORABLE:
         for u, v in list(g.edges)[:3]:
-            sub = g.without_edge(u, v)
+            sub = Graph(g.n, [e for e in g.edges if e != (u, v)])
             assert rainbow_free_colorable(sub, fam).status is Status.COLORABLE
 
 
@@ -189,6 +191,85 @@ def test_budget_exhaustion_is_indeterminate():
     res = rainbow_free_colorable(complete_graph(6), [cycle(4)], node_limit=3)
     assert res.status is Status.INDETERMINATE
     assert res.witness is None
+
+
+def test_time_budget_spent_before_the_search_is_indeterminate():
+    # 2,002 copies of K5 in K14; collecting them alone outlasts the budget
+    start = time.monotonic()
+    res = rainbow_free_colorable(complete_graph(14), [complete_graph(5)], time_limit=0.5)
+    assert res.status is Status.INDETERMINATE
+    assert time.monotonic() - start < 2.5
+    # a deadline already passed stops the search before its first node
+    g = complete_graph(6)
+    status, classes, stats = _search_component(
+        g, _collect_embeddings(g, [Pattern(cycle(4))]), _Budget(None, 1e-9)
+    )
+    assert (status, classes, stats.nodes) == (Status.INDETERMINATE, None, 0)
+
+
+# -- copy collection and search order ----------------------------------------------
+
+
+def quadratic_search_order(embeddings):
+    """Reference: rescan every remaining copy for the largest overlap."""
+    remaining = list(embeddings)
+    order = []
+    placed = set()
+    while remaining:
+        if not order:
+            pick = remaining[0]
+        else:
+            pick = max(
+                remaining, key=lambda emb: (len(placed.intersection(emb)), [-e for e in emb])
+            )
+        remaining.remove(pick)
+        for e in sorted(pick):
+            if e not in placed:
+                placed.add(e)
+                order.append(e)
+    return order
+
+
+def pairwise_minimal_copies(g, patterns):
+    """Reference: keep a copy unless a kept copy is a proper subset of it."""
+    sets = set()
+    for pat in patterns:
+        sets |= set(enumerate_embeddings(g, pat))
+    kept = []
+    for emb in sorted(sets, key=lambda t: (len(t), t)):
+        if not any(set(other) < set(emb) for other in kept):
+            kept.append(emb)
+    return kept
+
+
+def test_search_order_matches_quadratic_greedy():
+    rng = random.Random(71)
+    for _ in range(200):
+        edges = rng.randint(3, 30)
+        size = rng.randint(1, min(edges, 6))
+        copies = {tuple(sorted(rng.sample(range(edges), size))) for _ in range(rng.randint(1, 40))}
+        copies = list(copies)
+        rng.shuffle(copies)
+        assert _search_order(copies) == quadratic_search_order(copies)
+    # mixed sizes, as the minimality filter leaves them
+    for _ in range(100):
+        g = random_graph(rng, rng.randint(4, 8))
+        copies = _collect_embeddings(g, [Pattern(h) for h in (path(4), cycle(4), complete_graph(3))])
+        assert _search_order(copies) == quadratic_search_order(copies)
+    copies = _collect_embeddings(complete_graph(9), [Pattern(cycle(4))])
+    assert len(copies) == 378
+    assert _search_order(copies) == quadratic_search_order(copies)
+    assert _search_order([]) == []
+
+
+def test_minimality_filter_keeps_the_pairwise_result():
+    rng = random.Random(73)
+    families = [[path(3), cycle(4)], [path(4), cycle(4), complete_graph(3)], [star(3), path(4)]]
+    for _ in range(60):
+        g = random_graph(rng, rng.randint(3, 8))
+        for fam in families:
+            pats = [Pattern(h) for h in fam]
+            assert _collect_embeddings(g, pats) == pairwise_minimal_copies(g, fam)
 
 
 # -- component decomposition -----------------------------------------------------

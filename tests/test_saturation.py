@@ -11,12 +11,14 @@ from rainbowsat import (
     SearchAborted,
     Status,
     Verdict,
+    all_rainbow_saturated,
     are_isomorphic,
     complete_graph,
     cycle,
     disjoint_union,
     empty_graph,
     enumerate_nonisomorphic_graphs,
+    exists_embedding,
     find_rainbow_embedding,
     graph6_decode,
     greedy_saturate,
@@ -35,7 +37,7 @@ from rainbowsat import (
 )
 from rainbowsat.constructions import ehm_graph
 from rainbowsat.oracle import brute_embeddings, brute_isomorphic, naive_rainbow_free_colorable
-from rainbowsat.saturation import enumerate_levels
+from rainbowsat.saturation import RainbowSolver, _saturated_levels, enumerate_levels
 
 from .strategies import graphs
 
@@ -160,8 +162,9 @@ def test_enumeration_complete_against_brute_force():
 
 def test_enumeration_budget_and_range():
     assert all(g.edge_count <= 2 for g in enumerate_nonisomorphic_graphs(5, 2))
-    with pytest.raises(ValueError):
-        list(enumerate_nonisomorphic_graphs(11))
+    for n in (10, 11):
+        with pytest.raises(ValueError):
+            list(enumerate_nonisomorphic_graphs(n))
 
 
 # -- exact numbers -------------------------------------------------------------------
@@ -202,6 +205,64 @@ def test_sat_star_no_saturated_graph_outcome():
 def test_sat_star_budget_aborts():
     with pytest.raises(SearchAborted):
         sat_star_exact(6, [cycle(4)], node_limit=2)
+    with pytest.raises(SearchAborted):
+        all_rainbow_saturated(6, [cycle(4)], node_limit=2)
+
+
+LEVEL_TABLE_FAMILIES = {
+    "P3": [path(3)],
+    "P4": [path(4)],
+    "C4": [cycle(4)],
+    "K3": [complete_graph(3)],
+    "K4": [complete_graph(4)],
+    "K3+K1": [disjoint_union([complete_graph(3), empty_graph(1)])],
+    "P4,C4": [path(4), cycle(4)],
+}
+
+
+@pytest.mark.parametrize("name", sorted(LEVEL_TABLE_FAMILIES))
+def test_saturated_levels_match_per_graph_filter(name):
+    # the parent/child table against a saturation check of every class alone
+    fam = LEVEL_TABLE_FAMILIES[name]
+    table = RainbowSolver(fam)
+    reference = RainbowSolver(fam)
+
+    def colorable(g):
+        return table.colorability(g).status is Status.COLORABLE
+
+    for n in range(7):
+        levels = dict(enumerate_levels(n))
+        rainbow = list(_saturated_levels(n, colorable))
+        assert [m for m, _, _ in rainbow] == sorted(levels)
+        for m, size, hits in rainbow:
+            assert size == len(levels[m])
+            want = [g for g in levels[m]
+                    if is_rainbow_saturated(g, solver=reference).status is Verdict.SATURATED]
+            assert hits == want, (name, n, m)
+        if len(fam) == 1:
+            pat = fam[0]
+            for m, size, hits in _saturated_levels(n, lambda g: not exists_embedding(g, pat)):
+                assert hits == [g for g in levels[m] if is_classically_saturated(g, pat)]
+
+
+def test_edge_budget_boundary():
+    # the last judged level reads its children one level above the budget
+    full = sat_star_exact(5, [path(4)])
+    assert full.value == 4
+    assert sat_star_exact(5, [path(4)], edge_budget=4).witnesses == full.witnesses
+    short = sat_star_exact(5, [path(4)], edge_budget=3)
+    assert (short.value, short.witnesses, short.levels_searched) == (None, (), 3)
+
+    full = sat_exact(5, complete_graph(3))
+    assert full.value == 4
+    assert sat_exact(5, complete_graph(3), edge_budget=4).witnesses == full.witnesses
+    short = sat_exact(5, complete_graph(3), edge_budget=3)
+    assert (short.value, short.witnesses, short.levels_searched) == (None, (), 3)
+
+    # the complete graph has no children: its level is judged when the budget reaches it
+    assert sat_star_exact(3, [complete_graph(4)], edge_budget=3).value == 3
+    with pytest.raises(ValueError):
+        sat_star_exact(5, [path(4)], edge_budget=-1)
 
 
 # -- downward closure and greedy -------------------------------------------------------

@@ -29,3 +29,17 @@ def test_status_precedence(statuses, want, monkeypatch):
         "pass" if s == "xfail" else s for s in statuses
     ]
     assert report["status"] == want
+
+
+def test_exhausted_budget_marks_checks_indeterminate():
+    # one search node decides none of the searches, and nothing else fails
+    report = verify.run_report(["c4-wheel", "p4-construction"], node_limit=1)
+    checks = {
+        (claim["claim"], check["name"]): check["status"]
+        for claim in report["claims"] for check in claim["checks"]
+    }
+    assert checks["c4-wheel", "wheel(6)"] == "indeterminate"
+    assert checks["c4-wheel", "gadget GA uncolorable"] == "indeterminate"
+    assert checks["p4-construction", "n=16"] == "indeterminate"
+    assert checks["p4-construction", "gadget star_plus_chord"] == "indeterminate"
+    assert report["status"] == "indeterminate"
