@@ -19,10 +19,11 @@ import heapq
 import time
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import lru_cache
 from itertools import groupby
 from math import factorial
 
-from .graphs import Graph, induced_subgraph, iter_bits
+from .graphs import Graph, induced_subgraph
 
 
 class Status(Enum):
@@ -119,14 +120,10 @@ class Pattern:
         self.core, _ = induced_subgraph(graph, keep)
         self.isolated = graph.n - self.core.n
         self.core_connected = self.core.n <= 1 or self.core.is_connected()
-        self._aut = None
 
     @property
     def automorphism_count(self) -> int:
-        if self._aut is None:
-            core_auts = sum(1 for _ in _matches(self.core, self.core, exact=True))
-            self._aut = core_auts * factorial(self.isolated)
-        return self._aut
+        return _symmetry(self.core)[0] * factorial(self.isolated)
 
     def __repr__(self):
         tag = self.name or f"n={self.graph.n},m={self.graph.edge_count}"
@@ -135,6 +132,10 @@ class Pattern:
 
 def as_pattern(obj) -> Pattern:
     return obj if isinstance(obj, Pattern) else Pattern(obj)
+
+
+class _Expired(Exception):
+    """The time budget ran out while copies were being collected."""
 
 
 def _match_order(pat: Graph):
@@ -162,11 +163,15 @@ def _match_order(pat: Graph):
     return order, anchors
 
 
-def _matches(host: Graph, pat: Graph, exact: bool = False):
+def _matches(host: Graph, pat: Graph, exact: bool = False, above=None, deadline=None):
     """Injective maps sending pattern edges onto host edges.
 
     With ``exact`` the map must also send non-edges onto non-edges and match
-    degrees, which on equal orders enumerates isomorphisms.
+    degrees, which on equal orders enumerates isomorphisms.  Pattern vertices
+    are placed in ``_match_order``; ``above[j]`` lists earlier steps whose
+    host vertex the one placed at step j must exceed.  With a ``deadline``
+    the clock is read every 4,096 placements, and ``_Expired`` is raised
+    once it has passed.
     """
     if pat.n > host.n:
         return
@@ -174,47 +179,105 @@ def _matches(host: Graph, pat: Graph, exact: bool = False):
         yield ()
         return
     order, anchors = _match_order(pat)
-    nonanchors = [
-        [i for i in range(j) if i not in anchors[j]] for j in range(len(order))
-    ]
-    full = (1 << host.n) - 1
+    k = pat.n
+    hadj = host.adj
     hdeg = host.degrees()
-    pdeg = pat.degrees()
-    assigned = [0] * pat.n
-
-    def place(j: int, used: int):
-        if j == pat.n:
+    fits = []  # per step, the host vertices of a suitable degree
+    for v in order:
+        want = pat.degree(v)
+        mask = 0
+        for hv, d in enumerate(hdeg):
+            if (d == want) if exact else (d >= want):
+                mask |= 1 << hv
+        fits.append(mask)
+    nonanchors = [
+        [i for i in range(j) if i not in anchors[j]] if exact else ()
+        for j in range(k)
+    ]
+    if above is None:
+        above = [()] * k
+    assigned = [0] * k  # host vertex per pattern vertex
+    image = [0] * k  # host vertex per step
+    cand = [0] * k
+    cand[0] = fits[0]
+    used = 0
+    placed = 0
+    j = 0
+    while True:
+        c = cand[j]
+        if not c:
+            j -= 1
+            if j < 0:
+                return
+            used ^= 1 << image[j]
+            continue
+        bit = c & -c
+        cand[j] = c ^ bit
+        hv = bit.bit_length() - 1
+        image[j] = hv
+        assigned[order[j]] = hv
+        if deadline is not None:
+            placed += 1
+            if not placed & 4095 and time.monotonic() > deadline:
+                raise _Expired
+        if j + 1 == k:
             yield tuple(assigned)
-            return
-        v = order[j]
-        cand = full & ~used
+            continue
+        used |= bit
+        j += 1
+        c = fits[j] & ~used
         for i in anchors[j]:
-            cand &= host.adj[assigned[order[i]]]
-        if exact:
-            for i in nonanchors[j]:
-                cand &= ~host.adj[assigned[order[i]]]
-        for hv in iter_bits(cand):
-            if exact:
-                if hdeg[hv] != pdeg[v]:
-                    continue
-            elif hdeg[hv] < pdeg[v]:
-                continue
-            assigned[v] = hv
-            yield from place(j + 1, used | (1 << hv))
-
-    yield from place(0, 0)
+            c &= hadj[image[i]]
+        for i in nonanchors[j]:
+            c &= ~hadj[image[i]]
+        for i in above[j]:
+            c &= -(2 << image[i])  # host vertices above image[i]
+        cand[j] = c
 
 
-def _copies(g: Graph, core: Graph) -> set:
-    """Edge sets of every copy of a pattern core in g, as sorted edge-index tuples."""
+@lru_cache(maxsize=256)
+def _symmetry(core: Graph) -> tuple:
+    """(|Aut(core)|, ``above`` conditions that admit one map per copy).
+
+    One pass over the automorphisms.  Along ``_match_order``, the group
+    fixing the first j vertices moves vertex order[j] within an orbit; the
+    conditions ask every other vertex of that orbit to land above it.  The
+    maps onto one copy's edge set are the automorphism orbit of any one of
+    them, and exactly one of those meets every condition (Grochow and
+    Kellis, RECOMB 2007), so each copy is found once.
+    """
+    order, _ = _match_order(core)
+    step = {v: j for j, v in enumerate(order)}
+    above = [set() for _ in order]
+    count = 0
+    for aut in _matches(core, core, exact=True):
+        count += 1
+        for j, v in enumerate(order):
+            if aut[v] != v:
+                # aut fixes order[:j], so aut[v] is placed after step j
+                above[step[aut[v]]].add(j)
+                break
+    return count, tuple(tuple(sorted(a)) for a in above)
+
+
+def _copies(g: Graph, core: Graph, deadline=None) -> list:
+    """Edge sets of every copy of a pattern core in g, as sorted edge-index
+    tuples.
+
+    The conditions of ``_symmetry`` leave one map per copy, so each edge set
+    is listed once, in the order the maps are found.  Raises ``_Expired``
+    once ``deadline`` has passed.
+    """
     index = g.edge_index
-    found = set()
-    for assigned in _matches(g, core):
+    pedges = core.edges
+    found = []
+    for assigned in _matches(g, core, above=_symmetry(core)[1], deadline=deadline):
         ids = []
-        for pu, pv in core.edges:
+        for pu, pv in pedges:
             hu, hv = assigned[pu], assigned[pv]
             ids.append(index[(hu, hv) if hu < hv else (hv, hu)])
-        found.add(tuple(sorted(ids)))
+        ids.sort()
+        found.append(tuple(ids))
     return found
 
 
@@ -268,18 +331,19 @@ class ColorabilityResult:
     stats: SearchStats = field(default_factory=SearchStats)
 
 
-def _collect_embeddings(g: Graph, patterns) -> list:
+def _collect_embeddings(g: Graph, patterns, deadline=None) -> list:
     """Deduplicated copy edge sets of every pattern core in the host.
 
     Callers are responsible for the pattern-order gate (isolated vertices of
     a pattern may live outside the searched component, so the gate uses the
     original host order, not g.n).  Drops any copy that contains another copy
     as a subset: if the smaller one is non-rainbow, the larger one is too, so
-    only minimal edge sets constrain the search.
+    only minimal edge sets constrain the search.  Raises ``_Expired`` once
+    ``deadline`` has passed.
     """
     sets = set()
     for pat in patterns:
-        sets |= _copies(g, pat.core)
+        sets.update(_copies(g, pat.core, deadline))
     by_size = sorted(sets, key=lambda t: (len(t), t))
     if not by_size or len(by_size[0]) == len(by_size[-1]):
         # distinct copies of one size never contain one another
@@ -544,7 +608,11 @@ def rainbow_free_colorable(
     active = [p for p in patterns if p.order <= host_order]
 
     def search(sub: Graph) -> ColorabilityResult:
-        status, classes, stats = _search_component(sub, _collect_embeddings(sub, active), budget)
+        try:
+            copies = _collect_embeddings(sub, active, budget.deadline)
+        except _Expired:
+            return ColorabilityResult(Status.INDETERMINATE, None, SearchStats())
+        status, classes, stats = _search_component(sub, copies, budget)
         witness = None if classes is None else EdgeColoring(tuple(classes)).normalized()
         return ColorabilityResult(status, witness, stats)
 

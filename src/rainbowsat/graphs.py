@@ -97,6 +97,44 @@ class Graph:
             if not (self.adj[u] >> v) & 1
         ]
 
+    def orbit_non_edges(self) -> list:
+        """The lexicographically first non-edge of each orbit under the twin
+        group, in lexicographic order.
+
+        Twins have equal neighborhoods apart from each other, so swapping two
+        twins is an automorphism; twin classes are cliques or independent
+        sets, and a vertex outside a class sees all of it or none of it.  So
+        the first non-edges are the joins of nonadjacent class minima plus
+        the two least vertices of each independent class of two or more.
+        """
+        adj = self.adj
+        minima = 0
+        second = {}  # minimum of an independent class -> its next vertex
+        first = {}  # open neighborhood, or ~closed one, -> least vertex having it
+        for v in range(self.n):
+            row = adj[v]
+            low = first.get(row)
+            if low is not None:
+                if low not in second:
+                    second[low] = v
+            elif ~(row | (1 << v)) not in first:
+                minima |= 1 << v
+                first[row] = first[~(row | (1 << v))] = v
+        out = []
+        rest = minima
+        while rest:
+            bit = rest & -rest
+            rest ^= bit
+            u = bit.bit_length() - 1
+            mates = rest & ~adj[u]
+            if u in second:
+                mates |= 1 << second[u]
+            while mates:
+                bit = mates & -mates
+                mates ^= bit
+                out.append((u, bit.bit_length() - 1))
+        return out
+
     # -- derived graphs --------------------------------------------------
 
     def with_edge(self, u: int, v: int) -> "Graph":
@@ -282,34 +320,71 @@ class CanonicalForm:
     relabeling: tuple
 
 
-def _refine(adj, cells):
+def _refine(adj, cells, dirty):
     """Equitable refinement of an ordered partition.
 
-    Repeatedly splits cells by neighbor counts into any current cell; split
-    parts are ordered by count ascending.  The rule depends only on counts
-    and cell order, so it commutes with vertex relabeling.
+    The list ``cells`` is refined in place and returned; a split replaces a
+    cell by new lists, so the cell lists themselves are never changed.  A
+    cell splits by its vertices' neighbor counts into a splitter cell, the
+    parts ordered by count ascending and each keeping the cell's vertex
+    order.  The splitter is always the first cell that can still split
+    something, and it splits the first cell it can; the rule depends only on
+    counts and cell order, so it commutes with vertex relabeling.
+
+    ``dirty[i]`` is false only for a cell known to split no cell.  That stays
+    true until the cell itself splits, because a part of a cell with equal
+    counts into a splitter has equal counts too, so only the parts of a split
+    cell become splitters again.  ``dirty`` is updated along with ``cells``.
+    The result, cell order and vertex order within cells included, is the
+    partition that repeating the first possible split until none is left
+    gives; it returns as soon as the partition is equitable or discrete.
     """
-    cells = [list(c) for c in cells]
-    changed = True
-    while changed:
-        changed = False
-        for s in range(len(cells)):
+    n = len(adj)
+    k = len(cells)
+    s = 0
+    while s < k < n:
+        if not dirty[s]:
+            s += 1
+            continue
+        scell = cells[s]
+        single = len(scell) == 1
+        if single:
+            row = adj[scell[0]]
+        else:
             smask = 0
-            for v in cells[s]:
-                smask |= 1 << v
-            for d in range(len(cells)):
-                cell = cells[d]
-                if len(cell) == 1:
+            for w in scell:
+                smask |= 1 << w
+        d = 0
+        while d < k:
+            cell = cells[d]
+            if len(cell) == 1:
+                d += 1
+                continue
+            if single:
+                inside = [v for v in cell if (row >> v) & 1]
+                if not inside or len(inside) == len(cell):
+                    d += 1
                     continue
+                parts = [[v for v in cell if not (row >> v) & 1], inside]
+            else:
                 groups = {}
                 for v in cell:
                     groups.setdefault((adj[v] & smask).bit_count(), []).append(v)
-                if len(groups) > 1:
-                    cells[d : d + 1] = [groups[k] for k in sorted(groups)]
-                    changed = True
-                    break
-            if changed:
-                break
+                if len(groups) == 1:
+                    d += 1
+                    continue
+                parts = [groups[c] for c in sorted(groups)]
+            cells[d : d + 1] = parts
+            dirty[d : d + 1] = [True] * len(parts)
+            k += len(parts) - 1
+            if d <= s:
+                break  # the first new part is now the first possible splitter
+            d += len(parts)  # s cannot split the parts it just made
+        else:
+            dirty[s] = False
+            s += 1
+            continue
+        s = d
     return cells
 
 
@@ -363,9 +438,12 @@ def _canonical_search(g: Graph):
             seen_open.add(open_key)
             seen_closed.add(closed_key)
             rest = [w for w in cell if w != v]
-            descend(_refine(adj, cells[:target] + [[v], rest] + cells[target + 1 :]))
+            # the partition was equitable, so only the two new cells can split
+            dirty = [False] * (len(cells) + 1)
+            dirty[target] = dirty[target + 1] = True
+            descend(_refine(adj, cells[:target] + [[v], rest] + cells[target + 1 :], dirty))
 
-    descend(_refine(adj, [list(range(n))]))
+    descend(_refine(adj, [list(range(n))], [True]))
     return best_code, best_order
 
 

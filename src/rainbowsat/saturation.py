@@ -268,7 +268,11 @@ def enumerate_levels(n: int, max_edges: int | None = None):
     Level m+1 is generated from level m by single-edge extension and
     deduplicated by canonical form, so every isomorphism class appears
     exactly once, at its own edge count.  Each level lists its classes in
-    ascending order of canonical encoding.
+    ascending order of canonical encoding.  A class is extended only by the
+    first non-edge of each twin orbit (``Graph.orbit_non_edges``): the other
+    non-edges of an orbit give isomorphic children, so every child class is
+    still reached, and first by the same labeled child as when every
+    non-edge is tried.
     """
     if not 0 <= n <= ENUMERATION_LIMIT:
         raise ValueError(f"exhaustive enumeration supports 0..{ENUMERATION_LIMIT} vertices")
@@ -282,7 +286,7 @@ def enumerate_levels(n: int, max_edges: int | None = None):
         nxt = {}
         for key in sorted(level):
             g = level[key]
-            for u, v in g.non_edges():
+            for u, v in g.orbit_non_edges():
                 h = g.with_edge(u, v)
                 cf = canonical_form(h)
                 if cf.encoding not in nxt:
@@ -314,7 +318,10 @@ def _saturated_levels(n: int, free, max_edges=None):
     a free parent reaches it, as that parent plus one edge in the parent's
     labeling.  A free class is saturated iff none of its children is free;
     children one edge past ``max_edges`` are decided the same way, so the
-    last level within the budget is judged in full.
+    last level within the budget is judged in full.  Children come from the
+    first non-edge of each twin orbit only, as in ``enumerate_levels``; the
+    first child reaching each class is the same labeled graph as when every
+    non-edge is tried, so ``free`` sees the same graphs in the same order.
     """
     levels = enumerate_levels(n, max_edges)
     m, graphs = next(levels)
@@ -323,13 +330,13 @@ def _saturated_levels(n: int, free, max_edges=None):
         children = {}  # canonical encoding -> free, for each class one level up
         for g, ok in zip(graphs, verdicts):
             if not ok:
-                for u, v in g.non_edges():
+                for u, v in g.orbit_non_edges():
                     children[canonical_form(g.with_edge(u, v)).encoding] = False
         hits = []
         for g, ok in zip(graphs, verdicts):
             if ok:
                 saturated = True
-                for u, v in g.non_edges():
+                for u, v in g.orbit_non_edges():
                     h = g.with_edge(u, v)
                     key = canonical_form(h).encoding
                     if key not in children:

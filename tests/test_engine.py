@@ -24,8 +24,16 @@ from rainbowsat import (
     wheel,
 )
 from rainbowsat.constructions import wheel_construction
-from rainbowsat.engine import _Budget, _collect_embeddings, _search_component, _search_order
-from rainbowsat.graphs import induced_subgraph
+from rainbowsat.engine import (
+    _Budget,
+    _collect_embeddings,
+    _copies,
+    _match_order,
+    _matches,
+    _search_component,
+    _search_order,
+)
+from rainbowsat.graphs import complete_bipartite, induced_subgraph, iter_bits
 from rainbowsat.oracle import brute_embeddings, naive_rainbow_free_colorable
 
 from .strategies import graphs
@@ -194,7 +202,6 @@ def test_budget_exhaustion_is_indeterminate():
 
 
 def test_time_budget_spent_before_the_search_is_indeterminate():
-    # 2,002 copies of K5 in K14; collecting them alone outlasts the budget
     start = time.monotonic()
     res = rainbow_free_colorable(complete_graph(14), [complete_graph(5)], time_limit=0.5)
     assert res.status is Status.INDETERMINATE
@@ -207,7 +214,85 @@ def test_time_budget_spent_before_the_search_is_indeterminate():
     assert (status, classes, stats.nodes) == (Status.INDETERMINATE, None, 0)
 
 
+def test_time_budget_bounds_copy_collection():
+    # K36 holds 376,992 copies of K5: collecting them outlasts the budget
+    start = time.monotonic()
+    res = rainbow_free_colorable(complete_graph(36), [complete_graph(5)], time_limit=0.5)
+    assert res.status is Status.INDETERMINATE
+    assert time.monotonic() - start < 1.5
+
+
 # -- copy collection and search order ----------------------------------------------
+
+
+def reference_matches(host, pat, exact=False):
+    """Reference: the recursive matcher, trying candidates in ascending order."""
+    if pat.n > host.n:
+        return
+    if pat.n == 0:
+        yield ()
+        return
+    order, anchors = _match_order(pat)
+    nonanchors = [[i for i in range(j) if i not in anchors[j]] for j in range(len(order))]
+    full = (1 << host.n) - 1
+    hdeg = host.degrees()
+    pdeg = pat.degrees()
+    assigned = [0] * pat.n
+
+    def place(j, used):
+        if j == pat.n:
+            yield tuple(assigned)
+            return
+        v = order[j]
+        cand = full & ~used
+        for i in anchors[j]:
+            cand &= host.adj[assigned[order[i]]]
+        if exact:
+            for i in nonanchors[j]:
+                cand &= ~host.adj[assigned[order[i]]]
+        for hv in iter_bits(cand):
+            if hdeg[hv] != pdeg[v] if exact else hdeg[hv] < pdeg[v]:
+                continue
+            assigned[v] = hv
+            yield from place(j + 1, used | (1 << hv))
+
+    yield from place(0, 0)
+
+
+def reference_copies(g, core):
+    """Reference: every map, so each copy |Aut(core)| times, deduplicated."""
+    found = set()
+    for assigned in reference_matches(g, core):
+        found.add(tuple(sorted(
+            g.edge_index[tuple(sorted((assigned[u], assigned[v])))] for u, v in core.edges
+        )))
+    return found
+
+
+COPY_PATTERNS = {
+    "P3": path(3), "P4": path(4), "C4": cycle(4), "C5": cycle(5),
+    "K3": complete_graph(3), "K4": complete_graph(4), "K5": complete_graph(5),
+    "K1,3": star(3), "K2,3": complete_bipartite(2, 3),
+    "2K2": disjoint_union([complete_graph(2), complete_graph(2)]),
+    "K3+K1": disjoint_union([complete_graph(3), empty_graph(1)]),
+}
+
+
+@pytest.mark.parametrize("name", COPY_PATTERNS)
+def test_one_map_per_copy_matches_deduplicated_maps(name):
+    core = Pattern(COPY_PATTERNS[name]).core
+    # the matcher itself yields the reference's maps, in the reference's order
+    assert list(_matches(core, core, exact=True)) == list(reference_matches(core, core, exact=True))
+    rng = random.Random(79)
+    hosts = [complete_graph(7), wheel(8)]
+    hosts += [random_graph(rng, rng.randint(3, 9)) for _ in range(40)]
+    for g in hosts:
+        assert list(_matches(g, core)) == list(reference_matches(g, core))
+        copies = _copies(g, core)
+        assert len(copies) == len(set(copies))
+        assert set(copies) == reference_copies(g, core)
+
+
 
 
 def quadratic_search_order(embeddings):

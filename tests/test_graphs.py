@@ -27,6 +27,8 @@ from rainbowsat import (
     star,
     wheel,
 )
+from rainbowsat import graphs as graphs_module
+from rainbowsat.graphs import induced_subgraph, iter_bits
 from rainbowsat.oracle import brute_isomorphic
 
 from .strategies import graphs
@@ -139,6 +141,107 @@ def test_canonical_form_separates_graph_atlas():
         for h in nx.graph_atlas_g()
     }
     assert len(encodings) == 1253
+
+
+def reference_refine(adj, cells, dirty=None):
+    """Reference: after every split, scan again from the first cell for a
+    splitter and from the first cell for a cell it splits."""
+    cells = [list(c) for c in cells]
+    changed = True
+    while changed:
+        changed = False
+        for s in range(len(cells)):
+            smask = 0
+            for v in cells[s]:
+                smask |= 1 << v
+            for d in range(len(cells)):
+                cell = cells[d]
+                if len(cell) == 1:
+                    continue
+                groups = {}
+                for v in cell:
+                    groups.setdefault((adj[v] & smask).bit_count(), []).append(v)
+                if len(groups) > 1:
+                    cells[d : d + 1] = [groups[k] for k in sorted(groups)]
+                    changed = True
+                    break
+            if changed:
+                break
+    return cells
+
+
+def test_refinement_matches_restarting_reference(monkeypatch):
+    # same encoding and same relabeling, so witnesses in graph6 do not move
+    rng = random.Random(41)
+    hosts = [Graph(h.number_of_nodes(), h.edges()) for h in nx.graph_atlas_g()]
+    hosts += [random_graph(rng, rng.randint(1, 14)) for _ in range(2000)]
+    monkeypatch.setattr(graphs_module, "_refine", reference_refine)
+    want = [canonical_form.__wrapped__(g) for g in hosts]
+    monkeypatch.undo()
+    assert [canonical_form.__wrapped__(g) for g in hosts] == want
+
+
+def brute_first_orbit_non_edges(g):
+    """Reference: union-find over the non-edges, joining each non-edge with
+    its image under every transposition that is an automorphism."""
+    non_edges = g.non_edges()
+    parent = {e: e for e in non_edges}
+
+    def find(e):
+        while parent[e] != e:
+            e = parent[e]
+        return e
+
+    for a, b in combinations(range(g.n), 2):
+        perm = list(range(g.n))
+        perm[a], perm[b] = b, a
+        if g.relabel(perm) != g:
+            continue
+        for u, v in non_edges:
+            x, y = sorted((perm[u], perm[v]))
+            parent[find((u, v))] = find((x, y))
+    firsts = {}
+    for e in non_edges:
+        firsts.setdefault(find(e), e)
+    return sorted(firsts.values())
+
+
+def test_orbit_non_edges_match_twin_transpositions():
+    rng = random.Random(43)
+    for h in nx.graph_atlas_g():
+        g = Graph(h.number_of_nodes(), h.edges())
+        perm = list(range(g.n))
+        rng.shuffle(perm)
+        for x in (g, g.relabel(perm)):
+            assert x.orbit_non_edges() == brute_first_orbit_non_edges(x)
+
+
+def test_canonical_form_on_refinement_resistant_graphs():
+    # equitable partitions of these are trivial, so only the search separates
+    petersen = Graph(10, [(i, (i + 1) % 5) for i in range(5)]
+                     + [(i, i + 5) for i in range(5)]
+                     + [(5 + i, 5 + (i + 2) % 5) for i in range(5)])
+    cells = [(a, b) for a in range(4) for b in range(4)]
+    at = {c: i for i, c in enumerate(cells)}
+    # Cayley graph of Z4 x Z4 with generators +-(1,0), +-(0,1), +-(1,1)
+    shrikhande = Graph(16, [
+        (at[a, b], at[(a + da) % 4, (b + db) % 4])
+        for a, b in cells for da, db in ((1, 0), (0, 1), (1, 1))
+    ])
+    rook = Graph(16, [(at[p], at[q]) for p, q in combinations(cells, 2)
+                      if p[0] == q[0] or p[1] == q[1]])
+    assert set(shrikhande.degrees()) == set(rook.degrees()) == {6}
+    # a neighborhood is a 6-cycle in one and two triangles in the other
+    assert induced_subgraph(shrikhande, iter_bits(shrikhande.adj[0]))[0].is_connected()
+    assert not induced_subgraph(rook, iter_bits(rook.adj[0]))[0].is_connected()
+    assert canonical_form(shrikhande).encoding != canonical_form(rook).encoding
+    rng = random.Random(47)
+    for g in (petersen, shrikhande, rook):
+        encoding = canonical_form(g).encoding
+        for _ in range(20):
+            perm = list(range(g.n))
+            rng.shuffle(perm)
+            assert canonical_form(g.relabel(perm)).encoding == encoding
 
 
 def test_isomorphism_agrees_with_brute_force_exhaustive_n4():

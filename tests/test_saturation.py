@@ -37,6 +37,8 @@ from rainbowsat import (
 )
 from rainbowsat.constructions import ehm_graph
 from rainbowsat.oracle import brute_embeddings, brute_isomorphic, naive_rainbow_free_colorable
+from rainbowsat import saturation
+from rainbowsat.graphs import canonical_form
 from rainbowsat.saturation import RainbowSolver, _saturated_levels, enumerate_levels
 
 from .strategies import graphs
@@ -243,6 +245,89 @@ def test_saturated_levels_match_per_graph_filter(name):
             pat = fam[0]
             for m, size, hits in _saturated_levels(n, lambda g: not exists_embedding(g, pat)):
                 assert hits == [g for g in levels[m] if is_classically_saturated(g, pat)]
+
+
+def reference_levels(n):
+    """Reference: enumerate_levels extending each class by every non-edge."""
+    level = {canonical_form(empty_graph(n)).encoding: empty_graph(n)}
+    yield 0, [empty_graph(n)]
+    m = 0
+    while True:
+        nxt = {}
+        for key in sorted(level):
+            for u, v in level[key].non_edges():
+                h = level[key].with_edge(u, v)
+                cf = canonical_form(h)
+                if cf.encoding not in nxt:
+                    nxt[cf.encoding] = h.relabel(cf.relabeling)
+        if not nxt:
+            return
+        m += 1
+        yield m, [nxt[k] for k in sorted(nxt)]
+        level = nxt
+
+
+def reference_saturated_levels(n, free, max_edges=None):
+    """Reference: the level table, trying every non-edge of every class."""
+    assert max_edges is None
+    levels = reference_levels(n)
+    m, graphs = next(levels)
+    verdicts = [free(g) for g in graphs]
+    while True:
+        children = {}
+        for g, ok in zip(graphs, verdicts):
+            if not ok:
+                for u, v in g.non_edges():
+                    children[canonical_form(g.with_edge(u, v)).encoding] = False
+        hits = []
+        for g, ok in zip(graphs, verdicts):
+            if ok:
+                saturated = True
+                for u, v in g.non_edges():
+                    h = g.with_edge(u, v)
+                    key = canonical_form(h).encoding
+                    if key not in children:
+                        children[key] = free(h)
+                    saturated = saturated and not children[key]
+                if saturated:
+                    hits.append(g)
+        yield m, len(graphs), hits
+        upper = next(levels, None)
+        if upper is None:
+            return
+        m, graphs = upper
+        verdicts = [children[key] for key in sorted(children)]
+
+
+def free_calls(levels, monkeypatch):
+    """The labeled graphs sat* and all_rainbow_saturated pass to ``free`` at
+    n = 6 for C4, in order, and their results, with ``levels`` as the table."""
+    calls = []
+    colorable = saturation._colorable
+
+    def recording(solver):
+        free = colorable(solver)
+
+        def record(g):
+            calls.append((g.n, g.adj))
+            return free(g)
+        return record
+
+    with monkeypatch.context() as patch:
+        patch.setattr(saturation, "_colorable", recording)
+        patch.setattr(saturation, "_saturated_levels", levels)
+        results = (sat_star_exact(6, [cycle(4)]), all_rainbow_saturated(6, [cycle(4)]))
+    return calls, results
+
+
+def test_twin_orbit_children_reach_the_same_graphs(monkeypatch):
+    # the first child that reaches a class comes from the first non-edge of
+    # its twin orbit, so each class is decided on the same labeled graph
+    for n in range(8):
+        assert list(enumerate_levels(n)) == list(reference_levels(n))
+    want = free_calls(reference_saturated_levels, monkeypatch)
+    assert free_calls(_saturated_levels, monkeypatch) == want
+    assert len(want[0]) > 100
 
 
 def test_edge_budget_boundary():

@@ -43,3 +43,16 @@ def test_exhausted_budget_marks_checks_indeterminate():
     assert checks["p4-construction", "n=16"] == "indeterminate"
     assert checks["p4-construction", "gadget star_plus_chord"] == "indeterminate"
     assert report["status"] == "indeterminate"
+
+
+def test_ladder_budget_abort_is_indeterminate():
+    # a one-node budget aborts the ladder's patching searches: each aborted
+    # host and the growth check over the hosts are indeterminate, not a crash
+    report = verify.run_report(["ladder"], node_limit=1)
+    (claim,) = report["claims"]
+    statuses = {check["name"]: check["status"] for check in claim["checks"]}
+    assert statuses["K3 n=8"] == "indeterminate"
+    assert statuses["K3 linear edge growth"] == "indeterminate"
+    assert statuses["K4 linear edge growth"] == "indeterminate"
+    assert "fail" not in statuses.values()
+    assert claim["status"] == report["status"] == "indeterminate"
