@@ -534,17 +534,17 @@ def first_fit_classes(g: Graph, fixed: dict) -> list:
 # -- split, solve, merge -----------------------------------------------------
 
 
-def merge_colorings(g: Graph, parts, base: dict | None = None) -> EdgeColoring:
-    """One coloring of g from colorings of vertex-disjoint induced subgraphs.
+def merge_colorings(g: Graph, parts) -> EdgeColoring:
+    """One coloring of g from colorings of the induced subgraphs on its
+    components.
 
     ``parts`` holds (subgraph, vertex map, classes) triples, the first two as
     ``induced_subgraph`` returns them.  Each part gets classes of its own, so
     a copy inside one part keeps its colors and no class is shared across
-    parts.  Edges that no part covers keep their class in ``base``, a map
-    from edge to class.
+    parts.
     """
-    merged = dict(base or {})
-    offset = max(merged.values(), default=-1) + 1
+    merged = {}
+    offset = 0
     for sub, vmap, classes in parts:
         for (u, v), c in zip(sub.edges, classes):
             merged[vmap[u], vmap[v]] = c + offset

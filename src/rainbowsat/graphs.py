@@ -137,22 +137,40 @@ class Graph:
 
     # -- derived graphs --------------------------------------------------
 
-    def with_edge(self, u: int, v: int) -> "Graph":
-        if u == v or not (0 <= u < self.n and 0 <= v < self.n):
-            raise ValueError(f"bad edge ({u},{v})")
+    @staticmethod
+    def _from_adj(n: int, adj: list) -> "Graph":
         g = Graph.__new__(Graph)
-        adj = list(self.adj)
-        adj[u] |= 1 << v
-        adj[v] |= 1 << u
-        g.n = self.n
+        g.n = n
         g.adj = tuple(adj)
         g._edges = None
         g._edge_index = None
         return g
 
+    def with_edge(self, u: int, v: int) -> "Graph":
+        if u == v or not (0 <= u < self.n and 0 <= v < self.n):
+            raise ValueError(f"bad edge ({u},{v})")
+        adj = list(self.adj)
+        adj[u] |= 1 << v
+        adj[v] |= 1 << u
+        return Graph._from_adj(self.n, adj)
+
     def relabel(self, perm) -> "Graph":
-        """Return the graph with vertex v renamed to perm[v]."""
-        return Graph(self.n, [(perm[u], perm[v]) for u, v in self.edges])
+        """Return the graph with vertex v renamed to perm[v].
+
+        Maps adjacency rows directly, so the edge list of ``self`` is never
+        built; ``perm`` must be a permutation of ``range(n)``.
+        """
+        if sorted(perm) != list(range(self.n)):
+            raise ValueError(f"relabeling {perm!r} is not a permutation of 0..{self.n - 1}")
+        adj = [0] * self.n
+        for v, row in enumerate(self.adj):
+            mask = 0
+            while row:
+                low = row & -row
+                mask |= 1 << perm[low.bit_length() - 1]
+                row ^= low
+            adj[perm[v]] = mask
+        return Graph._from_adj(self.n, adj)
 
     # -- structure -------------------------------------------------------
 

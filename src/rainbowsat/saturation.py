@@ -14,9 +14,10 @@ Two structural facts carry the heavy lifting:
   search when one of its parents (the class minus an edge) is UNCOLORABLE;
   a colorable class is saturated iff no child (the class plus an edge) is
   colorable, so each class is decided at most once;
-* for connected patterns a rainbow copy lives inside one component, so
-  condition (b) only needs to re-search the component that absorbed the new
-  edge.
+* non-edges in one orbit of the twin group give isomorphic graphs, so
+  condition (b) tries only the first non-edge of each orbit
+  (``Graph.orbit_non_edges``), in the exact search and in the check of a
+  single graph alike.
 """
 from __future__ import annotations
 
@@ -34,7 +35,6 @@ from .engine import (
     as_pattern,
     exists_embedding,
     first_fit_classes,
-    merge_colorings,
     rainbow_free_colorable,
     solve_components,
 )
@@ -43,7 +43,6 @@ from .graphs import (
     canonical_form,
     empty_graph,
     graph6_encode,
-    induced_subgraph,
 )
 
 
@@ -109,7 +108,6 @@ class RainbowSolver:
         self.patterns = tuple(as_pattern(p) for p in family)
         if not self.patterns:
             raise ValueError("empty pattern family")
-        self.connected = all(p.core_connected for p in self.patterns)
         self.node_limit = node_limit
         self.time_limit = time_limit
         self._cache: dict = {}
@@ -125,11 +123,9 @@ class RainbowSolver:
         active = [p for p in self.patterns if p.order <= g.n]
         return solve_components(g, active, lambda sub: self._solve(sub, host_order=g.n))
 
-    def _solve(self, g: Graph, host_order: int | None = None) -> ColorabilityResult:
+    def _solve(self, g: Graph, host_order: int) -> ColorabilityResult:
         # host_order carries the original order so patterns with isolated
         # vertices see the whole host, not just this component
-        if host_order is None:
-            host_order = g.n
         active = [p for p in self.patterns if p.order <= host_order]
         if not active:
             # no pattern fits the host, so any proper coloring witnesses
@@ -159,27 +155,26 @@ class RainbowSolver:
             self._cache[key] = (res.status, classes)
         return res
 
-    def _store_witness(self, g: Graph, witness: EdgeColoring):
+    @staticmethod
+    def _cached_positions(g: Graph) -> list:
+        """Where each edge of g sits in the edge order of g's cache key: the
+        canonical graph's up to ``CANON_LIMIT`` vertices, g's own above."""
         if g.n > CANON_LIMIT:
-            return witness.classes
+            return list(range(len(g.edges)))
         relab = canonical_form(g).relabeling
-        canon = g.relabel(relab)
+        edges = [(a, b) if a < b else (b, a)
+                 for a, b in ((relab[u], relab[v]) for u, v in g.edges)]
+        rank = {e: i for i, e in enumerate(sorted(edges))}
+        return [rank[e] for e in edges]
+
+    def _store_witness(self, g: Graph, witness: EdgeColoring):
         classes = [0] * len(g.edges)
-        for (u, v), c in zip(g.edges, witness.classes):
-            a, b = relab[u], relab[v]
-            classes[canon.edge_index[(a, b) if a < b else (b, a)]] = c
+        for p, c in zip(self._cached_positions(g), witness.classes):
+            classes[p] = c
         return tuple(classes)
 
     def _restore_witness(self, g: Graph, classes) -> EdgeColoring:
-        if g.n > CANON_LIMIT:
-            return EdgeColoring(tuple(classes))
-        relab = canonical_form(g).relabeling
-        canon = g.relabel(relab)
-        out = []
-        for u, v in g.edges:
-            a, b = relab[u], relab[v]
-            out.append(classes[canon.edge_index[(a, b) if a < b else (b, a)]])
-        return EdgeColoring(tuple(out)).normalized()
+        return EdgeColoring(tuple(classes[p] for p in self._cached_positions(g))).normalized()
 
 
 # -- saturation checks --------------------------------------------------------
@@ -189,9 +184,11 @@ def is_rainbow_saturated(g: Graph, family=None, *, solver: RainbowSolver | None 
                          node_limit=None, time_limit=None) -> SaturationVerdict:
     """Check conditions (a) and (b) of rainbow family saturation.
 
-    For connected patterns, (b) re-searches only the component of g+e that
-    contains the added edge; the rest of the graph keeps the coloring that
-    witnessed (a).
+    (b) tries the first non-edge of each twin orbit only: the others give
+    isomorphic graphs, so ``failing_edge`` is still the lexicographically
+    first addable non-edge, and ``nonedges_checked``/``nonedges_refuted``
+    count orbit representatives.  The solver splits each g+e into
+    components and reads the untouched ones back from its cache.
     """
     if solver is None:
         solver = RainbowSolver(family, node_limit=node_limit, time_limit=time_limit)
@@ -204,15 +201,9 @@ def is_rainbow_saturated(g: Graph, family=None, *, solver: RainbowSolver | None 
         )
 
     checked = refuted = 0
-    for u, v in g.non_edges():
-        g2 = g.with_edge(u, v)
+    for u, v in g.orbit_non_edges():
+        res = solver.colorability(g.with_edge(u, v))
         checked += 1
-        if solver.connected:
-            sub, vmap = induced_subgraph(g2, g2.component(u))
-            res = solver._solve(sub, host_order=g2.n)
-        else:
-            sub, vmap = g2, tuple(range(g2.n))
-            res = solver.colorability(g2)
         if res.status is Status.INDETERMINATE:
             return SaturationVerdict(
                 Verdict.INDETERMINATE,
@@ -222,15 +213,11 @@ def is_rainbow_saturated(g: Graph, family=None, *, solver: RainbowSolver | None 
                 nonedges_refuted=refuted,
             )
         if res.status is Status.COLORABLE:
-            # fresh classes inside the re-searched part, the (a)-witness elsewhere
-            coloring = merge_colorings(
-                g2, [(sub, vmap, res.witness.classes)], dict(zip(g.edges, base.witness.classes))
-            )
             return SaturationVerdict(
                 Verdict.NOT_SATURATED,
                 witness_coloring=base.witness,
                 failing_edge=(u, v),
-                failing_coloring=coloring,
+                failing_coloring=res.witness,
                 reason="addable edge keeps rainbow-free colorability",
                 nonedges_checked=checked,
                 nonedges_refuted=refuted,
@@ -271,31 +258,11 @@ def enumerate_levels(n: int, max_edges: int | None = None):
     ascending order of canonical encoding.  A class is extended only by the
     first non-edge of each twin orbit (``Graph.orbit_non_edges``): the other
     non-edges of an orbit give isomorphic children, so every child class is
-    still reached, and first by the same labeled child as when every
-    non-edge is tried.
+    still reached.  These are the levels of ``_saturated_levels`` with every
+    class free.
     """
-    if not 0 <= n <= ENUMERATION_LIMIT:
-        raise ValueError(f"exhaustive enumeration supports 0..{ENUMERATION_LIMIT} vertices")
-    cap = comb(n, 2) if max_edges is None else min(max_edges, comb(n, 2))
-    if cap < 0:
-        raise ValueError("negative edge budget")
-    level = {canonical_form(empty_graph(n)).encoding: empty_graph(n)}
-    yield 0, [empty_graph(n)]
-    m = 0
-    while m < cap:
-        nxt = {}
-        for key in sorted(level):
-            g = level[key]
-            for u, v in g.orbit_non_edges():
-                h = g.with_edge(u, v)
-                cf = canonical_form(h)
-                if cf.encoding not in nxt:
-                    nxt[cf.encoding] = h.relabel(cf.relabeling)
-        if not nxt:
-            break
-        m += 1
-        yield m, [nxt[k] for k in sorted(nxt)]
-        level = nxt
+    for m, graphs, _ in _saturated_levels(n, lambda g: True, max_edges):
+        yield m, graphs
 
 
 def enumerate_nonisomorphic_graphs(n: int, edge_budget: int | None = None):
@@ -308,57 +275,61 @@ def enumerate_nonisomorphic_graphs(n: int, edge_budget: int | None = None):
 
 
 def _saturated_levels(n: int, free, max_edges=None):
-    """Yield (edge count, classes on the level, saturated classes) in ascending
-    edge order, up to ``max_edges`` edges.
+    """Yield (edge count, classes, saturated classes) in ascending edge order,
+    up to ``max_edges`` edges; classes are canonical representatives in
+    ascending order of canonical encoding.
 
     ``free(g)`` decides a property that survives edge deletion (rainbow-free
-    colorable, pattern-free); it is called at most once per class.  A class
-    with a parent (one edge fewer) that is not free is not free either, so it
-    is settled without a call; every other class is decided the first time
-    a free parent reaches it, as that parent plus one edge in the parent's
-    labeling.  A free class is saturated iff none of its children is free;
-    children one edge past ``max_edges`` are decided the same way, so the
-    last level within the budget is judged in full.  Children come from the
-    first non-edge of each twin orbit only, as in ``enumerate_levels``; the
-    first child reaching each class is the same labeled graph as when every
-    non-edge is tried, so ``free`` sees the same graphs in the same order.
+    colorable, pattern-free).  Each level is a table from canonical encoding
+    to (representative, verdict), filled from the children of the level
+    below: the first non-edge of each twin orbit, so the first child that
+    reaches a class is the labeled graph that trying every non-edge would
+    reach it by.  A child of a class that is not free is not free; any other
+    class is decided by one call of ``free`` on the first child that reaches
+    it from a free parent.  A free class is saturated iff none of its
+    children is free; children past ``max_edges`` are decided too, so the
+    last level within the budget is judged in full.
     """
-    levels = enumerate_levels(n, max_edges)
-    m, graphs = next(levels)
-    verdicts = [free(g) for g in graphs]
-    while True:
-        children = {}  # canonical encoding -> free, for each class one level up
-        for g, ok in zip(graphs, verdicts):
+    if not 0 <= n <= ENUMERATION_LIMIT:
+        raise ValueError(f"exhaustive enumeration supports 0..{ENUMERATION_LIMIT} vertices")
+    cap = comb(n, 2) if max_edges is None else min(max_edges, comb(n, 2))
+    if cap < 0:
+        raise ValueError("negative edge budget")
+
+    def reach(parent_free: bool, g: Graph, u: int, v: int) -> bool:
+        """The verdict of g+uv; its class enters the table on first reach."""
+        h = g.with_edge(u, v)
+        cf = canonical_form(h)
+        entry = table.get(cf.encoding)
+        if entry is None:
+            entry = table[cf.encoding] = (h.relabel(cf.relabeling), parent_free and free(h))
+        return entry[1]
+
+    g = empty_graph(n)
+    table = {canonical_form(g).encoding: (g, free(g))}
+    for m in range(cap + 1):
+        level = [table[key] for key in sorted(table)]
+        table = {}
+        for g, ok in level:
             if not ok:
                 for u, v in g.orbit_non_edges():
-                    children[canonical_form(g.with_edge(u, v)).encoding] = False
+                    reach(False, g, u, v)
         hits = []
-        for g, ok in zip(graphs, verdicts):
+        for g, ok in level:
             if ok:
-                saturated = True
-                for u, v in g.orbit_non_edges():
-                    h = g.with_edge(u, v)
-                    key = canonical_form(h).encoding
-                    if key not in children:
-                        children[key] = free(h)
-                    saturated = saturated and not children[key]
-                if saturated:
+                # every child is decided, saturated or not: they are the next level
+                children = [reach(True, g, u, v) for u, v in g.orbit_non_edges()]
+                if not any(children):
                     hits.append(g)
-        yield m, len(graphs), hits
-        upper = next(levels, None)
-        if upper is None:
-            return
-        m, graphs = upper
-        # enumerate_levels lists a level in ascending canonical encoding
-        verdicts = [children[key] for key in sorted(children)]
+        yield m, [g for g, _ in level], hits
 
 
 def _sat_number(n: int, famkey: tuple, free, edge_budget=None, found=None) -> SatNumberResult:
     """The first level of _saturated_levels with a saturated class.  Given a
     list ``found``, every level is scanned and its saturated classes appended."""
     res = SatNumberResult(n, famkey, None, (), 0, 0)
-    for m, size, hits in _saturated_levels(n, free, edge_budget):
-        res.graphs_checked += size
+    for m, graphs, hits in _saturated_levels(n, free, edge_budget):
+        res.graphs_checked += len(graphs)
         res.levels_searched = m
         if hits and res.value is None:
             res.value, res.witnesses = m, tuple(graph6_encode(g) for g in hits)

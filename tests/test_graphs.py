@@ -107,6 +107,31 @@ def test_edge_order_is_lexicographic():
     assert g.edges == ((0, 1), (0, 2), (1, 3))
 
 
+def edge_list_relabel(g, perm):
+    """Reference: rename the endpoints of every edge and rebuild the graph."""
+    return Graph(g.n, [(perm[u], perm[v]) for u, v in g.edges])
+
+
+def test_relabel_matches_edge_list_reference():
+    rng = random.Random(5)
+    for h in nx.graph_atlas_g():
+        perm = list(range(h.number_of_nodes()))
+        rng.shuffle(perm)
+        g = Graph(h.number_of_nodes(), h.edges())
+        got = g.relabel(perm)
+        # the rows are mapped directly: the source's edge list is never built
+        assert g._edges is None
+        assert got == edge_list_relabel(g, perm)
+        assert got.edges == edge_list_relabel(g, perm).edges
+    for n, perm in ((3, [0, 0, 1]), (3, [0, 1]), (3, [0, 1, 2, 3]), (3, [1, 2, 3]),
+                    (2, [-1, 0]), (0, [0])):
+        with pytest.raises(ValueError):
+            empty_graph(n).relabel(perm)
+        if n:
+            with pytest.raises(ValueError):
+                complete_graph(n).relabel(perm)
+
+
 # -- canonical forms ----------------------------------------------------------
 
 

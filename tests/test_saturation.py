@@ -35,10 +35,11 @@ from rainbowsat import (
     structural_report,
     wheel,
 )
-from rainbowsat.constructions import ehm_graph
+from rainbowsat.constructions import ehm_graph, ladder_construction, p4_construction
 from rainbowsat.oracle import brute_embeddings, brute_isomorphic, naive_rainbow_free_colorable
 from rainbowsat import saturation
-from rainbowsat.graphs import canonical_form
+from rainbowsat.engine import as_pattern
+from rainbowsat.graphs import canonical_form, induced_subgraph
 from rainbowsat.saturation import RainbowSolver, _saturated_levels, enumerate_levels
 
 from .strategies import graphs
@@ -98,6 +99,57 @@ def test_saturated_verdicts_match_naive_oracle():
         for g in level:
             fast = is_rainbow_saturated(g, pats).status is Verdict.SATURATED
             assert fast == naive_is_rainbow_saturated(g, pats)
+
+
+def every_non_edge_saturation(g, fam):
+    """Reference for condition (b): every non-edge in turn, re-solving only
+    the component of g+e that holds the new edge when every pattern is
+    connected.  Returns (status, failing edge)."""
+    if rainbow_free_colorable(g, fam).status is not Status.COLORABLE:
+        return Verdict.NOT_SATURATED, None
+    connected = all(as_pattern(p).core_connected for p in fam)
+    for u, v in g.non_edges():
+        g2 = g.with_edge(u, v)
+        if connected:
+            sub, _ = induced_subgraph(g2, g2.component(u))
+            res = rainbow_free_colorable(sub, fam, host_order=g2.n)
+        else:
+            res = rainbow_free_colorable(g2, fam)
+        if res.status is Status.COLORABLE:
+            return Verdict.NOT_SATURATED, (u, v)
+    return Verdict.SATURATED, None
+
+
+def orbit_rule_hosts():
+    yield from ((ladder_construction(complete_graph(3), n).graph, [complete_graph(3)])
+                for n in (8, 9, 10))
+    yield ladder_construction(complete_graph(4), 9).graph, [complete_graph(4)]
+    yield p4_construction(16).graph, [path(4)]
+    parts = [complete_graph(2), complete_graph(3), complete_graph(4), star(2), star(3)]
+    for a, b in combinations(parts + [empty_graph(2)], 2):
+        for fam in ([path(4)], [cycle(4)], [complete_graph(3)]):
+            yield join(a, b), fam
+            yield disjoint_union([a, b]), fam
+    for fam in ([path(4)], [cycle(4)], [complete_graph(3)]):
+        for n in range(7):
+            for g in enumerate_nonisomorphic_graphs(n):
+                yield g, fam
+
+
+def test_orbit_rule_matches_every_non_edge():
+    # one non-edge per twin orbit decides condition (b), and the first
+    # addable non-edge is the first of its orbit
+    seen = Counter()
+    for g, fam in orbit_rule_hosts():
+        got = is_rainbow_saturated(g, fam)
+        assert (got.status, got.failing_edge) == every_non_edge_saturation(g, fam), g
+        assert got.nonedges_checked <= len(g.orbit_non_edges())
+        seen[got.status] += 1
+        if got.failing_coloring is not None:
+            g2 = g.with_edge(*got.failing_edge)
+            assert is_proper(g2, got.failing_coloring)
+            assert all(find_rainbow_embedding(g2, got.failing_coloring, p) is None for p in fam)
+    assert seen[Verdict.SATURATED] > 20 and seen[Verdict.NOT_SATURATED] > 100
 
 
 # -- classical saturation ---------------------------------------------------------
@@ -236,14 +288,14 @@ def test_saturated_levels_match_per_graph_filter(name):
         levels = dict(enumerate_levels(n))
         rainbow = list(_saturated_levels(n, colorable))
         assert [m for m, _, _ in rainbow] == sorted(levels)
-        for m, size, hits in rainbow:
-            assert size == len(levels[m])
+        for m, classes, hits in rainbow:
+            assert classes == levels[m]
             want = [g for g in levels[m]
                     if is_rainbow_saturated(g, solver=reference).status is Verdict.SATURATED]
             assert hits == want, (name, n, m)
         if len(fam) == 1:
             pat = fam[0]
-            for m, size, hits in _saturated_levels(n, lambda g: not exists_embedding(g, pat)):
+            for m, _, hits in _saturated_levels(n, lambda g: not exists_embedding(g, pat)):
                 assert hits == [g for g in levels[m] if is_classically_saturated(g, pat)]
 
 
@@ -291,7 +343,7 @@ def reference_saturated_levels(n, free, max_edges=None):
                     saturated = saturated and not children[key]
                 if saturated:
                     hits.append(g)
-        yield m, len(graphs), hits
+        yield m, graphs, hits
         upper = next(levels, None)
         if upper is None:
             return
