@@ -8,10 +8,16 @@ edge colors pairwise distinct ("rainbow")?
 
 The search assigns classes edge by edge.  Edges that participate in no
 pattern copy can never make a copy rainbow, so the backtracking runs over the
-copy-covered edges only and every solution extends greedily to the rest.  A
-branch dies as soon as the last edge of some copy is assigned and the copy's
-classes are pairwise distinct; that check is exact because edges are colored
-in a fixed order.
+copy-covered edges only and every solution extends greedily to the rest.
+Edges are colored in a fixed order, so on entering an edge the search knows
+every copy that the edge completes.  It computes one mask of the classes the
+edge may take: at most one new class, none used at either endpoint, and, for
+each completed copy whose other edges already have pairwise distinct
+classes, one of those classes.  Only the mask's classes are tried, lowest
+first, so the first solution is the one a plain restricted-growth sweep
+would meet first.  A search node is one class taken from such a mask: a
+proper assignment that makes no copy rainbow.  ``node_limit`` (``--nodes``
+on the command line) bounds these nodes in each component's search.
 """
 from __future__ import annotations
 
@@ -319,8 +325,6 @@ def find_rainbow_embedding(g: Graph, coloring: EdgeColoring, pattern):
 @dataclass
 class SearchStats:
     nodes: int = 0
-    max_depth: int = 0
-    elapsed: float = 0.0
     searches: int = 1
 
 
@@ -401,107 +405,94 @@ class _Budget:
         self.node_limit = node_limit
         self.deadline = time.monotonic() + time_limit if time_limit else None
 
-    def exceeded(self, nodes: int) -> bool:
-        if self.node_limit is not None and nodes > self.node_limit:
-            return True
-        # the clock is only consulted periodically; node budgets are exact
-        if self.deadline is not None and nodes % 4096 == 0:
-            return time.monotonic() > self.deadline
-        return False
-
 
 def _search_component(g: Graph, embeddings, budget: _Budget):
     """Exhaustive restricted-growth search over the copy-covered edges.
 
+    Entering position t computes its class mask once (see the module
+    docstring); backtracking resumes from the untried rest of that mask.
     Returns (status, per-edge classes or None, stats).  Edge classes cover
     all host edges when a witness is found.
     """
-    stats = SearchStats()
-    start = time.monotonic()
     if any(len(e) == 0 for e in embeddings):
         # an edgeless pattern fits the host: every coloring is "rainbow"
-        stats.elapsed = time.monotonic() - start
-        return Status.UNCOLORABLE, None, stats
-    if budget.deadline is not None and time.monotonic() > budget.deadline:
+        return Status.UNCOLORABLE, None, SearchStats()
+    deadline = budget.deadline
+    if deadline is not None and time.monotonic() > deadline:
         # collecting the copies may already have used up the time budget
-        stats.elapsed = time.monotonic() - start
-        return Status.INDETERMINATE, None, stats
+        return Status.INDETERMINATE, None, SearchStats()
 
     order = _search_order(embeddings)
     T = len(order)
     pos = {e: i for i, e in enumerate(order)}
-    by_last = [[] for _ in range(T)]
+    by_last = [[] for _ in range(T)]  # per position, the other positions of each copy ending there
     for emb in embeddings:
-        pt = tuple(sorted(pos[e] for e in emb))
-        by_last[pt[-1]].append(pt)
+        pt = sorted(pos[e] for e in emb)
+        by_last[pt[-1]].append(pt[:-1])
 
     edges = g.edges
     endpoints = [edges[e] for e in order]
+    node_limit = budget.node_limit
     used = [0] * g.n
-    assigned = [0] * T
-    kbefore = [0] * (T + 1)
-    nxt = [0] * (T + 1)
-    t = 0
-    solution = None
-    status = Status.UNCOLORABLE
-
-    while t >= 0:
+    bits = [0] * T  # the class assigned at each position, as a one-bit mask
+    cand = [0] * T  # the allowed classes not yet tried at each position
+    kat = [0] * T  # the next new class at each position
+    nodes = 0
+    t = k = 0
+    while True:
         if t == T:
-            solution = list(assigned)
             status = Status.COLORABLE
             break
         u, v = endpoints[t]
-        forbidden = used[u] | used[v]
-        k = kbefore[t]
-        c = nxt[t]
-        while c < k and (forbidden >> c) & 1:
-            c += 1
-        if c > k:
+        allowed = ((2 << k) - 1) & ~(used[u] | used[v])
+        for prefix in by_last[t]:
+            if not allowed:
+                break
+            seen = 0
+            for p in prefix:
+                b = bits[p]
+                if seen & b:
+                    break
+                seen |= b
+            else:
+                allowed &= seen
+        kat[t] = k
+        while not allowed:
             t -= 1
-            if t >= 0:
-                pu, pv = endpoints[t]
-                bit = 1 << assigned[t]
-                used[pu] ^= bit
-                used[pv] ^= bit
-            continue
-        nxt[t] = c + 1
-        assigned[t] = c
-        bit = 1 << c
-        used[u] |= bit
-        used[v] |= bit
-        stats.nodes += 1
-        if t + 1 > stats.max_depth:
-            stats.max_depth = t + 1
-        if budget.exceeded(stats.nodes):
+            if t < 0:
+                break
+            u, v = endpoints[t]
+            b = bits[t]
+            used[u] ^= b
+            used[v] ^= b
+            allowed = cand[t]
+        if t < 0:
+            status = Status.UNCOLORABLE
+            break
+        bit = allowed & -allowed
+        cand[t] = allowed ^ bit
+        nodes += 1
+        if node_limit is not None and nodes > node_limit:
             status = Status.INDETERMINATE
             break
-        ok = True
-        for emb in by_last[t]:
-            mask = 0
-            rainbow = True
-            for p in emb:
-                b = 1 << assigned[p]
-                if mask & b:
-                    rainbow = False
-                    break
-                mask |= b
-            if rainbow:
-                ok = False
-                break
-        if ok:
-            kbefore[t + 1] = k + 1 if c == k else k
-            t += 1
-            nxt[t] = 0
-        else:
-            used[u] ^= bit
-            used[v] ^= bit
+        # the clock is only read periodically; node budgets are exact
+        if deadline is not None and not nodes & 4095 and time.monotonic() > deadline:
+            status = Status.INDETERMINATE
+            break
+        bits[t] = bit
+        used[u] |= bit
+        used[v] |= bit
+        k = kat[t]
+        if bit >> k:
+            k += 1
+        t += 1
 
-    stats.elapsed = time.monotonic() - start
+    stats = SearchStats(nodes=nodes)
     if status is not Status.COLORABLE:
         return status, None, stats
-
     # copy-free edges can never complete a rainbow copy: color them greedily
-    return status, first_fit_classes(g, dict(zip(order, solution))), stats
+    solution = {e: b.bit_length() - 1 for e, b in zip(order, bits)}
+    return status, first_fit_classes(g, solution), stats
 
 
 def first_fit_classes(g: Graph, fixed: dict) -> list:
@@ -569,8 +560,6 @@ def solve_components(g: Graph, active, solve) -> ColorabilityResult:
         sub, vmap = induced_subgraph(g, comp)
         res = solve(sub)
         total.nodes += res.stats.nodes
-        total.max_depth = max(total.max_depth, res.stats.max_depth)
-        total.elapsed += res.stats.elapsed
         total.searches += res.stats.searches
         if res.status is not Status.COLORABLE:
             return ColorabilityResult(res.status, None, total)

@@ -4,6 +4,7 @@ from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rainbowsat import (
     EdgeColoring,
@@ -34,7 +35,7 @@ from rainbowsat.engine import (
     _search_order,
 )
 from rainbowsat.graphs import complete_bipartite, induced_subgraph, iter_bits
-from rainbowsat.oracle import brute_embeddings, naive_rainbow_free_colorable
+from rainbowsat.oracle import brute_embeddings, naive_rainbow_free_colorable, set_partitions
 
 from .strategies import graphs
 
@@ -212,6 +213,63 @@ def test_time_budget_spent_before_the_search_is_indeterminate():
         g, _collect_embeddings(g, [Pattern(cycle(4))]), _Budget(None, 1e-9)
     )
     assert (status, classes, stats.nodes) == (Status.INDETERMINATE, None, 0)
+
+
+def closes_no_rainbow(g, order, copies, blocks):
+    """Whether classes ``blocks`` on the first len(blocks) edges of ``order``
+    are proper and leave every copy among those edges non-rainbow."""
+    at = {e: i for i, e in enumerate(order)}
+    ends = [set(g.edges[e]) for e in order[: len(blocks)]]
+    for i, j in combinations(range(len(blocks)), 2):
+        if blocks[i] == blocks[j] and ends[i] & ends[j]:
+            return False
+    for emb in copies:
+        pts = [at[e] for e in emb]
+        if max(pts) < len(blocks) and len({blocks[p] for p in pts}) == len(pts):
+            return False
+    return True
+
+
+# patterns with non-rainbow proper colorings (every proper P3, C3 or K1,3 is rainbow)
+ORDER_PATTERNS = [path(4), path(5), cycle(4), cycle(5), disjoint_union([path(2), path(2)])]
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    graphs(min_n=3, max_n=6, max_edges=8),
+    st.lists(st.sampled_from(ORDER_PATTERNS), min_size=1, max_size=2),
+)
+def test_witness_is_the_first_rainbow_free_string(g, family):
+    # set_partitions lists strings in lexicographic order: a pruning step that
+    # skipped a solution or reordered the search would return a later one
+    copies = _collect_embeddings(g, [Pattern(h) for h in family if h.n <= g.n])
+    order = _search_order(copies)
+    status, classes, _ = _search_component(g, copies, _Budget(None, None))
+    first = next(
+        (b for b in set_partitions(len(order)) if closes_no_rainbow(g, order, copies, b)), None
+    )
+    if first is None:
+        assert status is Status.UNCOLORABLE
+    else:
+        assert status is Status.COLORABLE
+        assert [classes[e] for e in order] == first
+
+
+def test_a_node_is_a_proper_assignment_closing_no_rainbow_copy():
+    host, fam = wheel(5), [cycle(4)]
+    full = rainbow_free_colorable(host, fam)
+    assert full.status is Status.UNCOLORABLE
+    nodes = full.stats.nodes
+    # an exhaustive search visits every such prefix of the search order once
+    copies = _collect_embeddings(host, [Pattern(cycle(4))])
+    order = _search_order(copies)
+    assert nodes == sum(
+        closes_no_rainbow(host, order, copies, b)
+        for length in range(1, len(order) + 1)
+        for b in set_partitions(length)
+    )
+    assert rainbow_free_colorable(host, fam, node_limit=nodes).status is Status.UNCOLORABLE
+    assert rainbow_free_colorable(host, fam, node_limit=nodes - 1).status is Status.INDETERMINATE
 
 
 def test_time_budget_bounds_copy_collection():
