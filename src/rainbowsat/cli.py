@@ -189,7 +189,7 @@ def cmd_verify_paper(args) -> int:
     report = verify.run_report(
         only,
         extended=args.extended,
-        node_limit=args.nodes or verify.DEFAULT_NODE_LIMIT,
+        node_limit=verify.DEFAULT_NODE_LIMIT if args.nodes is None else args.nodes,
         seed=args.seed,
     )
     if args.json:
@@ -208,9 +208,10 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--timeout", type=float, default=argparse.SUPPRESS,
                         help="seconds per subsearch (0 disables, default 60)")
     common.add_argument("--nodes", type=int, default=argparse.SUPPRESS,
-                        help="node budget per subsearch")
+                        help="node budget per search (default: none; "
+                        f"verify-paper {verify.DEFAULT_NODE_LIMIT})")
     common.add_argument("--seed", type=int, default=argparse.SUPPRESS,
-                        help="seed for randomized orders")
+                        help="seed for verify-paper's random graphs")
 
     parser = argparse.ArgumentParser(
         prog="rainbowsat", description=__doc__.splitlines()[0], parents=[common]
@@ -273,6 +274,8 @@ def main(argv=None) -> int:
     try:
         if args.timeout < 0:
             raise ValueError("timeout must be nonnegative")
+        if args.nodes is not None and args.nodes < 0:
+            raise ValueError("nodes must be nonnegative")
         return args.func(args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -178,13 +178,6 @@ class FamilyLadder:
     def depth(self) -> int:
         return len(self.levels) - 1
 
-    def target_sizes(self, n: int) -> list:
-        """Vertex budgets per level for an n-vertex construction."""
-        sizes = [n]
-        for h in self.orders[:-1]:
-            sizes.append(sizes[-1] - (h**3 + h))
-        return sizes
-
 
 def build_family_ladder(h) -> FamilyLadder:
     """Ladder of pattern families for an even-cycle-free pattern.

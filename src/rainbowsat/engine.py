@@ -17,7 +17,11 @@ classes, one of those classes.  Only the mask's classes are tried, lowest
 first, so the first solution is the one a plain restricted-growth sweep
 would meet first.  A search node is one class taken from such a mask: a
 proper assignment that makes no copy rainbow.  ``node_limit`` (``--nodes``
-on the command line) bounds these nodes in each component's search.
+on the command line) bounds these nodes in one search.
+
+``rainbow_free_colorable`` searches the host whole.  Splitting a host into
+components, sound when every pattern core is connected, is the job of
+``saturation.RainbowSolver``, which then spends one budget per component.
 """
 from __future__ import annotations
 
@@ -47,18 +51,6 @@ class EdgeColoring:
 
     classes: tuple
 
-    @property
-    def num_classes(self) -> int:
-        return len(set(self.classes))
-
-    def is_restricted_growth(self) -> bool:
-        seen = -1
-        for c in self.classes:
-            if c > seen + 1:
-                return False
-            seen = max(seen, c)
-        return True
-
     def normalized(self) -> "EdgeColoring":
         """Relabel classes in first-occurrence order (restricted growth form)."""
         remap = {}
@@ -79,17 +71,6 @@ class EdgeColoring:
     def as_lines(self, g: Graph) -> str:
         """One line per edge: 'u v class'."""
         return "\n".join(f"{u} {v} {c}" for (u, v), c in zip(g.edges, self.classes))
-
-    @classmethod
-    def from_lines(cls, g: Graph, text: str) -> "EdgeColoring":
-        assign = {}
-        for line in text.strip().splitlines():
-            u, v, c = (int(tok) for tok in line.split())
-            assign[(min(u, v), max(u, v))] = c
-        try:
-            return cls(tuple(assign[e] for e in g.edges))
-        except KeyError as missing:
-            raise ValueError(f"no class given for edge {missing.args[0]}") from None
 
 
 def is_proper(g: Graph, coloring: EdgeColoring) -> bool:
@@ -338,12 +319,11 @@ class ColorabilityResult:
 def _collect_embeddings(g: Graph, patterns, deadline=None) -> list:
     """Deduplicated copy edge sets of every pattern core in the host.
 
-    Callers are responsible for the pattern-order gate (isolated vertices of
-    a pattern may live outside the searched component, so the gate uses the
-    original host order, not g.n).  Drops any copy that contains another copy
-    as a subset: if the smaller one is non-rainbow, the larger one is too, so
-    only minimal edge sets constrain the search.  Raises ``_Expired`` once
-    ``deadline`` has passed.
+    Callers drop the patterns that do not fit the host first (a core may fit
+    where its isolated vertices do not).  Drops any copy that contains
+    another copy as a subset: if the smaller one is non-rainbow, the larger
+    one is too, so only minimal edge sets constrain the search.  Raises
+    ``_Expired`` once ``deadline`` has passed.
     """
     sets = set()
     for pat in patterns:
@@ -400,24 +380,18 @@ def _search_order(embeddings: list) -> list:
     return order
 
 
-class _Budget:
-    def __init__(self, node_limit, time_limit):
-        self.node_limit = node_limit
-        self.deadline = time.monotonic() + time_limit if time_limit else None
-
-
-def _search_component(g: Graph, embeddings, budget: _Budget):
+def _search_component(g: Graph, embeddings, node_limit=None, deadline=None):
     """Exhaustive restricted-growth search over the copy-covered edges.
 
     Entering position t computes its class mask once (see the module
     docstring); backtracking resumes from the untried rest of that mask.
-    Returns (status, per-edge classes or None, stats).  Edge classes cover
-    all host edges when a witness is found.
+    More than ``node_limit`` nodes, or a clock past ``deadline``, gives
+    INDETERMINATE.  Returns (status, per-edge classes or None, stats).  Edge
+    classes cover all host edges when a witness is found.
     """
     if any(len(e) == 0 for e in embeddings):
         # an edgeless pattern fits the host: every coloring is "rainbow"
         return Status.UNCOLORABLE, None, SearchStats()
-    deadline = budget.deadline
     if deadline is not None and time.monotonic() > deadline:
         # collecting the copies may already have used up the time budget
         return Status.INDETERMINATE, None, SearchStats()
@@ -432,7 +406,6 @@ def _search_component(g: Graph, embeddings, budget: _Budget):
 
     edges = g.edges
     endpoints = [edges[e] for e in order]
-    node_limit = budget.node_limit
     used = [0] * g.n
     bits = [0] * T  # the class assigned at each position, as a one-bit mask
     cand = [0] * T  # the allowed classes not yet tried at each position
@@ -522,87 +495,28 @@ def first_fit_classes(g: Graph, fixed: dict) -> list:
     return out
 
 
-# -- split, solve, merge -----------------------------------------------------
-
-
-def merge_colorings(g: Graph, parts) -> EdgeColoring:
-    """One coloring of g from colorings of the induced subgraphs on its
-    components.
-
-    ``parts`` holds (subgraph, vertex map, classes) triples, the first two as
-    ``induced_subgraph`` returns them.  Each part gets classes of its own, so
-    a copy inside one part keeps its colors and no class is shared across
-    parts.
-    """
-    merged = {}
-    offset = 0
-    for sub, vmap, classes in parts:
-        for (u, v), c in zip(sub.edges, classes):
-            merged[vmap[u], vmap[v]] = c + offset
-        offset += max(classes, default=-1) + 1
-    return EdgeColoring(tuple(merged[e] for e in g.edges)).normalized()
-
-
-def solve_components(g: Graph, active, solve) -> ColorabilityResult:
-    """Colorability of g from its components, when that is sound.
-
-    A copy of a connected pattern lies inside one component, so when every
-    active pattern is connected, g is colorable iff every component is, and
-    the component witnesses merge into one for g.  Otherwise, and when g is
-    connected, ``solve(g)`` decides the whole host.  ``solve`` maps a graph to
-    its ColorabilityResult.
-    """
-    if not all(p.core_connected for p in active) or g.is_connected():
-        return solve(g)
-    total = SearchStats(searches=0)
-    parts = []
-    for comp in g.components():
-        sub, vmap = induced_subgraph(g, comp)
-        res = solve(sub)
-        total.nodes += res.stats.nodes
-        total.searches += res.stats.searches
-        if res.status is not Status.COLORABLE:
-            return ColorabilityResult(res.status, None, total)
-        parts.append((sub, vmap, res.witness.classes))
-    return ColorabilityResult(Status.COLORABLE, merge_colorings(g, parts), total)
-
-
 def rainbow_free_colorable(
     g: Graph,
     family,
     *,
     node_limit: int | None = None,
     time_limit: float | None = None,
-    host_order: int | None = None,
 ) -> ColorabilityResult:
     """Decide whether g has a proper edge coloring with no rainbow family copy.
 
     Exhaustive and exact: COLORABLE comes with a witness coloring,
     UNCOLORABLE means every proper coloring was refuted.  Exceeding the node
-    or time budget yields INDETERMINATE, never a silent UNCOLORABLE.
-
-    When every pattern is connected the host splits into components and the
-    verdict is the conjunction of the per-component verdicts; a copy of a
-    disconnected pattern may straddle components, so in that case the host is
-    searched whole.  ``host_order`` overrides the vertex count used to decide
-    whether a pattern fits (needed when g is one component of a larger host
-    and patterns carry isolated vertices).
+    or time budget yields INDETERMINATE, never a silent UNCOLORABLE.  The
+    host is searched whole; ``RainbowSolver`` splits it into components.
     """
     patterns = [as_pattern(p) for p in family]
     if not patterns:
         raise ValueError("empty pattern family")
-    budget = _Budget(node_limit, time_limit)
-    if host_order is None:
-        host_order = g.n
-    active = [p for p in patterns if p.order <= host_order]
-
-    def search(sub: Graph) -> ColorabilityResult:
-        try:
-            copies = _collect_embeddings(sub, active, budget.deadline)
-        except _Expired:
-            return ColorabilityResult(Status.INDETERMINATE, None, SearchStats())
-        status, classes, stats = _search_component(sub, copies, budget)
-        witness = None if classes is None else EdgeColoring(tuple(classes)).normalized()
-        return ColorabilityResult(status, witness, stats)
-
-    return solve_components(g, active, search)
+    deadline = time.monotonic() + time_limit if time_limit else None
+    try:
+        copies = _collect_embeddings(g, [p for p in patterns if p.order <= g.n], deadline)
+    except _Expired:
+        return ColorabilityResult(Status.INDETERMINATE, None, SearchStats())
+    status, classes, stats = _search_component(g, copies, node_limit, deadline)
+    witness = None if classes is None else EdgeColoring(tuple(classes)).normalized()
+    return ColorabilityResult(status, witness, stats)

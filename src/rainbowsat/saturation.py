@@ -21,7 +21,6 @@ Two structural facts carry the heavy lifting:
 """
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from enum import Enum
 from itertools import combinations
@@ -30,19 +29,20 @@ from math import comb
 from .engine import (
     ColorabilityResult,
     EdgeColoring,
+    Pattern,
     SearchStats,
     Status,
     as_pattern,
     exists_embedding,
     first_fit_classes,
     rainbow_free_colorable,
-    solve_components,
 )
 from .graphs import (
     Graph,
     canonical_form,
     empty_graph,
     graph6_encode,
+    induced_subgraph,
 )
 
 
@@ -96,6 +96,24 @@ class SatNumberResult:
 CANON_LIMIT = 12
 
 
+def merge_colorings(g: Graph, parts) -> EdgeColoring:
+    """One coloring of g from colorings of the induced subgraphs on its
+    components.
+
+    ``parts`` holds (subgraph, vertex map, classes) triples, the first two as
+    ``induced_subgraph`` returns them.  Each part gets classes of its own, so
+    a copy inside one part keeps its colors and no class is shared across
+    parts.
+    """
+    merged = {}
+    offset = 0
+    for sub, vmap, classes in parts:
+        for (u, v), c in zip(sub.edges, classes):
+            merged[vmap[u], vmap[v]] = c + offset
+        offset += max(classes, default=-1) + 1
+    return EdgeColoring(tuple(merged[e] for e in g.edges)).normalized()
+
+
 class RainbowSolver:
     """Colorability decisions for one pattern family, memoized across calls.
 
@@ -110,6 +128,9 @@ class RainbowSolver:
             raise ValueError("empty pattern family")
         self.node_limit = node_limit
         self.time_limit = time_limit
+        # the pattern minus its isolated vertices, which find room anywhere
+        # in a host the pattern fits
+        self._cores = tuple(Pattern(p.core) for p in self.patterns)
         self._cache: dict = {}
 
     # cache keys: ("c", encoding) for canonical, ("l", n, adj) for labeled
@@ -119,20 +140,40 @@ class RainbowSolver:
         return ("l", g.n, g.adj)
 
     def colorability(self, g: Graph) -> ColorabilityResult:
-        """Rainbow-free colorability of g, decomposing into components when sound."""
-        active = [p for p in self.patterns if p.order <= g.n]
-        return solve_components(g, active, lambda sub: self._solve(sub, host_order=g.n))
+        """Rainbow-free colorability of g, one search per component when sound.
 
-    def _solve(self, g: Graph, host_order: int) -> ColorabilityResult:
-        # host_order carries the original order so patterns with isolated
-        # vertices see the whole host, not just this component
-        active = [p for p in self.patterns if p.order <= host_order]
-        if not active:
+        Patterns are gated by g's order once; then only the cores of those
+        that fit are searched.  A copy of a connected core lies inside one
+        component, so when every such core is connected, g is colorable iff
+        every component is, and the component witnesses merge into one for
+        g.  Otherwise g is searched whole.
+        """
+        fit = [(p, core) for p, core in zip(self.patterns, self._cores) if p.order <= g.n]
+        cores = [core for _, core in fit]
+        # a component's verdict depends on g's order only when a fitting
+        # pattern has isolated vertices; the tag keeps such verdicts apart
+        tag = g.n if any(p.isolated for p, _ in fit) else 0
+        if not all(core.core_connected for core in cores) or g.is_connected():
+            return self._solve(g, cores, tag)
+        total = SearchStats(searches=0)
+        parts = []
+        for comp in g.components():
+            sub, vmap = induced_subgraph(g, comp)
+            res = self._solve(sub, cores, tag)
+            total.nodes += res.stats.nodes
+            total.searches += res.stats.searches
+            if res.status is not Status.COLORABLE:
+                return ColorabilityResult(res.status, None, total)
+            parts.append((sub, vmap, res.witness.classes))
+        return ColorabilityResult(Status.COLORABLE, merge_colorings(g, parts), total)
+
+    def _solve(self, g: Graph, cores, tag) -> ColorabilityResult:
+        if not cores:
             # no pattern fits the host, so any proper coloring witnesses
             witness = EdgeColoring(tuple(first_fit_classes(g, {})))
             return ColorabilityResult(Status.COLORABLE, witness, SearchStats(searches=0))
 
-        key = self._key(g) + (host_order if any(p.order > p.core.n for p in active) else 0,)
+        key = self._key(g) + (tag,)
         hit = self._cache.get(key)
         if hit is not None:
             status, classes = hit
@@ -142,11 +183,7 @@ class RainbowSolver:
             return ColorabilityResult(status, witness, SearchStats(searches=0))
 
         res = rainbow_free_colorable(
-            g,
-            active,
-            node_limit=self.node_limit,
-            time_limit=self.time_limit,
-            host_order=host_order,
+            g, cores, node_limit=self.node_limit, time_limit=self.time_limit
         )
         if res.status is not Status.INDETERMINATE:
             classes = None
@@ -400,15 +437,14 @@ def all_rainbow_saturated(n: int, family, *, solver: RainbowSolver | None = None
 # -- greedy saturation ----------------------------------------------------------
 
 
-def greedy_saturate(g0: Graph, family, *, order: str = "lex", seed=None,
-                    solver: RainbowSolver | None = None,
+def greedy_saturate(g0: Graph, family, *, solver: RainbowSolver | None = None,
                     node_limit=None, time_limit=None) -> Graph:
     """Grow g0 into a rainbow family-saturated supergraph on the same vertices.
 
-    Scans candidate non-edges once in the given order ("lex" or "random" with
-    a seed) and adds each edge whose addition keeps rainbow-free colorability.
-    One pass suffices: a rejected edge stays rejected because UNCOLORABLE
-    verdicts persist under adding more edges.
+    Scans candidate non-edges once in lexicographic order and adds each edge
+    whose addition keeps rainbow-free colorability.  One pass suffices: a
+    rejected edge stays rejected because UNCOLORABLE verdicts persist under
+    adding more edges.
     """
     if solver is None:
         solver = RainbowSolver(family, node_limit=node_limit, time_limit=time_limit)
@@ -417,14 +453,8 @@ def greedy_saturate(g0: Graph, family, *, order: str = "lex", seed=None,
         raise SearchAborted("budget exhausted on the seed graph")
     if base.status is Status.UNCOLORABLE:
         raise ValueError("seed graph has no rainbow-free proper coloring")
-    candidates = g0.non_edges()
-    if order == "random":
-        rng = random.Random(seed)
-        rng.shuffle(candidates)
-    elif order != "lex":
-        raise ValueError(f"unknown edge order policy {order!r}")
     g = g0
-    for u, v in candidates:
+    for u, v in g0.non_edges():
         g2 = g.with_edge(u, v)
         res = solver.colorability(g2)
         if res.status is Status.INDETERMINATE:

@@ -69,6 +69,11 @@ def _check(name, ok, detail=None, xfail_reason=None, indeterminate=False):
     return entry
 
 
+def _aborted(name, err):
+    """An indeterminate check: its exact computation ran out of budget."""
+    return _check(name, False, {"aborted": str(err)}, indeterminate=True)
+
+
 def _worst(statuses) -> str:
     """Combined status: fail beats indeterminate beats pass; xfail counts as pass."""
     worst = "pass"
@@ -145,7 +150,11 @@ def claim_p3_equality(config):
     coloring of P3 is rainbow)."""
     checks = []
     for n in range(3, 8):
-        a = sat_star_exact(n, [path(3)], node_limit=config["node_limit"])
+        try:
+            a = sat_star_exact(n, [path(3)], node_limit=config["node_limit"])
+        except SearchAborted as err:
+            checks.append(_aborted(f"n={n}", err))
+            continue
         b = sat_exact(n, path(3))
         checks.append(
             _check(f"n={n}", a.value == b.value, {"sat_star": a.value, "sat": b.value})
@@ -204,7 +213,11 @@ def claim_c4_degree1(config):
     vertex of degree 1, and the exact minima lie in [n-2, 2n-2]."""
     checks = []
     for n in range(5, 8):
-        found, res = all_rainbow_saturated(n, [cycle(4)], node_limit=config["node_limit"])
+        try:
+            found, res = all_rainbow_saturated(n, [cycle(4)], node_limit=config["node_limit"])
+        except SearchAborted as err:
+            checks.append(_aborted(f"n={n}", err))
+            continue
         worst = max(
             (len(structural_report(g)["degree_one_vertices"]) for g in found), default=0
         )
@@ -273,7 +286,13 @@ def claim_k4_gap(config):
     checks = []
     ns = (5, 6) if config["extended"] else (5,)
     for n in ns:
-        found, res = all_rainbow_saturated(n, [complete_graph(4)], node_limit=config["node_limit"])
+        try:
+            found, res = all_rainbow_saturated(
+                n, [complete_graph(4)], node_limit=config["node_limit"]
+            )
+        except SearchAborted as err:
+            checks.append(_aborted(f"n={n}", err))
+            continue
         classical = sat_exact(n, complete_graph(4)).value
         gap_ok = res.value is not None and 4 * res.value > 5 * classical
         audit_ok = all(
@@ -340,8 +359,7 @@ def claim_ladder(config):
             except SearchAborted as err:
                 # a patching search ran out of budget: no host to check
                 missing = True
-                checks.append(_check(f"{name} n={n}", False, {"aborted": str(err)},
-                                     indeterminate=True))
+                checks.append(_aborted(f"{name} n={n}", err))
                 continue
             verdict = is_rainbow_saturated(
                 res.graph, [pats[name]], node_limit=config["node_limit"]

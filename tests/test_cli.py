@@ -41,8 +41,9 @@ def test_parse_error_exit_code(capsys):
         ["construct", "ehm", "--n", "6"],
         ["construct", "ladder", "--n", "9"],
         ["colorable", "@{empty}", "K3"],
+        ["--nodes", "-1", "colorable", "K4", "P4"],
     ],
-    ids=["ehm-without-r", "ladder-without-pattern", "empty-graph-file"],
+    ids=["ehm-without-r", "ladder-without-pattern", "empty-graph-file", "negative-nodes"],
 )
 def test_bad_input_exits_64(argv, tmp_path, capsys):
     empty = tmp_path / "empty.g6"
@@ -115,6 +116,14 @@ def test_verify_paper_subset(capsys):
     payload = json.loads(out)
     assert payload["status"] == "pass"
     assert payload["claims"][0]["claim"] == "p3-equality"
+
+
+def test_verify_paper_uses_the_given_node_budget(capsys):
+    code, out = run(capsys, "verify-paper", "--only", "p3-equality", "--nodes", "0", "--json")
+    payload = json.loads(out)
+    assert (code, payload["node_limit"], payload["status"]) == (1, 0, "indeterminate")
+    _, out = run(capsys, "--json", "verify-paper", "--only", "p3-equality")
+    assert json.loads(out)["node_limit"] == 20_000_000
 
 
 def test_verify_paper_reports_are_reproducible(capsys):

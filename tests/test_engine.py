@@ -10,6 +10,7 @@ from rainbowsat import (
     EdgeColoring,
     Graph,
     Pattern,
+    RainbowSolver,
     Status,
     complete_graph,
     cycle,
@@ -26,7 +27,6 @@ from rainbowsat import (
 )
 from rainbowsat.constructions import wheel_construction
 from rainbowsat.engine import (
-    _Budget,
     _collect_embeddings,
     _copies,
     _match_order,
@@ -71,14 +71,12 @@ def test_is_proper_size_mismatch():
 def test_normalized_restricted_growth():
     c = EdgeColoring((5, 2, 5, 7)).normalized()
     assert c.classes == (0, 1, 0, 2)
-    assert c.is_restricted_growth()
-    assert not EdgeColoring((1, 0)).is_restricted_growth()
 
 
 def test_coloring_text_roundtrip():
     g = path(4)
     c = EdgeColoring((0, 1, 0))
-    assert EdgeColoring.from_lines(g, c.as_lines(g)) == c
+    assert c.as_lines(g) == "0 1 0\n1 2 1\n2 3 0"
     assert EdgeColoring.from_json(c.to_json()) == c
 
 
@@ -170,6 +168,12 @@ def test_pattern_with_isolated_vertex_needs_host_room():
     assert rainbow_free_colorable(complete_graph(3), [pat]).status is Status.COLORABLE
     host = disjoint_union([complete_graph(3), empty_graph(1)])
     assert rainbow_free_colorable(host, [pat]).status is Status.UNCOLORABLE
+    # the solver splits the host and searches the triangle alone: the pattern
+    # fits the whole host, so its core alone must be refused there
+    solver = RainbowSolver([pat])
+    res = solver.colorability(host)
+    assert (res.status, res.stats.searches) == (Status.UNCOLORABLE, 1)
+    assert solver.colorability(complete_graph(3)).status is Status.COLORABLE
 
 
 def test_witness_is_valid():
@@ -210,7 +214,7 @@ def test_time_budget_spent_before_the_search_is_indeterminate():
     # a deadline already passed stops the search before its first node
     g = complete_graph(6)
     status, classes, stats = _search_component(
-        g, _collect_embeddings(g, [Pattern(cycle(4))]), _Budget(None, 1e-9)
+        g, _collect_embeddings(g, [Pattern(cycle(4))]), deadline=time.monotonic() - 1
     )
     assert (status, classes, stats.nodes) == (Status.INDETERMINATE, None, 0)
 
@@ -244,7 +248,7 @@ def test_witness_is_the_first_rainbow_free_string(g, family):
     # skipped a solution or reordered the search would return a later one
     copies = _collect_embeddings(g, [Pattern(h) for h in family if h.n <= g.n])
     order = _search_order(copies)
-    status, classes, _ = _search_component(g, copies, _Budget(None, None))
+    status, classes, _ = _search_component(g, copies)
     first = next(
         (b for b in set_partitions(len(order)) if closes_no_rainbow(g, order, copies, b)), None
     )
@@ -432,17 +436,21 @@ def test_component_decomposition_shapes():
 
 
 def test_decomposition_matches_whole_graph_search():
-    # the split search on disjoint unions against the naive oracle, which
-    # never splits
+    # the solver's split search and the engine's whole-host search on
+    # disjoint unions, both against the naive oracle, which never splits
     g = disjoint_union([complete_graph(4)] * 4)
-    assert rainbow_free_colorable(g, [path(4)]).status is Status.COLORABLE
+    res = RainbowSolver([path(4)]).colorability(g)
+    assert (res.status, res.stats.searches) == (Status.COLORABLE, 1)  # one search, three hits
+    assert find_rainbow_embedding(g, res.witness, path(4)) is None
 
     rng = random.Random(51)
     for fam in ([path(4)], [disjoint_union([complete_graph(3), empty_graph(1)])]):
+        solver = RainbowSolver(fam)
         for _ in range(20):
             g = disjoint_union([random_graph(rng, rng.randint(2, 4), 4) for _ in range(2)])
-            split = rainbow_free_colorable(g, fam).status is Status.COLORABLE
-            assert split == naive_rainbow_free_colorable(g, fam)
+            naive = naive_rainbow_free_colorable(g, fam)
+            assert (solver.colorability(g).status is Status.COLORABLE) == naive
+            assert (rainbow_free_colorable(g, fam).status is Status.COLORABLE) == naive
 
 
 def test_engine_matches_naive_oracle_spot():

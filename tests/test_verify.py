@@ -56,3 +56,19 @@ def test_ladder_budget_abort_is_indeterminate():
     assert statuses["K4 linear edge growth"] == "indeterminate"
     assert "fail" not in statuses.values()
     assert claim["status"] == report["status"] == "indeterminate"
+
+
+@pytest.mark.parametrize("node_limit", [0, 1])
+def test_exact_claims_record_a_budget_abort_as_indeterminate(node_limit):
+    # sat* and the saturated-graph scans abort on a tiny budget: each aborted
+    # check carries the abort message and the claim runs on
+    report = verify.run_report(["c4-degree1", "k4-gap", "p3-equality"], node_limit=node_limit)
+    statuses = {claim["claim"]: claim["status"] for claim in report["claims"]}
+    assert statuses["c4-degree1"] == statuses["k4-gap"] == "indeterminate"
+    checks = [check for claim in report["claims"] for check in claim["checks"]]
+    assert len(checks) == 3 + 1 + 5
+    for check in checks:
+        aborted = check.get("detail", {}).get("aborted")
+        assert check["status"] == ("indeterminate" if aborted else "pass")
+        assert aborted is None or aborted.startswith("budget exhausted")
+    assert report["status"] == "indeterminate"
