@@ -5,8 +5,12 @@ Graphs and patterns are given as graph6 strings, as @file references to a
 graph6 file, or by name (K4, P4, C4, W8, E5, K1_4, ...).
 
 Exit codes: colorable exits 0/1/2 for COLORABLE/UNCOLORABLE/INDETERMINATE,
-check exits 0/1/2 for SATURATED/NOT_SATURATED/INDETERMINATE, verify-paper
-exits 0 only if every claim passes, and unparsable or missing input exits 64.
+check and construct --verify exit 0/1/2 for SATURATED/NOT_SATURATED/
+INDETERMINATE, any command whose search runs out of budget prints
+"INDETERMINATE: <message>" to stderr and exits 2, verify-paper exits 0 only
+if every claim passes, and unparsable or missing input exits 64.  verify-paper
+is budgeted by --nodes only, so that its report is reproducible; it rejects
+--timeout.
 """
 from __future__ import annotations
 
@@ -35,6 +39,12 @@ from .saturation import (
 )
 
 EXIT_PARSE = 64
+EXIT_INDETERMINATE = 2
+# one exit code per verdict, for colorable, check and construct --verify
+EXIT_CODES = {
+    Status.COLORABLE: 0, Status.UNCOLORABLE: 1, Status.INDETERMINATE: EXIT_INDETERMINATE,
+    Verdict.SATURATED: 0, Verdict.NOT_SATURATED: 1, Verdict.INDETERMINATE: EXIT_INDETERMINATE,
+}
 
 
 def _load_graph(token: str) -> Graph:
@@ -80,7 +90,7 @@ def cmd_colorable(args) -> int:
         payload["witness"] = res.witness.to_json()
         human += "\n" + res.witness.as_lines(g)
     _emit(args, payload, human)
-    return {Status.COLORABLE: 0, Status.UNCOLORABLE: 1, Status.INDETERMINATE: 2}[res.status]
+    return EXIT_CODES[res.status]
 
 
 def cmd_check(args) -> int:
@@ -102,9 +112,7 @@ def cmd_check(args) -> int:
         if verdict.failing_coloring is not None:
             payload["failing_coloring"] = verdict.failing_coloring.to_json()
     _emit(args, payload, human)
-    return {Verdict.SATURATED: 0, Verdict.NOT_SATURATED: 1, Verdict.INDETERMINATE: 2}[
-        verdict.status
-    ]
+    return EXIT_CODES[verdict.status]
 
 
 def cmd_sat(args) -> int:
@@ -116,11 +124,7 @@ def cmd_sat(args) -> int:
 
 def cmd_satstar(args) -> int:
     patterns = _load_graphs(args.patterns)
-    try:
-        res = sat_star_exact(args.n, patterns, **_limits(args))
-    except SearchAborted as exc:
-        print(f"INDETERMINATE: {exc}", file=sys.stderr)
-        return 2
+    res = sat_star_exact(args.n, patterns, **_limits(args))
     value = "none (no saturated graph exists)" if res.value is None else res.value
     _emit(args, res.to_json(), f"sat*({args.n}) = {value}\nwitnesses: {' '.join(res.witnesses)}")
     return 0
@@ -163,7 +167,7 @@ def cmd_construct(args) -> int:
         payload["verified"] = verdict.status.value
         human += f"\nverified: {verdict.status.value}"
         _emit(args, payload, human)
-        return 0 if verdict.status is Verdict.SATURATED else 1
+        return EXIT_CODES[verdict.status]
     _emit(args, payload, human)
     return 0
 
@@ -206,7 +210,8 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--json", action="store_true", default=argparse.SUPPRESS,
                         help="machine-readable output")
     common.add_argument("--timeout", type=float, default=argparse.SUPPRESS,
-                        help="seconds per subsearch (0 disables, default 60)")
+                        help="seconds per subsearch (0 disables, default 60; "
+                        "verify-paper rejects it, use --nodes)")
     common.add_argument("--nodes", type=int, default=argparse.SUPPRESS,
                         help="node budget per search (default: none; "
                         f"verify-paper {verify.DEFAULT_NODE_LIMIT})")
@@ -264,6 +269,7 @@ _GLOBAL_DEFAULTS = {"json": False, "timeout": 60.0, "nodes": None}
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    timed = hasattr(args, "timeout")
     # global flags parse in either position; fill in whatever was never given
     # (argparse set_defaults would leak through the shared parent actions)
     for key, value in _GLOBAL_DEFAULTS.items():
@@ -272,11 +278,17 @@ def main(argv=None) -> int:
     if not hasattr(args, "seed"):
         args.seed = verify.DEFAULT_SEED
     try:
+        if timed and args.func is cmd_verify_paper:
+            raise ValueError("verify-paper is node-budgeted so that its report is "
+                             "reproducible; use --nodes, not --timeout")
         if args.timeout < 0:
             raise ValueError("timeout must be nonnegative")
         if args.nodes is not None and args.nodes < 0:
             raise ValueError("nodes must be nonnegative")
         return args.func(args)
+    except SearchAborted as exc:
+        print(f"INDETERMINATE: {exc}", file=sys.stderr)
+        return EXIT_INDETERMINATE
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE

@@ -9,7 +9,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
-from .engine import EdgeColoring, Status, as_pattern
+from .engine import EdgeColoring, as_pattern
 from .graphs import (
     Graph,
     canonical_form,
@@ -26,7 +26,7 @@ from .graphs import (
     star,
     wheel,
 )
-from .saturation import RainbowSolver, SearchAborted, greedy_saturate
+from .saturation import RainbowSolver, greedy_saturate
 
 
 @dataclass(frozen=True)
@@ -251,8 +251,9 @@ def ladder_construction(h, n: int, *, node_limit=None, time_limit=None) -> Ladde
     The base level greedily saturates an edgeless graph against the forest
     members of the last family.  Each lift joins a fresh independent set to
     the current graph, then patches: any pair inside the new set whose edge
-    keeps rainbow-free colorability is added.  The final graph's saturation
-    is checked by the caller through the exact engine, not assumed.
+    keeps rainbow-free colorability is added; an exhausted budget raises
+    SearchAborted.  The final graph's saturation is checked by the caller
+    through the exact engine, not assumed.
     """
     ladder = build_family_ladder(h)
     k = ladder.depth
@@ -282,10 +283,7 @@ def ladder_construction(h, n: int, *, node_limit=None, time_limit=None) -> Ladde
         patched = []
         for u, v in combinations(iverts, 2):
             g2 = g.with_edge(u, v)
-            res = solver.colorability(g2)
-            if res.status is Status.INDETERMINATE:
-                raise SearchAborted(f"budget exhausted patching ({u},{v}) at level {i - 1}")
-            if res.status is Status.COLORABLE:
+            if solver.colorable(g2):
                 g = g2
                 patched.append([u, v])
         trace["lifts"].append(

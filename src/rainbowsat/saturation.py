@@ -167,6 +167,16 @@ class RainbowSolver:
             parts.append((sub, vmap, res.witness.classes))
         return ColorabilityResult(Status.COLORABLE, merge_colorings(g, parts), total)
 
+    def colorable(self, g: Graph) -> bool:
+        """The verdict of ``colorability``: True for COLORABLE, False for
+        UNCOLORABLE.  An exhausted budget raises SearchAborted naming g."""
+        status = self.colorability(g).status
+        if status is Status.INDETERMINATE:
+            raise SearchAborted(
+                f"budget exhausted at n={g.n}, edges={g.edge_count}, graph {graph6_encode(g)}"
+            )
+        return status is Status.COLORABLE
+
     def _solve(self, g: Graph, cores, tag) -> ColorabilityResult:
         if not cores:
             # no pattern fits the host, so any proper coloring witnesses
@@ -377,18 +387,6 @@ def _sat_number(n: int, famkey: tuple, free, edge_budget=None, found=None) -> Sa
     return res
 
 
-def _colorable(solver: RainbowSolver):
-    """The solver's COLORABLE verdict as ``free``; budget exhaustion raises."""
-    def free(g: Graph) -> bool:
-        status = solver.colorability(g).status
-        if status is Status.INDETERMINATE:
-            raise SearchAborted(
-                f"budget exhausted at n={g.n}, level={g.edge_count}, graph {graph6_encode(g)}"
-            )
-        return status is Status.COLORABLE
-    return free
-
-
 def sat_exact(n: int, h, *, edge_budget=None) -> SatNumberResult:
     """Classical saturation number by ascending exhaustive enumeration."""
     pat = as_pattern(h)
@@ -401,7 +399,6 @@ def sat_star_exact(
     n: int,
     family,
     *,
-    solver: RainbowSolver | None = None,
     node_limit=None,
     time_limit=None,
     edge_budget=None,
@@ -413,53 +410,42 @@ def sat_star_exact(
     nothing guarantees a saturated graph exists for every (n, family).
     Budget exhaustion raises SearchAborted rather than reporting a guess.
     """
-    if solver is None:
-        solver = RainbowSolver(family, node_limit=node_limit, time_limit=time_limit)
+    solver = RainbowSolver(family, node_limit=node_limit, time_limit=time_limit)
     famkey = tuple(graph6_encode(p.graph) for p in solver.patterns)
-    return _sat_number(n, famkey, _colorable(solver), edge_budget)
+    return _sat_number(n, famkey, solver.colorable, edge_budget)
 
 
-def all_rainbow_saturated(n: int, family, *, solver: RainbowSolver | None = None,
-                          node_limit=None, time_limit=None):
+def all_rainbow_saturated(n: int, family, *, node_limit=None, time_limit=None):
     """Every rainbow family-saturated graph on n vertices, plus the minimum.
 
     Scans all isomorphism classes (not just the first successful level);
     returns (saturated graphs ascending, SatNumberResult).
     """
-    if solver is None:
-        solver = RainbowSolver(family, node_limit=node_limit, time_limit=time_limit)
+    solver = RainbowSolver(family, node_limit=node_limit, time_limit=time_limit)
     famkey = tuple(graph6_encode(p.graph) for p in solver.patterns)
     found = []
-    res = _sat_number(n, famkey, _colorable(solver), found=found)
+    res = _sat_number(n, famkey, solver.colorable, found=found)
     return found, res
 
 
 # -- greedy saturation ----------------------------------------------------------
 
 
-def greedy_saturate(g0: Graph, family, *, solver: RainbowSolver | None = None,
-                    node_limit=None, time_limit=None) -> Graph:
+def greedy_saturate(g0: Graph, family, *, node_limit=None, time_limit=None) -> Graph:
     """Grow g0 into a rainbow family-saturated supergraph on the same vertices.
 
     Scans candidate non-edges once in lexicographic order and adds each edge
     whose addition keeps rainbow-free colorability.  One pass suffices: a
     rejected edge stays rejected because UNCOLORABLE verdicts persist under
-    adding more edges.
+    adding more edges.  An exhausted budget raises SearchAborted.
     """
-    if solver is None:
-        solver = RainbowSolver(family, node_limit=node_limit, time_limit=time_limit)
-    base = solver.colorability(g0)
-    if base.status is Status.INDETERMINATE:
-        raise SearchAborted("budget exhausted on the seed graph")
-    if base.status is Status.UNCOLORABLE:
+    solver = RainbowSolver(family, node_limit=node_limit, time_limit=time_limit)
+    if not solver.colorable(g0):
         raise ValueError("seed graph has no rainbow-free proper coloring")
     g = g0
     for u, v in g0.non_edges():
         g2 = g.with_edge(u, v)
-        res = solver.colorability(g2)
-        if res.status is Status.INDETERMINATE:
-            raise SearchAborted(f"budget exhausted adding edge ({u},{v})")
-        if res.status is Status.COLORABLE:
+        if solver.colorable(g2):
             g = g2
     return g
 

@@ -69,9 +69,28 @@ def _check(name, ok, detail=None, xfail_reason=None, indeterminate=False):
     return entry
 
 
-def _aborted(name, err):
-    """An indeterminate check: its exact computation ran out of budget."""
-    return _check(name, False, {"aborted": str(err)}, indeterminate=True)
+def _guarded(name, run):
+    """The check ``run()`` returns, or an indeterminate one named ``name``
+    when its exact computation runs out of budget."""
+    try:
+        return run()
+    except SearchAborted as err:
+        return _check(name, False, {"aborted": str(err)}, indeterminate=True)
+
+
+def _saturated(name, facts, verdict, detail):
+    """A host that should be saturated: ``facts`` holds when its own checked
+    properties do; an exhausted budget is indeterminate only then."""
+    detail["verdict"] = verdict.status.value
+    return _check(name, facts and verdict.status is Verdict.SATURATED, detail,
+                  indeterminate=facts and verdict.status is Verdict.INDETERMINATE)
+
+
+def _status(name, res, expected, detail):
+    """A colorability result that should have status ``expected``."""
+    detail["status"] = res.status.value
+    return _check(name, res.status is expected, detail,
+                  indeterminate=res.status is Status.INDETERMINATE)
 
 
 def _worst(statuses) -> str:
@@ -148,18 +167,12 @@ def claim_classical_formulas(config):
 def claim_p3_equality(config):
     """Rainbow and classical saturation numbers coincide for P3 (every proper
     coloring of P3 is rainbow)."""
-    checks = []
-    for n in range(3, 8):
-        try:
-            a = sat_star_exact(n, [path(3)], node_limit=config["node_limit"])
-        except SearchAborted as err:
-            checks.append(_aborted(f"n={n}", err))
-            continue
+    def check(n):
+        a = sat_star_exact(n, [path(3)], node_limit=config["node_limit"])
         b = sat_exact(n, path(3))
-        checks.append(
-            _check(f"n={n}", a.value == b.value, {"sat_star": a.value, "sat": b.value})
-        )
-    return _claim("p3-equality", checks)
+        return _check(f"n={n}", a.value == b.value, {"sat_star": a.value, "sat": b.value})
+
+    return _claim("p3-equality", [_guarded(f"n={n}", lambda: check(n)) for n in range(3, 8)])
 
 
 def claim_c4_wheel(config):
@@ -175,26 +188,16 @@ def claim_c4_wheel(config):
             cg.graph, [cycle(4)], node_limit=config["node_limit"]
         )
         facts = proper and no_rainbow and cg.graph.edge_count == 2 * (n - 1)
-        checks.append(_check(
-            f"wheel({n})",
-            facts and verdict.status is Verdict.SATURATED,
-            {
-                "proper": proper,
-                "rainbow_free": no_rainbow,
-                "edges": cg.graph.edge_count,
-                "verdict": verdict.status.value,
-            },
-            indeterminate=facts and verdict.status is Verdict.INDETERMINATE,
-        ))
+        checks.append(_saturated(f"wheel({n})", facts, verdict, {
+            "proper": proper,
+            "rainbow_free": no_rainbow,
+            "edges": cg.graph.edge_count,
+        }))
     ga, gb = gadget("GA"), gadget("GB")
     solver = RainbowSolver([cycle(4)], node_limit=config["node_limit"])
     for gd in (ga, gb):
-        res = solver.colorability(gd.graph)
-        checks.append(_check(
-            f"gadget {gd.name} uncolorable", res.status is Status.UNCOLORABLE,
-            {"status": res.status.value},
-            indeterminate=res.status is Status.INDETERMINATE,
-        ))
+        checks.append(_status(f"gadget {gd.name} uncolorable",
+                              solver.colorability(gd.graph), Status.UNCOLORABLE, {}))
     for n in range(10, 15):
         w = wheel(n)
         covered = all(
@@ -211,30 +214,24 @@ def claim_c4_wheel(config):
 def claim_c4_degree1(config):
     """Every rainbow C4-saturated graph on 5..7 vertices has at most one
     vertex of degree 1, and the exact minima lie in [n-2, 2n-2]."""
-    checks = []
-    for n in range(5, 8):
-        try:
-            found, res = all_rainbow_saturated(n, [cycle(4)], node_limit=config["node_limit"])
-        except SearchAborted as err:
-            checks.append(_aborted(f"n={n}", err))
-            continue
+    def check(n):
+        found, res = all_rainbow_saturated(n, [cycle(4)], node_limit=config["node_limit"])
         worst = max(
             (len(structural_report(g)["degree_one_vertices"]) for g in found), default=0
         )
         in_range = res.value is not None and n - 2 <= res.value <= 2 * n - 2
-        checks.append(
-            _check(
-                f"n={n}",
-                worst <= 1 and in_range,
-                {
-                    "saturated_count": len(found),
-                    "max_degree_one": worst,
-                    "sat_star": res.value,
-                    "range": [n - 2, 2 * n - 2],
-                },
-            )
+        return _check(
+            f"n={n}",
+            worst <= 1 and in_range,
+            {
+                "saturated_count": len(found),
+                "max_degree_one": worst,
+                "sat_star": res.value,
+                "range": [n - 2, 2 * n - 2],
+            },
         )
-    return _claim("c4-degree1", checks)
+
+    return _claim("c4-degree1", [_guarded(f"n={n}", lambda: check(n)) for n in range(5, 8)])
 
 
 def claim_p4_construction(config):
@@ -250,16 +247,10 @@ def claim_p4_construction(config):
         no_rainbow = find_rainbow_embedding(cg.graph, cg.coloring, path(4)) is None
         verdict = is_rainbow_saturated(cg.graph, [path(4)], node_limit=config["node_limit"])
         facts = proper and no_rainbow and cg.graph.edge_count == want_edges
-        checks.append(_check(
-            f"n={n}",
-            facts and verdict.status is Verdict.SATURATED,
-            {
-                "edges": cg.graph.edge_count,
-                "expected_edges": want_edges,
-                "verdict": verdict.status.value,
-            },
-            indeterminate=facts and verdict.status is Verdict.INDETERMINATE,
-        ))
+        checks.append(_saturated(f"n={n}", facts, verdict, {
+            "edges": cg.graph.edge_count,
+            "expected_edges": want_edges,
+        }))
     solver = RainbowSolver([path(4)], node_limit=config["node_limit"])
     expectations = {
         "star_plus_chord": Status.UNCOLORABLE,
@@ -269,13 +260,9 @@ def claim_p4_construction(config):
         "path_closed": Status.COLORABLE,
     }
     for name in sorted(expectations):
-        res = solver.colorability(gadget(name).graph)
-        checks.append(_check(
-            f"gadget {name}",
-            res.status is expectations[name],
-            {"status": res.status.value, "expected": expectations[name].value},
-            indeterminate=res.status is Status.INDETERMINATE,
-        ))
+        want = expectations[name]
+        checks.append(_status(f"gadget {name}", solver.colorability(gadget(name).graph),
+                              want, {"expected": want.value}))
     return _claim("p4-construction", checks)
 
 
@@ -283,35 +270,29 @@ def claim_k4_gap(config):
     """The rainbow K4 saturation number strictly exceeds 5/4 of the classical
     one at n = 5 (and n = 6 when extended), and no rainbow K4-saturated graph
     has two nonadjacent degree-2 vertices."""
-    checks = []
-    ns = (5, 6) if config["extended"] else (5,)
-    for n in ns:
-        try:
-            found, res = all_rainbow_saturated(
-                n, [complete_graph(4)], node_limit=config["node_limit"]
-            )
-        except SearchAborted as err:
-            checks.append(_aborted(f"n={n}", err))
-            continue
+    def check(n):
+        found, res = all_rainbow_saturated(
+            n, [complete_graph(4)], node_limit=config["node_limit"]
+        )
         classical = sat_exact(n, complete_graph(4)).value
         gap_ok = res.value is not None and 4 * res.value > 5 * classical
         audit_ok = all(
             not structural_report(g, clique_order=4)["nonadjacent_low_degree_pairs"]
             for g in found
         )
-        checks.append(
-            _check(
-                f"n={n}",
-                gap_ok and audit_ok,
-                {
-                    "sat_star": res.value,
-                    "sat": classical,
-                    "saturated_count": len(found),
-                    "audit_clean": audit_ok,
-                },
-            )
+        return _check(
+            f"n={n}",
+            gap_ok and audit_ok,
+            {
+                "sat_star": res.value,
+                "sat": classical,
+                "saturated_count": len(found),
+                "audit_clean": audit_ok,
+            },
         )
-    return _claim("k4-gap", checks)
+
+    ns = (5, 6) if config["extended"] else (5,)
+    return _claim("k4-gap", [_guarded(f"n={n}", lambda: check(n)) for n in ns])
 
 
 def claim_ladder(config):
@@ -350,31 +331,22 @@ def claim_ladder(config):
         "K4": list(range(9, 13)),
     }
     pats = {"K3": complete_graph(3), "K4": complete_graph(4)}
+
+    def host(name, n):
+        res = ladder_construction(pats[name], n, node_limit=config["node_limit"])
+        verdict = is_rainbow_saturated(res.graph, [pats[name]], node_limit=config["node_limit"])
+        return _saturated(f"{name} n={n}", True, verdict, {
+            "edges": res.graph.edge_count,
+            "lift_sizes": res.trace["lift_sizes"],
+        })
+
     for name in ("K3", "K4"):
-        ratios = []
-        missing = False
-        for n in ranges[name]:
-            try:
-                res = ladder_construction(pats[name], n, node_limit=config["node_limit"])
-            except SearchAborted as err:
-                # a patching search ran out of budget: no host to check
-                missing = True
-                checks.append(_aborted(f"{name} n={n}", err))
-                continue
-            verdict = is_rainbow_saturated(
-                res.graph, [pats[name]], node_limit=config["node_limit"]
-            )
-            ratios.append(res.graph.edge_count / n)
-            checks.append(_check(
-                f"{name} n={n}",
-                verdict.status is Verdict.SATURATED,
-                {
-                    "edges": res.graph.edge_count,
-                    "verdict": verdict.status.value,
-                    "lift_sizes": res.trace["lift_sizes"],
-                },
-                indeterminate=verdict.status is Verdict.INDETERMINATE,
-            ))
+        hosts = [_guarded(f"{name} n={n}", lambda: host(name, n)) for n in ranges[name]]
+        checks.extend(hosts)
+        # a host whose construction ran out of budget has no edge count
+        ratios = [c["detail"]["edges"] / n for c, n in zip(hosts, ranges[name])
+                  if "edges" in c["detail"]]
+        missing = len(ratios) < len(hosts)
         grows = all(r <= bounds[name] for r in ratios)
         checks.append(
             _check(

@@ -42,14 +42,41 @@ def test_parse_error_exit_code(capsys):
         ["construct", "ladder", "--n", "9"],
         ["colorable", "@{empty}", "K3"],
         ["--nodes", "-1", "colorable", "K4", "P4"],
+        ["verify-paper", "--only", "c4-degree1", "--timeout", "0.001"],
+        ["--timeout", "0.001", "verify-paper", "--only", "c4-degree1"],
     ],
-    ids=["ehm-without-r", "ladder-without-pattern", "empty-graph-file", "negative-nodes"],
+    ids=["ehm-without-r", "ladder-without-pattern", "empty-graph-file", "negative-nodes",
+         "verify-paper-timeout-after", "verify-paper-timeout-before"],
 )
 def test_bad_input_exits_64(argv, tmp_path, capsys):
     empty = tmp_path / "empty.g6"
     empty.write_text("")
     assert main([arg.format(empty=empty) for arg in argv]) == 64
     assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_verify_paper_timeout_error_points_to_nodes(capsys):
+    assert main(["verify-paper", "--only", "c4-degree1", "--timeout", "5"]) == 64
+    err = capsys.readouterr().err
+    assert "node-budgeted" in err and "--nodes" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["construct", "ladder", "--pattern", "K3", "--n", "9", "--nodes", "1"],
+        ["satstar", "6", "C4", "--nodes", "1"],
+    ],
+    ids=["ladder", "satstar"],
+)
+def test_budget_abort_exits_2(argv, capsys):
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith("INDETERMINATE: budget exhausted")
+
+
+def test_construct_verify_exits_2_when_indeterminate(capsys):
+    code, out = run(capsys, "construct", "wheel", "--n", "8", "--verify", "--nodes", "1")
+    assert code == 2 and out.endswith("verified: INDETERMINATE\n")
 
 
 def test_check_command(capsys):

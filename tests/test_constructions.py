@@ -2,6 +2,7 @@ import pytest
 
 from rainbowsat import (
     Graph,
+    SearchAborted,
     Status,
     Verdict,
     are_isomorphic,
@@ -28,7 +29,8 @@ from rainbowsat.constructions import (
     p4_construction,
     wheel_construction,
 )
-from rainbowsat.graphs import canonical_form
+from rainbowsat.graphs import canonical_form, graph6_encode
+from rainbowsat.saturation import RainbowSolver
 
 
 # -- join construction -----------------------------------------------------------
@@ -152,13 +154,39 @@ def test_gadgets_embed_in_augmented_wheels():
     assert not exists_embedding(w, gadget("GB").graph)
 
 
+# the gadget verdicts the c4-wheel and p4-construction claims expect
+GADGET_VERDICTS = {
+    "GA": ([cycle(4)], Status.UNCOLORABLE),
+    "GB": ([cycle(4)], Status.UNCOLORABLE),
+    "star_plus_chord": ([path(4)], Status.UNCOLORABLE),
+    "star_plus_tail": ([path(4)], Status.UNCOLORABLE),
+    "cherry_closed": ([path(4)], Status.COLORABLE),
+    "claw_closed": ([path(4)], Status.COLORABLE),
+    "path_closed": ([path(4)], Status.COLORABLE),
+}
+
+
 def test_gadget_colorability_verdicts():
-    assert rainbow_free_colorable(gadget("GA").graph, [cycle(4)]).status is Status.UNCOLORABLE
-    assert rainbow_free_colorable(gadget("GB").graph, [cycle(4)]).status is Status.UNCOLORABLE
-    assert rainbow_free_colorable(gadget("star_plus_chord").graph, [path(4)]).status is Status.UNCOLORABLE
-    assert rainbow_free_colorable(gadget("star_plus_tail").graph, [path(4)]).status is Status.UNCOLORABLE
-    for name in ("cherry_closed", "claw_closed", "path_closed"):
-        assert rainbow_free_colorable(gadget(name).graph, [path(4)]).status is Status.COLORABLE
+    for name, (family, want) in GADGET_VERDICTS.items():
+        assert rainbow_free_colorable(gadget(name).graph, family).status is want
+
+
+@pytest.mark.parametrize("name", sorted(GADGET_VERDICTS))
+def test_solver_colorable_agrees_with_colorability(name):
+    family, want = GADGET_VERDICTS[name]
+    g = gadget(name).graph
+    solver = RainbowSolver(family)
+    res = solver.colorability(g)
+    assert res.status is want
+    assert solver.colorable(g) is (want is Status.COLORABLE)
+    starved = RainbowSolver(family, node_limit=0)
+    if not res.stats.searches:
+        # no pattern fits the host, so no search runs and no node is spent
+        assert starved.colorable(g) is (want is Status.COLORABLE)
+        return
+    with pytest.raises(SearchAborted, match=r"^budget exhausted") as err:
+        starved.colorable(g)
+    assert graph6_encode(g) in str(err.value)
 
 
 # -- family ladder ------------------------------------------------------------------
@@ -264,6 +292,12 @@ def test_ladder_construction_linear_growth():
         assert is_rainbow_saturated(res.graph, [complete_graph(3)]).status is Verdict.SATURATED
         ratios.append(res.graph.edge_count / n)
     assert max(ratios) <= 31
+
+
+@pytest.mark.parametrize("node_limit", [0, 1])
+def test_ladder_construction_budget_abort(node_limit):
+    with pytest.raises(SearchAborted, match=r"^budget exhausted"):
+        ladder_construction(complete_graph(3), 9, node_limit=node_limit)
 
 
 def test_ladder_construction_rejects_bad_inputs():

@@ -358,18 +358,14 @@ def free_calls(levels, monkeypatch):
     """The labeled graphs sat* and all_rainbow_saturated pass to ``free`` at
     n = 6 for C4, in order, and their results, with ``levels`` as the table."""
     calls = []
-    colorable = saturation._colorable
+    colorable = RainbowSolver.colorable
 
-    def recording(solver):
-        free = colorable(solver)
-
-        def record(g):
-            calls.append((g.n, g.adj))
-            return free(g)
-        return record
+    def recording(solver, g):
+        calls.append((g.n, g.adj))
+        return colorable(solver, g)
 
     with monkeypatch.context() as patch:
-        patch.setattr(saturation, "_colorable", recording)
+        patch.setattr(RainbowSolver, "colorable", recording)
         patch.setattr(saturation, "_saturated_levels", levels)
         results = (sat_star_exact(6, [cycle(4)]), all_rainbow_saturated(6, [cycle(4)]))
     return calls, results
@@ -434,6 +430,12 @@ def test_greedy_always_saturates():
         g = greedy_saturate(empty_graph(n), fam)
         assert is_rainbow_saturated(g, fam).status is Verdict.SATURATED
         assert g.edge_count >= sat_star_exact(n, fam).value
+
+
+@pytest.mark.parametrize("node_limit", [0, 1])
+def test_greedy_budget_abort_names_the_graph(node_limit):
+    with pytest.raises(SearchAborted, match=r"^budget exhausted .*graph \S+$"):
+        greedy_saturate(empty_graph(5), [path(4)], node_limit=node_limit)
 
 
 def test_greedy_rejects_uncolorable_seed():
