@@ -10,7 +10,8 @@ INDETERMINATE, any command whose search runs out of budget prints
 "INDETERMINATE: <message>" to stderr and exits 2, verify-paper exits 0 only
 if every claim passes, and unparsable or missing input exits 64.  verify-paper
 is budgeted by --nodes only, so that its report is reproducible; it rejects
---timeout.
+--timeout.  sat enumerates pattern-free graphs without a colorability search,
+so it rejects both --nodes and --timeout.
 """
 from __future__ import annotations
 
@@ -210,11 +211,11 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--json", action="store_true", default=argparse.SUPPRESS,
                         help="machine-readable output")
     common.add_argument("--timeout", type=float, default=argparse.SUPPRESS,
-                        help="seconds per subsearch (0 disables, default 60; "
-                        "verify-paper rejects it, use --nodes)")
+                        help="seconds per subsearch for colorable, check, satstar "
+                        "and construct (0 disables, default 60)")
     common.add_argument("--nodes", type=int, default=argparse.SUPPRESS,
-                        help="node budget per search (default: none; "
-                        f"verify-paper {verify.DEFAULT_NODE_LIMIT})")
+                        help="node budget per search for colorable, check, satstar, construct and "
+                        f"verify-paper (default: none; verify-paper {verify.DEFAULT_NODE_LIMIT})")
     common.add_argument("--seed", type=int, default=argparse.SUPPRESS,
                         help="seed for verify-paper's random graphs")
 
@@ -269,7 +270,8 @@ _GLOBAL_DEFAULTS = {"json": False, "timeout": 60.0, "nodes": None}
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    timed = hasattr(args, "timeout")
+    # the budget flags given, before defaults fill in the rest
+    given = [flag for flag in ("timeout", "nodes") if hasattr(args, flag)]
     # global flags parse in either position; fill in whatever was never given
     # (argparse set_defaults would leak through the shared parent actions)
     for key, value in _GLOBAL_DEFAULTS.items():
@@ -278,9 +280,11 @@ def main(argv=None) -> int:
     if not hasattr(args, "seed"):
         args.seed = verify.DEFAULT_SEED
     try:
-        if timed and args.func is cmd_verify_paper:
+        if "timeout" in given and args.func is cmd_verify_paper:
             raise ValueError("verify-paper is node-budgeted so that its report is "
                              "reproducible; use --nodes, not --timeout")
+        if given and args.func is cmd_sat:
+            raise ValueError(f"sat runs no colorability search; drop --{given[0]}")
         if args.timeout < 0:
             raise ValueError("timeout must be nonnegative")
         if args.nodes is not None and args.nodes < 0:

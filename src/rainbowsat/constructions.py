@@ -26,7 +26,7 @@ from .graphs import (
     star,
     wheel,
 )
-from .saturation import RainbowSolver, greedy_saturate
+from .saturation import RainbowSolver, _add_greedily, greedy_saturate
 
 
 @dataclass(frozen=True)
@@ -251,8 +251,9 @@ def ladder_construction(h, n: int, *, node_limit=None, time_limit=None) -> Ladde
     The base level greedily saturates an edgeless graph against the forest
     members of the last family.  Each lift joins a fresh independent set to
     the current graph, then patches: any pair inside the new set whose edge
-    keeps rainbow-free colorability is added; an exhausted budget raises
-    SearchAborted.  The final graph's saturation is checked by the caller
+    keeps rainbow-free colorability is added, one search per twin orbit of a
+    rejected pair; an exhausted budget raises SearchAborted, a pair settled
+    unsearched cannot.  The final graph's saturation is checked by the caller
     through the exact engine, not assumed.
     """
     ladder = build_family_ladder(h)
@@ -280,13 +281,9 @@ def ladder_construction(h, n: int, *, node_limit=None, time_limit=None) -> Ladde
         solver = RainbowSolver(
             list(ladder.levels[i - 1]), node_limit=node_limit, time_limit=time_limit
         )
-        patched = []
-        for u, v in combinations(iverts, 2):
-            g2 = g.with_edge(u, v)
-            if solver.colorable(g2):
-                g = g2
-                patched.append([u, v])
-        trace["lifts"].append(
-            {"level": i - 1, "independent_set_size": isize, "patched_edges": patched}
-        )
+        g, patched = _add_greedily(g, combinations(iverts, 2), solver)
+        trace["lifts"].append({
+            "level": i - 1, "independent_set_size": isize,
+            "patched_edges": [list(e) for e in patched],
+        })
     return LadderResult(g, trace)

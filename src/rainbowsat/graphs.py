@@ -97,6 +97,19 @@ class Graph:
             if not (self.adj[u] >> v) & 1
         ]
 
+    def twin_classes(self) -> tuple:
+        """The twin class of each vertex as a bitmask, indexed by vertex:
+        twins have equal open (nonadjacent twins) or closed (adjacent twins)
+        neighborhoods, and no vertex has twins of both kinds."""
+        least = {}  # open neighborhood, or ~closed one, -> least vertex having it
+        owner = []
+        masks = [0] * self.n
+        for v, row in enumerate(self.adj):
+            u = least.setdefault(row, least.setdefault(~(row | (1 << v)), v))
+            owner.append(u)
+            masks[u] |= 1 << v
+        return tuple([masks[u] for u in owner])
+
     def orbit_non_edges(self) -> list:
         """The lexicographically first non-edge of each orbit under the twin
         group, in lexicographic order.
@@ -108,27 +121,18 @@ class Graph:
         the two least vertices of each independent class of two or more.
         """
         adj = self.adj
-        minima = 0
-        second = {}  # minimum of an independent class -> its next vertex
-        first = {}  # open neighborhood, or ~closed one, -> least vertex having it
-        for v in range(self.n):
-            row = adj[v]
-            low = first.get(row)
-            if low is not None:
-                if low not in second:
-                    second[low] = v
-            elif ~(row | (1 << v)) not in first:
-                minima |= 1 << v
-                first[row] = first[~(row | (1 << v))] = v
+        classes = self.twin_classes()
+        rest = 0  # the class minima
+        for cls in classes:
+            rest |= cls & -cls
         out = []
-        rest = minima
         while rest:
             bit = rest & -rest
             rest ^= bit
             u = bit.bit_length() - 1
-            mates = rest & ~adj[u]
-            if u in second:
-                mates |= 1 << second[u]
+            others = classes[u] ^ bit
+            # the class's next vertex, which u sees iff the class is a clique
+            mates = (rest | (others & -others)) & ~adj[u]
             while mates:
                 bit = mates & -mates
                 mates ^= bit

@@ -17,7 +17,8 @@ Two structural facts carry the heavy lifting:
 * non-edges in one orbit of the twin group give isomorphic graphs, so
   condition (b) tries only the first non-edge of each orbit
   (``Graph.orbit_non_edges``), in the exact search and in the check of a
-  single graph alike.
+  single graph alike; greedy addition searches once per twin orbit of a
+  rejected non-edge, which downward closure keeps rejected.
 """
 from __future__ import annotations
 
@@ -43,6 +44,7 @@ from .graphs import (
     empty_graph,
     graph6_encode,
     induced_subgraph,
+    iter_bits,
 )
 
 
@@ -431,23 +433,39 @@ def all_rainbow_saturated(n: int, family, *, node_limit=None, time_limit=None):
 # -- greedy saturation ----------------------------------------------------------
 
 
+def _add_greedily(g: Graph, pairs, solver: RainbowSolver):
+    """Add each of ``pairs``, in order, whose edge keeps g rainbow-free
+    colorable; return the grown graph and the added pairs.  A rejected uv
+    settles unsearched every pair from u's and v's twin classes under the
+    current g: isomorphic graphs, kept rejected by downward closure."""
+    added, rejected = [], set()
+    for u, v in pairs:
+        if (u, v) in rejected:
+            continue
+        g2 = g.with_edge(u, v)
+        if solver.colorable(g2):
+            g = g2
+            added.append((u, v))
+        else:
+            classes = g.twin_classes()
+            rejected.update((a, b) if a < b else (b, a)
+                            for a in iter_bits(classes[u]) for b in iter_bits(classes[v]) if a != b)
+    return g, added
+
+
 def greedy_saturate(g0: Graph, family, *, node_limit=None, time_limit=None) -> Graph:
     """Grow g0 into a rainbow family-saturated supergraph on the same vertices.
 
     Scans candidate non-edges once in lexicographic order and adds each edge
     whose addition keeps rainbow-free colorability.  One pass suffices: a
     rejected edge stays rejected because UNCOLORABLE verdicts persist under
-    adding more edges.  An exhausted budget raises SearchAborted.
+    adding more edges, and it settles its twin orbit without a search.  An
+    exhausted budget raises SearchAborted; a settled non-edge cannot.
     """
     solver = RainbowSolver(family, node_limit=node_limit, time_limit=time_limit)
     if not solver.colorable(g0):
         raise ValueError("seed graph has no rainbow-free proper coloring")
-    g = g0
-    for u, v in g0.non_edges():
-        g2 = g.with_edge(u, v)
-        if solver.colorable(g2):
-            g = g2
-    return g
+    return _add_greedily(g0, g0.non_edges(), solver)[0]
 
 
 # -- closed-form oracles ---------------------------------------------------------

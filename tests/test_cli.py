@@ -44,9 +44,12 @@ def test_parse_error_exit_code(capsys):
         ["--nodes", "-1", "colorable", "K4", "P4"],
         ["verify-paper", "--only", "c4-degree1", "--timeout", "0.001"],
         ["--timeout", "0.001", "verify-paper", "--only", "c4-degree1"],
+        ["sat", "7", "C4", "--timeout", "0.001"],
+        ["--nodes", "0", "sat", "7", "C4"],
     ],
     ids=["ehm-without-r", "ladder-without-pattern", "empty-graph-file", "negative-nodes",
-         "verify-paper-timeout-after", "verify-paper-timeout-before"],
+         "verify-paper-timeout-after", "verify-paper-timeout-before", "sat-timeout",
+         "sat-nodes"],
 )
 def test_bad_input_exits_64(argv, tmp_path, capsys):
     empty = tmp_path / "empty.g6"

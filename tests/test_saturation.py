@@ -37,9 +37,9 @@ from rainbowsat import (
 )
 from rainbowsat.constructions import ehm_graph, ladder_construction, p4_construction
 from rainbowsat.oracle import brute_embeddings, brute_isomorphic, naive_rainbow_free_colorable
-from rainbowsat import saturation
+from rainbowsat import constructions, saturation
 from rainbowsat.engine import as_pattern
-from rainbowsat.graphs import canonical_form, induced_subgraph
+from rainbowsat.graphs import canonical_form, graph6_encode, induced_subgraph
 from rainbowsat.saturation import RainbowSolver, _saturated_levels, enumerate_levels
 
 from .strategies import graphs
@@ -441,6 +441,82 @@ def test_greedy_budget_abort_names_the_graph(node_limit):
 def test_greedy_rejects_uncolorable_seed():
     with pytest.raises(ValueError):
         greedy_saturate(path(3), [path(3)])
+
+
+def every_pair_greedy(g, pairs, solver):
+    """Reference greedy loop: one search per candidate pair, no orbit skip."""
+    added = []
+    for u, v in pairs:
+        g2 = g.with_edge(u, v)
+        if solver.colorable(g2):
+            g = g2
+            added.append((u, v))
+    return g, added
+
+
+def with_every_pair_greedy(monkeypatch, build):
+    with monkeypatch.context() as patch:
+        patch.setattr(saturation, "_add_greedily", every_pair_greedy)
+        patch.setattr(constructions, "_add_greedily", every_pair_greedy)
+        return build()
+
+
+@pytest.mark.parametrize("r, n", [(3, n) for n in (*range(8, 15), 31, 32, 33)]
+                         + [(4, n) for n in range(9, 15)])
+def test_ladder_matches_every_pair_greedy(r, n, monkeypatch):
+    want = with_every_pair_greedy(monkeypatch, lambda: ladder_construction(complete_graph(r), n))
+    got = ladder_construction(complete_graph(r), n)
+    assert got.graph == want.graph
+    assert got.trace == want.trace
+
+
+GREEDY_FAMILIES = {
+    "P3": [path(3)], "P4": [path(4)], "C4": [cycle(4)], "K3": [complete_graph(3)],
+    "K4": [complete_graph(4)], "P3+2K2": [path(3), disjoint_union([complete_graph(2)] * 2)],
+}
+
+
+@pytest.mark.parametrize("name", sorted(GREEDY_FAMILIES))
+def test_greedy_matches_every_pair_greedy(name, monkeypatch):
+    fam = GREEDY_FAMILIES[name]
+    rng = random.Random(7)
+    seeds = [empty_graph(n) for n in range(1, 9)]
+    for _ in range(24):
+        n = rng.randint(2, 8)
+        pairs = list(combinations(range(n), 2))
+        seeds.append(Graph(n, rng.sample(pairs, rng.randint(0, len(pairs) // 3))))
+    grown = 0
+    for g0 in seeds:
+        try:
+            want = with_every_pair_greedy(monkeypatch, lambda: greedy_saturate(g0, fam))
+        except ValueError:
+            with pytest.raises(ValueError):
+                greedy_saturate(g0, fam)
+            continue
+        got = greedy_saturate(g0, fam)
+        assert got == want, graph6_encode(g0)
+        grown += got != g0
+    assert grown >= 8
+
+
+def colorable_calls(monkeypatch, build):
+    calls = []
+    colorable = RainbowSolver.colorable
+
+    def counting(solver, g):
+        calls.append(g)
+        return colorable(solver, g)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(RainbowSolver, "colorable", counting)
+        build()
+    return len(calls)
+
+
+@pytest.mark.parametrize("r, n", [(3, 33), (4, 14)])
+def test_ladder_searches_once_per_rejected_twin_orbit(r, n, monkeypatch):
+    # each lift joins a set of twins, so one rejected pair settles the set
+    assert colorable_calls(monkeypatch, lambda: ladder_construction(complete_graph(r), n)) <= 3
 
 
 # -- formulas and audits ---------------------------------------------------------------
