@@ -8,10 +8,10 @@ Exit codes: colorable exits 0/1/2 for COLORABLE/UNCOLORABLE/INDETERMINATE,
 check and construct --verify exit 0/1/2 for SATURATED/NOT_SATURATED/
 INDETERMINATE, any command whose search runs out of budget prints
 "INDETERMINATE: <message>" to stderr and exits 2, verify-paper exits 0 only
-if every claim passes, and unparsable or missing input exits 64.  verify-paper
-is budgeted by --nodes only, so that its report is reproducible; it rejects
---timeout.  sat enumerates pattern-free graphs without a colorability search,
-so it rejects both --nodes and --timeout.
+if every claim passes, and unparsable or missing input exits 64.  Each
+subcommand reads only the global flags that ``READS`` lists for it and exits
+64 when given any other: verify-paper is budgeted by --nodes only, so that
+its report is reproducible, and sat and gadget run no colorability search.
 """
 from __future__ import annotations
 
@@ -265,26 +265,35 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_GLOBAL_DEFAULTS = {"json": False, "timeout": 60.0, "nodes": None}
+_GLOBAL_DEFAULTS = {"json": False, "timeout": 60.0, "nodes": None, "seed": verify.DEFAULT_SEED}
+
+# the global flags each subcommand reads
+READS = {
+    "colorable": ("json", "timeout", "nodes"),
+    "check": ("json", "timeout", "nodes"),
+    "sat": ("json",),
+    "satstar": ("json", "timeout", "nodes"),
+    "construct": ("json", "timeout", "nodes"),
+    "gadget": ("json",),
+    "verify-paper": ("json", "nodes", "seed"),
+}
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    # the budget flags given, before defaults fill in the rest
-    given = [flag for flag in ("timeout", "nodes") if hasattr(args, flag)]
+    unread = [flag for flag in _GLOBAL_DEFAULTS
+              if hasattr(args, flag) and flag not in READS[args.command]]
     # global flags parse in either position; fill in whatever was never given
     # (argparse set_defaults would leak through the shared parent actions)
     for key, value in _GLOBAL_DEFAULTS.items():
         if not hasattr(args, key):
             setattr(args, key, value)
-    if not hasattr(args, "seed"):
-        args.seed = verify.DEFAULT_SEED
     try:
-        if "timeout" in given and args.func is cmd_verify_paper:
-            raise ValueError("verify-paper is node-budgeted so that its report is "
-                             "reproducible; use --nodes, not --timeout")
-        if given and args.func is cmd_sat:
-            raise ValueError(f"sat runs no colorability search; drop --{given[0]}")
+        if unread:
+            hint = ""
+            if args.command == "verify-paper":
+                hint = ": it is node-budgeted so that its report is reproducible; use --nodes"
+            raise ValueError(f"{args.command} does not read --{unread[0]}{hint}")
         if args.timeout < 0:
             raise ValueError("timeout must be nonnegative")
         if args.nodes is not None and args.nodes < 0:

@@ -150,15 +150,15 @@ def _match_order(pat: Graph):
     return order, anchors
 
 
-def _matches(host: Graph, pat: Graph, exact: bool = False, above=None, deadline=None):
+def _matches(host: Graph, pat: Graph, above=None, deadline=None):
     """Injective maps sending pattern edges onto host edges.
 
-    With ``exact`` the map must also send non-edges onto non-edges and match
-    degrees, which on equal orders enumerates isomorphisms.  Pattern vertices
-    are placed in ``_match_order``; ``above[j]`` lists earlier steps whose
-    host vertex the one placed at step j must exceed.  With a ``deadline``
-    the clock is read every 4,096 placements, and ``_Expired`` is raised
-    once it has passed.
+    From a graph onto itself these are its automorphisms: a bijection that
+    sends edges into edges sends them onto edges.  Pattern vertices are
+    placed in ``_match_order``; ``above[j]`` lists earlier steps whose host
+    vertex the one placed at step j must exceed.  With a ``deadline`` the
+    clock is read every 4,096 placements, and ``_Expired`` is raised once it
+    has passed.
     """
     if pat.n > host.n:
         return
@@ -174,13 +174,9 @@ def _matches(host: Graph, pat: Graph, exact: bool = False, above=None, deadline=
         want = pat.degree(v)
         mask = 0
         for hv, d in enumerate(hdeg):
-            if (d == want) if exact else (d >= want):
+            if d >= want:
                 mask |= 1 << hv
         fits.append(mask)
-    nonanchors = [
-        [i for i in range(j) if i not in anchors[j]] if exact else ()
-        for j in range(k)
-    ]
     if above is None:
         above = [()] * k
     assigned = [0] * k  # host vertex per pattern vertex
@@ -215,8 +211,6 @@ def _matches(host: Graph, pat: Graph, exact: bool = False, above=None, deadline=
         c = fits[j] & ~used
         for i in anchors[j]:
             c &= hadj[image[i]]
-        for i in nonanchors[j]:
-            c &= ~hadj[image[i]]
         for i in above[j]:
             c &= -(2 << image[i])  # host vertices above image[i]
         cand[j] = c
@@ -237,7 +231,7 @@ def _symmetry(core: Graph) -> tuple:
     step = {v: j for j, v in enumerate(order)}
     above = [set() for _ in order]
     count = 0
-    for aut in _matches(core, core, exact=True):
+    for aut in _matches(core, core):
         count += 1
         for j, v in enumerate(order):
             if aut[v] != v:
@@ -512,7 +506,7 @@ def rainbow_free_colorable(
     patterns = [as_pattern(p) for p in family]
     if not patterns:
         raise ValueError("empty pattern family")
-    deadline = time.monotonic() + time_limit if time_limit else None
+    deadline = None if time_limit is None else time.monotonic() + time_limit
     try:
         copies = _collect_embeddings(g, [p for p in patterns if p.order <= g.n], deadline)
     except _Expired:

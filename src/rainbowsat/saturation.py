@@ -19,6 +19,10 @@ Two structural facts carry the heavy lifting:
   (``Graph.orbit_non_edges``), in the exact search and in the check of a
   single graph alike; greedy addition searches once per twin orbit of a
   rejected non-edge, which downward closure keeps rejected.
+
+``RainbowSolver`` memoizes its verdicts by labeled host, so a witness
+depends on the host alone; canonical form serves the level table, which
+already asks the solver once per isomorphism class.
 """
 from __future__ import annotations
 
@@ -94,10 +98,6 @@ class SatNumberResult:
 # -- cached colorability -----------------------------------------------------
 
 
-# hosts up to this order share cache entries by canonical form
-CANON_LIMIT = 12
-
-
 def merge_colorings(g: Graph, parts) -> EdgeColoring:
     """One coloring of g from colorings of the induced subgraphs on its
     components.
@@ -119,9 +119,11 @@ def merge_colorings(g: Graph, parts) -> EdgeColoring:
 class RainbowSolver:
     """Colorability decisions for one pattern family, memoized across calls.
 
-    Results are cached by canonical form for hosts up to ``CANON_LIMIT``
-    vertices (so isomorphic hosts share one search) and by labeled adjacency
-    above that.
+    Results are cached by the labeled host: a host asked again, in the same
+    labeling, gets the first answer back without a search.  So a witness
+    depends on the host alone, not on which hosts the solver answered
+    before.  Isomorphic hosts in other labelings are searched apart;
+    ``_saturated_levels`` asks once per isomorphism class anyway.
     """
 
     def __init__(self, family, *, node_limit: int | None = None, time_limit: float | None = None):
@@ -134,12 +136,6 @@ class RainbowSolver:
         # in a host the pattern fits
         self._cores = tuple(Pattern(p.core) for p in self.patterns)
         self._cache: dict = {}
-
-    # cache keys: ("c", encoding) for canonical, ("l", n, adj) for labeled
-    def _key(self, g: Graph):
-        if g.n <= CANON_LIMIT:
-            return ("c", canonical_form(g).encoding)
-        return ("l", g.n, g.adj)
 
     def colorability(self, g: Graph) -> ColorabilityResult:
         """Rainbow-free colorability of g, one search per component when sound.
@@ -185,45 +181,18 @@ class RainbowSolver:
             witness = EdgeColoring(tuple(first_fit_classes(g, {})))
             return ColorabilityResult(Status.COLORABLE, witness, SearchStats(searches=0))
 
-        key = self._key(g) + (tag,)
+        key = (g.adj, tag)
         hit = self._cache.get(key)
         if hit is not None:
-            status, classes = hit
-            witness = None
-            if classes is not None:
-                witness = self._restore_witness(g, classes)
+            status, witness = hit
             return ColorabilityResult(status, witness, SearchStats(searches=0))
 
         res = rainbow_free_colorable(
             g, cores, node_limit=self.node_limit, time_limit=self.time_limit
         )
         if res.status is not Status.INDETERMINATE:
-            classes = None
-            if res.witness is not None:
-                classes = self._store_witness(g, res.witness)
-            self._cache[key] = (res.status, classes)
+            self._cache[key] = (res.status, res.witness)
         return res
-
-    @staticmethod
-    def _cached_positions(g: Graph) -> list:
-        """Where each edge of g sits in the edge order of g's cache key: the
-        canonical graph's up to ``CANON_LIMIT`` vertices, g's own above."""
-        if g.n > CANON_LIMIT:
-            return list(range(len(g.edges)))
-        relab = canonical_form(g).relabeling
-        edges = [(a, b) if a < b else (b, a)
-                 for a, b in ((relab[u], relab[v]) for u, v in g.edges)]
-        rank = {e: i for i, e in enumerate(sorted(edges))}
-        return [rank[e] for e in edges]
-
-    def _store_witness(self, g: Graph, witness: EdgeColoring):
-        classes = [0] * len(g.edges)
-        for p, c in zip(self._cached_positions(g), witness.classes):
-            classes[p] = c
-        return tuple(classes)
-
-    def _restore_witness(self, g: Graph, classes) -> EdgeColoring:
-        return EdgeColoring(tuple(classes[p] for p in self._cached_positions(g))).normalized()
 
 
 # -- saturation checks --------------------------------------------------------

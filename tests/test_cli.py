@@ -46,10 +46,12 @@ def test_parse_error_exit_code(capsys):
         ["--timeout", "0.001", "verify-paper", "--only", "c4-degree1"],
         ["sat", "7", "C4", "--timeout", "0.001"],
         ["--nodes", "0", "sat", "7", "C4"],
+        ["gadget", "GA", "--nodes", "5"],
+        ["satstar", "5", "P4", "--seed", "3"],
     ],
     ids=["ehm-without-r", "ladder-without-pattern", "empty-graph-file", "negative-nodes",
          "verify-paper-timeout-after", "verify-paper-timeout-before", "sat-timeout",
-         "sat-nodes"],
+         "sat-nodes", "gadget-nodes", "satstar-seed"],
 )
 def test_bad_input_exits_64(argv, tmp_path, capsys):
     empty = tmp_path / "empty.g6"

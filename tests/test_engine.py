@@ -211,6 +211,9 @@ def test_time_budget_spent_before_the_search_is_indeterminate():
     res = rainbow_free_colorable(complete_graph(14), [complete_graph(5)], time_limit=0.5)
     assert res.status is Status.INDETERMINATE
     assert time.monotonic() - start < 2.5
+    # a zero budget is a budget, spent before the search starts
+    res = rainbow_free_colorable(wheel(12), [cycle(4)], time_limit=0)
+    assert (res.status, res.stats.nodes) == (Status.INDETERMINATE, 0)
     # a deadline already passed stops the search before its first node
     g = complete_graph(6)
     status, classes, stats = _search_component(
@@ -344,7 +347,8 @@ COPY_PATTERNS = {
 def test_one_map_per_copy_matches_deduplicated_maps(name):
     core = Pattern(COPY_PATTERNS[name]).core
     # the matcher itself yields the reference's maps, in the reference's order
-    assert list(_matches(core, core, exact=True)) == list(reference_matches(core, core, exact=True))
+    # and onto the core itself, its automorphisms: the reference's exact maps
+    assert list(_matches(core, core)) == list(reference_matches(core, core, exact=True))
     rng = random.Random(79)
     hosts = [complete_graph(7), wheel(8)]
     hosts += [random_graph(rng, rng.randint(3, 9)) for _ in range(40)]
@@ -451,6 +455,20 @@ def test_decomposition_matches_whole_graph_search():
             naive = naive_rainbow_free_colorable(g, fam)
             assert (solver.colorability(g).status is Status.COLORABLE) == naive
             assert (rainbow_free_colorable(g, fam).status is Status.COLORABLE) == naive
+
+
+def test_solver_witness_depends_on_the_host_alone():
+    # a solver that first answered a relabeled g gives g the witness a fresh
+    # solver gives it: no cached witness crosses labelings
+    rng = random.Random(89)
+    for fam in ([path(4)], [cycle(4)], [complete_graph(3)]):
+        for _ in range(300):
+            g = random_graph(rng, rng.randint(4, 8))
+            perm = rng.sample(range(g.n), g.n)
+            warm = RainbowSolver(fam)
+            warm.colorability(g.relabel(perm))
+            got, want = warm.colorability(g), RainbowSolver(fam).colorability(g)
+            assert (got.status, got.witness) == (want.status, want.witness)
 
 
 def test_engine_matches_naive_oracle_spot():
