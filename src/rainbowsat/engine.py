@@ -125,8 +125,11 @@ class _Expired(Exception):
     """The time budget ran out while copies were being collected."""
 
 
-def _match_order(pat: Graph):
-    """Vertex order growing each component from a high-degree root."""
+@lru_cache(maxsize=256)
+def _match_order(pat: Graph) -> tuple:
+    """(order, anchors): a vertex order growing each component from a
+    high-degree root, and for each step the earlier steps whose vertex is
+    adjacent to the one placed.  Computed once per pattern graph."""
     order = []
     placed = 0
     remaining = set(range(pat.n))
@@ -143,11 +146,10 @@ def _match_order(pat: Graph):
             order.append(v)
             placed |= 1 << v
             remaining.remove(v)
-    anchors = []
-    for j, v in enumerate(order):
-        prev = [i for i in range(j) if pat.has_edge(order[i], v)]
-        anchors.append(prev)
-    return order, anchors
+    anchors = tuple(
+        tuple(i for i in range(j) if pat.has_edge(order[i], v)) for j, v in enumerate(order)
+    )
+    return tuple(order), anchors
 
 
 def _matches(host: Graph, pat: Graph, above=None, deadline=None):

@@ -4,11 +4,14 @@ Everything here is deliberately naive and shares no pruned code paths with
 the engine: set partitions are enumerated in full and filtered, copies are
 found by raw permutation search, and isomorphism is decided by trying every
 bijection.  These are the oracles the fast implementations are checked
-against.
+against.  ``graph_counts`` counts isomorphism classes by Pólya's theorem,
+without generating a single graph.
 """
 from __future__ import annotations
 
+from collections import Counter
 from itertools import combinations, permutations
+from math import comb, factorial, gcd
 
 from .graphs import Graph
 
@@ -110,3 +113,50 @@ def brute_isomorphic(g: Graph, h: Graph) -> bool:
         if ok:
             return True
     return False
+
+
+def _cycle_types(n: int, largest: int | None = None):
+    """Partitions of n as non-increasing part lists: the cycle types of S_n."""
+    if n == 0:
+        yield []
+        return
+    for k in range(min(n, largest or n), 0, -1):
+        for rest in _cycle_types(n - k, k):
+            yield [k] + rest
+
+
+def graph_counts(n: int) -> tuple:
+    """The number of graphs on n vertices with m edges, for m = 0..C(n, 2).
+
+    Pólya's theorem (Harary and Palmer, *Graphical Enumeration*, 1973,
+    ch. 4): average over S_n the generating function of the edge sets a
+    permutation fixes.  A permutation fixes an edge set iff the set is a
+    union of the cycles it induces on vertex pairs, so each pair cycle of
+    length L contributes a factor 1 + x^L.  A vertex cycle of length a
+    induces (a-1)/2 pair cycles of length a when a is odd, and (a-2)/2 of
+    length a plus one of length a/2 when a is even; two vertex cycles of
+    lengths a and b induce gcd(a, b) pair cycles of length lcm(a, b).
+    """
+    if n < 0:
+        raise ValueError("negative vertex count")
+    total = [0] * (comb(n, 2) + 1)
+    for parts in _cycle_types(n):
+        lengths = []
+        for i, a in enumerate(parts):
+            lengths += [a] * ((a - 1) // 2)
+            if a % 2 == 0:
+                lengths.append(a // 2)
+            for b in parts[i + 1 :]:
+                g = gcd(a, b)
+                lengths += [a * b // g] * g
+        poly = [1] + [0] * (len(total) - 1)
+        for length in lengths:
+            for m in range(len(poly) - 1, length - 1, -1):
+                poly[m] += poly[m - length]
+        # the number of permutations of this cycle type
+        weight = factorial(n)
+        for a, c in Counter(parts).items():
+            weight //= a**c * factorial(c)
+        for m, c in enumerate(poly):
+            total[m] += weight * c
+    return tuple(c // factorial(n) for c in total)

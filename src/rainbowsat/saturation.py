@@ -21,15 +21,21 @@ Two structural facts carry the heavy lifting:
   rejected non-edge, which downward closure keeps rejected.
 
 ``RainbowSolver`` memoizes its verdicts by labeled host, so a witness
-depends on the host alone; canonical form serves the level table, which
-already asks the solver once per isomorphism class.
+depends on the host alone.  Canonical form serves the level table: the
+isomorphism classes of each n and their twin-orbit children, built once per
+process, one level at a time as a walk first needs it, and shared by
+``sat_exact``, ``sat_star_exact``, ``all_rainbow_saturated`` and
+``enumerate_levels``.  The table holds no ``free`` verdict; each walk keeps
+its own, and asks the solver once per isomorphism class.
 """
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 from enum import Enum
 from itertools import combinations
 from math import comb
+from typing import NamedTuple
 
 from .engine import (
     ColorabilityResult,
@@ -50,6 +56,7 @@ from .graphs import (
     induced_subgraph,
     iter_bits,
 )
+from .oracle import graph_counts
 
 
 class SearchAborted(RuntimeError):
@@ -267,6 +274,89 @@ def is_classically_saturated(g: Graph, h) -> bool:
 ENUMERATION_LIMIT = 9
 
 
+class _Level(NamedTuple):
+    """One level of the class DAG: the classes with m edges, and the edges
+    up to them from the classes with m - 1.
+
+    Class i of the level below has its children at positions
+    ``start[i]:start[i + 1]`` of ``pairs`` (its orbit non-edge uv, stored as
+    u * n + v) and ``child`` (the index of g + uv's class in ``reps``).
+    """
+
+    reps: list     # canonical representatives, ascending canonical encoding
+    pairs: bytes
+    child: array
+    start: array
+
+
+# n -> (class count per edge level by oracle.graph_counts, the levels built
+# so far).  Levels are built on first use and only complete ones are kept.
+_DAG: dict = {}
+
+
+def _edge_cap(n: int, max_edges) -> int:
+    if not 0 <= n <= ENUMERATION_LIMIT:
+        raise ValueError(f"exhaustive enumeration supports 0..{ENUMERATION_LIMIT} vertices")
+    cap = comb(n, 2) if max_edges is None else min(max_edges, comb(n, 2))
+    if cap < 0:
+        raise ValueError("negative edge budget")
+    return cap
+
+
+def _level(n: int, m: int) -> _Level:
+    """Level m of the class DAG on n vertices, growing the memo one complete
+    level at a time up to it.  Level C(n, 2) + 1 is empty: the complete
+    graph has no children."""
+    entry = _DAG.get(n)
+    if entry is None:
+        bottom = _Level([empty_graph(n)], b"", array("I"), array("I", [0]))
+        entry = _DAG[n] = (graph_counts(n), [bottom])
+    counts, levels = entry
+    while len(levels) <= m:
+        k = len(levels)
+        levels.append(_grow(n, k, levels[-1].reps, counts[k] if k < len(counts) else 0))
+    return levels[m]
+
+
+def _grow(n: int, m: int, below: list, count: int) -> _Level:
+    """Level m, the classes with m edges, from the classes ``below`` with
+    m - 1 by single-edge extension.
+
+    Each class is extended by the first non-edge of each twin orbit
+    (``Graph.orbit_non_edges``): the other non-edges of an orbit give
+    isomorphic children, so every child class is still reached.  Children
+    are deduplicated by canonical form.  A class count other than the Pólya
+    count ``count`` raises RuntimeError.
+    """
+    index = {}  # canonical encoding -> class index in order of first reach
+    reps = []
+    pairs = bytearray()
+    child = array("I")
+    start = array("I", [0])
+    for g in below:
+        for u, v in g.orbit_non_edges():
+            h = g.with_edge(u, v)
+            cf = canonical_form(h)
+            i = index.get(cf.encoding)
+            if i is None:
+                i = index[cf.encoding] = len(reps)
+                reps.append(h.relabel(cf.relabeling))
+            pairs.append(u * n + v)
+            child.append(i)
+        start.append(len(child))
+    if len(reps) != count:
+        raise RuntimeError(
+            f"enumeration found {len(reps)} classes at n={n} with {m} edges; "
+            f"Pólya's count is {count}"
+        )
+    keys = sorted(index)
+    rank = [0] * len(reps)
+    for r, key in enumerate(keys):
+        rank[index[key]] = r
+    ordered = [reps[index[key]] for key in keys]
+    return _Level(ordered, bytes(pairs), array("I", [rank[i] for i in child]), start)
+
+
 def enumerate_levels(n: int, max_edges: int | None = None):
     """Yield (edge count, canonical representatives) in ascending edge order.
 
@@ -276,11 +366,16 @@ def enumerate_levels(n: int, max_edges: int | None = None):
     ascending order of canonical encoding.  A class is extended only by the
     first non-edge of each twin orbit (``Graph.orbit_non_edges``): the other
     non-edges of an orbit give isomorphic children, so every child class is
-    still reached.  These are the levels of ``_saturated_levels`` with every
-    class free.
+    still reached.  Each finished level's class count is checked against
+    ``oracle.graph_counts``.
+
+    The levels of each n are built once per process and shared with
+    ``sat_exact``, ``sat_star_exact`` and ``all_rainbow_saturated``; each
+    level is yielded as a fresh list.
     """
-    for m, graphs, _ in _saturated_levels(n, lambda g: True, max_edges):
-        yield m, graphs
+    cap = _edge_cap(n, max_edges)
+    for m in range(cap + 1):
+        yield m, list(_level(n, m).reps)
 
 
 def enumerate_nonisomorphic_graphs(n: int, edge_budget: int | None = None):
@@ -295,51 +390,45 @@ def enumerate_nonisomorphic_graphs(n: int, edge_budget: int | None = None):
 def _saturated_levels(n: int, free, max_edges=None):
     """Yield (edge count, classes, saturated classes) in ascending edge order,
     up to ``max_edges`` edges; classes are canonical representatives in
-    ascending order of canonical encoding.
+    ascending order of canonical encoding, as fresh lists.
 
     ``free(g)`` decides a property that survives edge deletion (rainbow-free
-    colorable, pattern-free).  Each level is a table from canonical encoding
-    to (representative, verdict), filled from the children of the level
-    below: the first non-edge of each twin orbit, so the first child that
-    reaches a class is the labeled graph that trying every non-edge would
-    reach it by.  A child of a class that is not free is not free; any other
-    class is decided by one call of ``free`` on the first child that reaches
-    it from a free parent.  A free class is saturated iff none of its
-    children is free; children past ``max_edges`` are decided too, so the
-    last level within the budget is judged in full.
+    colorable, pattern-free).  The walk reads the levels of
+    ``enumerate_levels``, built once per process for each n, and keeps
+    ``free``'s verdicts to itself.  A child of a class that is not free is
+    not free.  Any other class is decided by one call of ``free`` on the
+    first child that reaches it from a free parent: parents in class order,
+    each by the first non-edge of each twin orbit, so it is the labeled
+    graph that trying every non-edge would reach it by.  A free class is
+    saturated iff none of its children is free; children past
+    ``max_edges`` are decided too, so the last level within the budget is
+    judged in full.
     """
-    if not 0 <= n <= ENUMERATION_LIMIT:
-        raise ValueError(f"exhaustive enumeration supports 0..{ENUMERATION_LIMIT} vertices")
-    cap = comb(n, 2) if max_edges is None else min(max_edges, comb(n, 2))
-    if cap < 0:
-        raise ValueError("negative edge budget")
-
-    def reach(parent_free: bool, g: Graph, u: int, v: int) -> bool:
-        """The verdict of g+uv; its class enters the table on first reach."""
-        h = g.with_edge(u, v)
-        cf = canonical_form(h)
-        entry = table.get(cf.encoding)
-        if entry is None:
-            entry = table[cf.encoding] = (h.relabel(cf.relabeling), parent_free and free(h))
-        return entry[1]
-
-    g = empty_graph(n)
-    table = {canonical_form(g).encoding: (g, free(g))}
+    cap = _edge_cap(n, max_edges)
+    level = _level(n, 0)
+    verdicts = [free(g) for g in level.reps]
     for m in range(cap + 1):
-        level = [table[key] for key in sorted(table)]
-        table = {}
-        for g, ok in level:
+        up = _level(n, m + 1)
+        pairs, child, start = up.pairs, up.child, up.start
+        above = [None] * len(up.reps)
+        for i, ok in enumerate(verdicts):
             if not ok:
-                for u, v in g.orbit_non_edges():
-                    reach(False, g, u, v)
+                for k in range(start[i], start[i + 1]):
+                    above[child[k]] = False
         hits = []
-        for g, ok in level:
+        for i, ok in enumerate(verdicts):
             if ok:
+                g = level.reps[i]
+                kids = range(start[i], start[i + 1])
                 # every child is decided, saturated or not: they are the next level
-                children = [reach(True, g, u, v) for u, v in g.orbit_non_edges()]
-                if not any(children):
+                for k in kids:
+                    if above[child[k]] is None:
+                        u, v = divmod(pairs[k], n)
+                        above[child[k]] = free(g.with_edge(u, v))
+                if not any(above[child[k]] for k in kids):
                     hits.append(g)
-        yield m, [g for g, _ in level], hits
+        yield m, list(level.reps), hits
+        level, verdicts = up, above
 
 
 def _sat_number(n: int, famkey: tuple, free, edge_budget=None, found=None) -> SatNumberResult:

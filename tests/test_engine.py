@@ -359,6 +359,20 @@ def test_one_map_per_copy_matches_deduplicated_maps(name):
         assert set(copies) == reference_copies(g, core)
 
 
+def test_match_order_is_computed_once_per_pattern():
+    _match_order.cache_clear()
+    order, anchors = _match_order(cycle(5))
+    assert isinstance(order, tuple) and isinstance(anchors, tuple)
+    assert all(isinstance(a, tuple) for a in anchors)
+    rng = random.Random(5)
+    for _ in range(20):
+        g = random_graph(rng, rng.randint(3, 8))
+        exists_embedding(g, cycle(5))
+        enumerate_embeddings(g, Pattern(cycle(5)))
+        rainbow_free_colorable(g, [cycle(5)])
+    assert _match_order.cache_info().misses == 1
+
+
 
 
 def quadratic_search_order(embeddings):

@@ -1,6 +1,9 @@
 import random
+import subprocess
+import sys
 from collections import Counter
 from itertools import combinations
+from math import comb
 
 import networkx as nx
 import pytest
@@ -36,7 +39,12 @@ from rainbowsat import (
     wheel,
 )
 from rainbowsat.constructions import ehm_graph, ladder_construction, p4_construction
-from rainbowsat.oracle import brute_embeddings, brute_isomorphic, naive_rainbow_free_colorable
+from rainbowsat.oracle import (
+    brute_embeddings,
+    brute_isomorphic,
+    graph_counts,
+    naive_rainbow_free_colorable,
+)
 from rainbowsat import constructions, saturation
 from rainbowsat.engine import as_pattern
 from rainbowsat.graphs import canonical_form, graph6_encode, induced_subgraph
@@ -192,6 +200,39 @@ def test_enumeration_counts_match_graph_atlas():
     for n in range(8):
         levels = {m: len(level) for m, level in enumerate_levels(n)}
         assert levels == {m: k for (order, m), k in atlas.items() if order == n}
+        assert levels == dict(enumerate(graph_counts(n)))
+
+
+def test_polya_totals():
+    # OEIS A000088, the number of graphs on n unlabeled vertices
+    totals = [1, 1, 2, 4, 11, 34, 156, 1044, 12346, 274668, 12005168]
+    assert [sum(graph_counts(n)) for n in range(11)] == totals
+    for n in range(11):
+        counts = graph_counts(n)
+        assert len(counts) == comb(n, 2) + 1
+        assert counts == counts[::-1]  # complements
+
+
+@pytest.mark.extended
+def test_enumeration_counts_match_polya_at_eight():
+    assert [len(level) for _, level in enumerate_levels(8)] == list(graph_counts(8))
+
+
+def test_level_count_other_than_polya_raises(monkeypatch):
+    def off_by_one(n):
+        counts = list(graph_counts(n))
+        counts[3] += 1
+        return tuple(counts)
+
+    monkeypatch.setattr(saturation, "_DAG", {})
+    monkeypatch.setattr(saturation, "graph_counts", off_by_one)
+    assert [len(level) for _, level in enumerate_levels(5, 2)] == [1, 1, 2]
+    with pytest.raises(RuntimeError, match="Pólya"):
+        list(enumerate_levels(5))
+    # the failed level is not kept: the next run builds it again, and fails again
+    assert len(saturation._DAG[5][1]) == 3
+    with pytest.raises(RuntimeError):
+        sat_star_exact(5, [path(4)])
 
 
 def test_enumeration_is_ascending_and_duplicate_free():
@@ -379,6 +420,47 @@ def test_twin_orbit_children_reach_the_same_graphs(monkeypatch):
     want = free_calls(reference_saturated_levels, monkeypatch)
     assert free_calls(_saturated_levels, monkeypatch) == want
     assert len(want[0]) > 100
+
+
+def test_second_run_reuses_the_levels():
+    first = sat_exact(7, complete_graph(4))
+    before = canonical_form.cache_info()
+    second = sat_exact(7, complete_graph(4))
+    after = canonical_form.cache_info()
+    assert after.hits + after.misses == before.hits + before.misses
+    assert second == first
+
+
+def test_budgeted_run_leaves_the_levels_whole(monkeypatch):
+    monkeypatch.setattr(saturation, "_DAG", {})
+    sat_star_exact(5, [path(4)], edge_budget=3)
+    grown = sat_star_exact(5, [path(4)])
+    monkeypatch.setattr(saturation, "_DAG", {})
+    assert grown == sat_star_exact(5, [path(4)])
+
+
+def test_aborted_run_shares_no_verdicts():
+    with pytest.raises(SearchAborted):
+        sat_star_exact(7, [complete_graph(4)], node_limit=1)
+    res = sat_star_exact(7, [complete_graph(4)])
+    assert res.value == 17
+    assert sorted(res.witnesses) == ["FFz~w", "FJ^~w", "FJn~w", "FJ~vw", "FLv~w", "Fjm~w"]
+
+
+def test_yielded_levels_are_fresh_lists():
+    for _, level in enumerate_levels(6):
+        level.reverse()
+    for _, classes, hits in _saturated_levels(6, lambda g: g.edge_count < 9):
+        classes.clear()
+        hits.append(empty_graph(6))
+    assert list(enumerate_levels(6)) == list(reference_levels(6))
+
+
+def test_import_builds_no_levels():
+    code = ("from rainbowsat import graphs, saturation; "
+            "assert not saturation._DAG; "
+            "assert graphs.canonical_form.cache_info().currsize == 0")
+    subprocess.run([sys.executable, "-c", code], check=True)
 
 
 def test_edge_budget_boundary():
