@@ -21,12 +21,15 @@ Two structural facts carry the heavy lifting:
   rejected non-edge, which downward closure keeps rejected.
 
 ``RainbowSolver`` memoizes its verdicts by labeled host, so a witness
-depends on the host alone.  Canonical form serves the level table: the
-isomorphism classes of each n and their twin-orbit children, built once per
-process, one level at a time as a walk first needs it, and shared by
-``sat_exact``, ``sat_star_exact``, ``all_rainbow_saturated`` and
-``enumerate_levels``.  The table holds no ``free`` verdict; each walk keeps
-its own, and asks the solver once per isomorphism class.
+depends on the host alone.  The level table holds the isomorphism classes
+of each n and their twin-orbit children, built once per process, one level
+at a time as a walk first needs it, and shared by ``sat_exact``,
+``sat_star_exact``, ``all_rainbow_saturated`` and ``enumerate_levels``.
+Children are told apart by a cheap vertex-invariant key (``_class_key``),
+exact through n = 9 and checked against Pólya's count at every level, so
+canonical form runs once per class, on the first child to reach it.  The
+table holds no ``free`` verdict; each walk keeps its own, and asks the
+solver once per isomorphism class.
 """
 from __future__ import annotations
 
@@ -281,9 +284,11 @@ class _Level(NamedTuple):
     Class i of the level below has its children at positions
     ``start[i]:start[i + 1]`` of ``pairs`` (its orbit non-edge uv, stored as
     u * n + v) and ``child`` (the index of g + uv's class in ``reps``).
+    Reps are bare adjacency tuples, so no ``Graph`` built from them, nor
+    anything cached on one, outlives its caller.
     """
 
-    reps: list     # canonical representatives, ascending canonical encoding
+    reps: list     # canonical adjacency tuples, ascending canonical encoding
     pairs: bytes
     child: array
     start: array
@@ -309,7 +314,7 @@ def _level(n: int, m: int) -> _Level:
     graph has no children."""
     entry = _DAG.get(n)
     if entry is None:
-        bottom = _Level([empty_graph(n)], b"", array("I"), array("I", [0]))
+        bottom = _Level([empty_graph(n).adj], b"", array("I"), array("I", [0]))
         entry = _DAG[n] = (graph_counts(n), [bottom])
     counts, levels = entry
     while len(levels) <= m:
@@ -318,64 +323,122 @@ def _level(n: int, m: int) -> _Level:
     return levels[m]
 
 
+# C(c, 2) for a codegree c (at most n - 2), shifted into a label's 4-cycle field
+_QUADS = tuple((c * (c - 1) >> 1) << 17 for c in range(ENUMERATION_LIMIT - 1))
+
+
+def _class_key(adj) -> tuple:
+    """An isomorphism invariant of the graph with adjacency rows ``adj``.
+
+    Each vertex v gets a label from its degree, the sum of its neighbors'
+    degrees, twice its triangle count and its 4-cycle count (the sum over
+    w != v of C(codeg(v, w), 2)); the key is the sorted tuple of the pairs
+    (label of v, sum of v's neighbors' labels), each packed into one int.
+    The fields fit their bits for n <= 9; an overflow could only merge keys.
+    The key tells apart every two classes with equal edge counts on at most
+    9 vertices: ``_grow`` checks that at every level it builds.
+    """
+    n = len(adj)
+    # a label packs degree | neighbors' degrees << 4 | twice the triangles
+    # << 11 | 4-cycles << 17; each pair of vertices adds its share to both
+    label = [row.bit_count() for row in adj]
+    shifted = [d << 4 for d in label]
+    edges = []
+    for v in range(n):
+        row = adj[v]
+        if not row:
+            continue
+        mine = 0
+        for w in range(v + 1, n):
+            c = (row & adj[w]).bit_count()
+            if row >> w & 1:
+                edges.append((v, w))
+                share = _QUADS[c] + (c << 11)
+                mine += share + shifted[w]
+                label[w] += share + shifted[v]
+            elif c > 1:
+                mine += _QUADS[c]
+                label[w] += _QUADS[c]
+        label[v] += mine
+    key = [x << 28 for x in label]
+    for v, w in edges:
+        key[v] += label[w]
+        key[w] += label[v]
+    key.sort()
+    return tuple(key)
+
+
 def _grow(n: int, m: int, below: list, count: int) -> _Level:
     """Level m, the classes with m edges, from the classes ``below`` with
-    m - 1 by single-edge extension.
+    m - 1 by single-edge extension, in one pass over the children.
 
     Each class is extended by the first non-edge of each twin orbit
     (``Graph.orbit_non_edges``): the other non-edges of an orbit give
     isomorphic children, so every child class is still reached.  Children
-    are deduplicated by canonical form.  A class count other than the Pólya
-    count ``count`` raises RuntimeError.
+    are grouped by ``_class_key``, and only the first child to reach a key
+    is put in canonical form, which gives the class's rep and encoding.
+
+    The key is an isomorphism invariant, so there are at most as many keys
+    as classes reached, and at most as many of those as the Pólya count
+    ``count``; equal counts mean one class per key.  A key count other than
+    ``count``, or two reps with one canonical encoding, raises RuntimeError.
     """
-    index = {}  # canonical encoding -> class index in order of first reach
+    index = {}  # class key -> class index in order of first reach
     reps = []
+    codes = []
     pairs = bytearray()
     child = array("I")
     start = array("I", [0])
-    for g in below:
-        for u, v in g.orbit_non_edges():
-            h = g.with_edge(u, v)
-            cf = canonical_form(h)
-            i = index.get(cf.encoding)
+    for rows in below:
+        for u, v in Graph._from_adj(n, rows).orbit_non_edges():
+            adj = list(rows)
+            adj[u] |= 1 << v
+            adj[v] |= 1 << u
+            adj = tuple(adj)
+            key = _class_key(adj)
+            i = index.get(key)
             if i is None:
-                i = index[cf.encoding] = len(reps)
-                reps.append(h.relabel(cf.relabeling))
+                i = index[key] = len(reps)
+                h = Graph._from_adj(n, adj)
+                cf = canonical_form(h)
+                reps.append(h.relabel(cf.relabeling).adj)
+                codes.append(cf.encoding)
             pairs.append(u * n + v)
             child.append(i)
         start.append(len(child))
-    if len(reps) != count:
+    distinct = len(set(codes))
+    if len(reps) != count or distinct != count:
         raise RuntimeError(
-            f"enumeration found {len(reps)} classes at n={n} with {m} edges; "
-            f"Pólya's count is {count}"
+            f"enumeration found {distinct} classes under {len(reps)} keys at n={n} "
+            f"with {m} edges; Pólya's count is {count}"
         )
-    keys = sorted(index)
-    rank = [0] * len(reps)
-    for r, key in enumerate(keys):
-        rank[index[key]] = r
-    ordered = [reps[index[key]] for key in keys]
-    return _Level(ordered, bytes(pairs), array("I", [rank[i] for i in child]), start)
+    order = sorted(range(count), key=codes.__getitem__)
+    rank = [0] * count
+    for r, i in enumerate(order):
+        rank[i] = r
+    return _Level([reps[i] for i in order], bytes(pairs), array("I", [rank[i] for i in child]), start)
 
 
 def enumerate_levels(n: int, max_edges: int | None = None):
     """Yield (edge count, canonical representatives) in ascending edge order.
 
-    Level m+1 is generated from level m by single-edge extension and
-    deduplicated by canonical form, so every isomorphism class appears
-    exactly once, at its own edge count.  Each level lists its classes in
-    ascending order of canonical encoding.  A class is extended only by the
-    first non-edge of each twin orbit (``Graph.orbit_non_edges``): the other
-    non-edges of an orbit give isomorphic children, so every child class is
-    still reached.  Each finished level's class count is checked against
+    Level m+1 is generated from level m by single-edge extension, so every
+    isomorphism class appears exactly once, at its own edge count.  Each
+    level lists its classes in ascending order of canonical encoding.  A
+    class is extended only by the first non-edge of each twin orbit
+    (``Graph.orbit_non_edges``): the other non-edges of an orbit give
+    isomorphic children, so every child class is still reached.  Children
+    are told apart by a vertex-invariant key and each class is put in
+    canonical form once; each finished level's key count is checked against
     ``oracle.graph_counts``.
 
     The levels of each n are built once per process and shared with
     ``sat_exact``, ``sat_star_exact`` and ``all_rainbow_saturated``; each
-    level is yielded as a fresh list.
+    level is yielded as a fresh list of fresh graphs.
     """
     cap = _edge_cap(n, max_edges)
     for m in range(cap + 1):
-        yield m, list(_level(n, m).reps)
+        yield m, [Graph._from_adj(n, adj) for adj in _level(n, m).reps]
 
 
 def enumerate_nonisomorphic_graphs(n: int, edge_budget: int | None = None):
@@ -390,7 +453,7 @@ def enumerate_nonisomorphic_graphs(n: int, edge_budget: int | None = None):
 def _saturated_levels(n: int, free, max_edges=None):
     """Yield (edge count, classes, saturated classes) in ascending edge order,
     up to ``max_edges`` edges; classes are canonical representatives in
-    ascending order of canonical encoding, as fresh lists.
+    ascending order of canonical encoding, as fresh lists of fresh graphs.
 
     ``free(g)`` decides a property that survives edge deletion (rainbow-free
     colorable, pattern-free).  The walk reads the levels of
@@ -405,8 +468,8 @@ def _saturated_levels(n: int, free, max_edges=None):
     judged in full.
     """
     cap = _edge_cap(n, max_edges)
-    level = _level(n, 0)
-    verdicts = [free(g) for g in level.reps]
+    classes = [Graph._from_adj(n, adj) for adj in _level(n, 0).reps]
+    verdicts = [free(g) for g in classes]
     for m in range(cap + 1):
         up = _level(n, m + 1)
         pairs, child, start = up.pairs, up.child, up.start
@@ -418,7 +481,7 @@ def _saturated_levels(n: int, free, max_edges=None):
         hits = []
         for i, ok in enumerate(verdicts):
             if ok:
-                g = level.reps[i]
+                g = classes[i]
                 kids = range(start[i], start[i + 1])
                 # every child is decided, saturated or not: they are the next level
                 for k in kids:
@@ -427,8 +490,9 @@ def _saturated_levels(n: int, free, max_edges=None):
                         above[child[k]] = free(g.with_edge(u, v))
                 if not any(above[child[k]] for k in kids):
                     hits.append(g)
-        yield m, list(level.reps), hits
-        level, verdicts = up, above
+        yield m, classes, hits
+        classes = [Graph._from_adj(n, adj) for adj in up.reps]
+        verdicts = above
 
 
 def _sat_number(n: int, famkey: tuple, free, edge_budget=None, found=None) -> SatNumberResult:

@@ -8,6 +8,7 @@ from math import comb
 import networkx as nx
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rainbowsat import (
     Graph,
@@ -235,6 +236,109 @@ def test_level_count_other_than_polya_raises(monkeypatch):
         sat_star_exact(5, [path(4)])
 
 
+@settings(max_examples=200, deadline=None)
+@given(graphs(max_n=9), st.data())
+def test_class_key_is_relabel_invariant(g, data):
+    perm = data.draw(st.permutations(range(g.n)))
+    assert saturation._class_key(g.relabel(perm).adj) == saturation._class_key(g.adj)
+
+
+def test_class_key_separates_the_atlas():
+    # the atlas lists one graph per class on at most 7 vertices
+    count, keys = Counter(), {}
+    for h in nx.graph_atlas_g():
+        g = Graph(h.number_of_nodes(), h.edges())
+        count[g.n, g.edge_count] += 1
+        keys.setdefault((g.n, g.edge_count), set()).add(saturation._class_key(g.adj))
+    assert sum(count.values()) == 1253
+    assert {nm: len(k) for nm, k in keys.items()} == count
+
+
+@pytest.mark.parametrize("key", [
+    lambda adj: tuple(sorted(row.bit_count() for row in adj)),  # merges classes
+    lambda adj: adj,  # splits classes
+], ids=["degree-sequence", "labeled"])
+def test_inexact_class_key_raises(key, monkeypatch):
+    whole = [level for _, level in enumerate_levels(6)]
+    monkeypatch.setattr(saturation, "_DAG", {})
+    monkeypatch.setattr(saturation, "_class_key", key)
+    with pytest.raises(RuntimeError, match="Pólya"):
+        list(enumerate_levels(6))
+    # no failed level is left behind: every kept level is whole
+    kept = saturation._DAG[6][1]
+    assert 0 < len(kept) < len(whole)
+    assert [[Graph._from_adj(6, adj) for adj in level.reps] for level in kept] == whole[:len(kept)]
+
+
+def test_class_key_splitting_one_class_and_merging_two_raises(monkeypatch):
+    # as many keys as classes, but one class under two keys and two classes
+    # under one: only the check on canonical encodings catches it
+    n, m = 6, 4
+    exact = saturation._class_key
+    labeled = {}  # key -> the labeled children under it
+    for rows in saturation._level(n, m - 1).reps:
+        g = Graph._from_adj(n, rows)
+        for u, v in g.orbit_non_edges():
+            h = g.with_edge(u, v)
+            labeled.setdefault(exact(h.adj), set()).add(h.adj)
+    split = next(k for k, hs in labeled.items() if len(hs) == 2)
+    target, merged = [k for k in labeled if k != split][:2]
+
+    def key(adj):
+        k = exact(adj)
+        return adj if k == split else target if k == merged else k
+
+    monkeypatch.setattr(saturation, "_DAG", {})
+    monkeypatch.setattr(saturation, "_class_key", key)
+    list(enumerate_levels(n, m - 1))
+    with pytest.raises(RuntimeError, match="Pólya"):
+        list(enumerate_levels(n, m))
+
+
+def test_cold_build_puts_each_class_in_canonical_form_once(monkeypatch):
+    monkeypatch.setattr(saturation, "_DAG", {})
+    before = canonical_form.cache_info()
+    list(enumerate_levels(6))
+    after = canonical_form.cache_info()
+    # 156 classes, of which the empty graph is built without a canonical form
+    assert after.hits + after.misses - before.hits - before.misses == 155
+
+
+def canonical_keyed_levels(n):
+    """Reference for the level table: children deduplicated by canonical
+    encoding, every child put in canonical form."""
+    below = [empty_graph(n).adj]
+    yield below, b"", [], [0]
+    while below:
+        index = {}  # canonical encoding -> (class index in order of first reach, rep)
+        pairs, child, start = bytearray(), [], [0]
+        for rows in below:
+            g = Graph._from_adj(n, rows)
+            for u, v in g.orbit_non_edges():
+                h = g.with_edge(u, v)
+                cf = canonical_form(h)
+                if cf.encoding not in index:
+                    index[cf.encoding] = (len(index), h.relabel(cf.relabeling).adj)
+                pairs.append(u * n + v)
+                child.append(index[cf.encoding][0])
+            start.append(len(child))
+        rank = {index[code][0]: r for r, code in enumerate(sorted(index))}
+        below = [index[code][1] for code in sorted(index)]
+        yield below, bytes(pairs), [rank[i] for i in child], start
+
+
+@pytest.mark.extended
+def test_level_table_matches_canonical_keyed_build_at_eight():
+    reference = list(canonical_keyed_levels(8))
+    assert len(reference) == comb(8, 2) + 2
+    for m, (reps, pairs, child, start) in enumerate(reference):
+        level = saturation._level(8, m)
+        assert level.reps == reps, m
+        assert level.pairs == pairs, m
+        assert list(level.child) == child, m
+        assert list(level.start) == start, m
+
+
 def test_enumeration_is_ascending_and_duplicate_free():
     graphs_seen = list(enumerate_nonisomorphic_graphs(5))
     counts = [g.edge_count for g in graphs_seen]
@@ -454,6 +558,19 @@ def test_yielded_levels_are_fresh_lists():
         classes.clear()
         hits.append(empty_graph(6))
     assert list(enumerate_levels(6)) == list(reference_levels(6))
+
+
+def test_yielded_graphs_are_fresh():
+    # the table keeps adjacency tuples, so nothing cached on a yielded graph
+    # outlives it
+    first, second = list(enumerate_levels(6)), list(enumerate_levels(6))
+    assert first == second
+    for (_, a), (_, b) in zip(first, second):
+        assert all(g is not h for g, h in zip(a, b))
+    walks = [list(_saturated_levels(6, lambda g: g.edge_count < 9)) for _ in range(2)]
+    assert walks[0] == walks[1]
+    for (_, a, _), (_, b, _) in zip(*walks):
+        assert all(g is not h for g, h in zip(a, b))
 
 
 def test_import_builds_no_levels():
