@@ -33,7 +33,7 @@ from functools import lru_cache
 from itertools import groupby
 from math import factorial
 
-from .graphs import Graph, induced_subgraph
+from .graphs import Graph, induced_subgraph, iter_bits
 
 
 class Status(Enum):
@@ -152,13 +152,14 @@ def _match_order(pat: Graph) -> tuple:
     return tuple(order), anchors
 
 
-def _matches(host: Graph, pat: Graph, above=None, deadline=None):
+def _matches(host: Graph, pat: Graph, above=None, deadline=None, pin=None):
     """Injective maps sending pattern edges onto host edges.
 
     From a graph onto itself these are its automorphisms: a bijection that
     sends edges into edges sends them onto edges.  Pattern vertices are
     placed in ``_match_order``; ``above[j]`` lists earlier steps whose host
-    vertex the one placed at step j must exceed.  With a ``deadline`` the
+    vertex the one placed at step j must exceed, and ``pin`` maps pattern
+    vertices to the one host vertex each may take.  With a ``deadline`` the
     clock is read every 4,096 placements, and ``_Expired`` is raised once it
     has passed.
     """
@@ -179,6 +180,8 @@ def _matches(host: Graph, pat: Graph, above=None, deadline=None):
             if d >= want:
                 mask |= 1 << hv
         fits.append(mask)
+    if pin:
+        fits = [fit & (1 << pin[v]) if v in pin else fit for v, fit in zip(order, fits)]
     if above is None:
         above = [()] * k
     assigned = [0] * k  # host vertex per pattern vertex
@@ -241,6 +244,37 @@ def _symmetry(core: Graph) -> tuple:
                 above[step[aut[v]]].add(j)
                 break
     return count, tuple(tuple(sorted(a)) for a in above)
+
+
+@lru_cache(maxsize=256)
+def _arc_orbits(core: Graph) -> tuple:
+    """One arc (a, b), the least, from each orbit of Aut(core) on the arcs
+    of core: the ordered pairs of adjacent vertices."""
+    auts = list(_matches(core, core))
+    seen = set()
+    out = []
+    for a in range(core.n):
+        for b in iter_bits(core.adj[a]):
+            if (a, b) not in seen:
+                out.append((a, b))
+                seen.update((aut[a], aut[b]) for aut in auts)
+    return tuple(out)
+
+
+def copy_through(g: Graph, cores, u: int, v: int) -> bool:
+    """Whether some copy of one of the pattern graphs ``cores`` in g uses
+    the edge uv of g.
+
+    Such a copy is a map sending some arc (a, b) of the core onto (u, v).
+    Composed with an automorphism of the core it sends every arc of (a, b)'s
+    orbit there, so one pinned match per arc orbit (``_arc_orbits``)
+    decides.
+    """
+    for core in cores:
+        for a, b in _arc_orbits(core):
+            for _ in _matches(g, core, pin={a: u, b: v}):
+                return True
+    return False
 
 
 def _copies(g: Graph, core: Graph, deadline=None) -> list:

@@ -29,7 +29,8 @@ Children are told apart by a cheap vertex-invariant key (``_class_key``),
 exact through n = 9 and checked against Pólya's count at every level, so
 canonical form runs once per class, on the first child to reach it.  The
 table holds no ``free`` verdict; each walk keeps its own, and asks the
-solver once per isomorphism class.
+solver at most once per isomorphism class: not at all for a child of a free
+class with no pattern copy through its new edge (``engine.copy_through``).
 """
 from __future__ import annotations
 
@@ -47,6 +48,7 @@ from .engine import (
     SearchStats,
     Status,
     as_pattern,
+    copy_through,
     exists_embedding,
     first_fit_classes,
     rainbow_free_colorable,
@@ -368,6 +370,60 @@ def _class_key(adj) -> tuple:
     return tuple(key)
 
 
+def _child_keys(n: int, rows, pairs) -> list:
+    """``_class_key`` of rows + uv for each non-edge (u, v) of ``pairs``,
+    each from the parent's degrees, codegrees and labels.
+
+    Adding uv changes the label fields of few vertices: u and v gain a
+    degree, the other's new degree in their neighbors' degrees and twice
+    their c = codeg(u, v) new triangles; their neighbors gain 1 in the
+    neighbors' degrees, and each common neighbor one triangle.  The only
+    codegrees that change are codeg(u, b) for b in N(v) and codeg(v, a) for
+    a in N(u), each by one, and C(c + 1, 2) - C(c, 2) = c, so each adds its
+    old value to the 4-cycle fields of both ends.  One pass over the child's
+    edges then sums the neighbors' labels.
+    """
+    deg = [row.bit_count() for row in rows]
+    codeg = [[(row & other).bit_count() for other in rows] for row in rows]
+    nbrs = [[b for b in range(n) if row >> b & 1] for row in rows]
+    edges = [(a, b) for a in range(n) for b in nbrs[a] if a < b]
+    quad = _QUADS.__getitem__
+    base = []  # the parent's labels, packed as in _class_key
+    for a in range(n):
+        ca = codeg[a]
+        ca[a] = 0  # a vertex is no pair with itself
+        label = deg[a] + sum(map(quad, ca))
+        for b in nbrs[a]:
+            label += (deg[b] << 4) + (ca[b] << 11)
+        base.append(label)
+    keys = []
+    for u, v in pairs:
+        label = base[:]
+        cu, cv = codeg[u], codeg[v]
+        c = cu[v]
+        # the 4-cycle gain of u: paths u-a-b-v, as many as that of v
+        quads = sum(map(cu.__getitem__, nbrs[v])) << 17
+        # a degree, the other end's new degree, 2c triangles << 11 = c << 12
+        label[u] += 1 + ((deg[v] + 1) << 4) + (c << 12) + quads
+        label[v] += 1 + ((deg[u] + 1) << 4) + (c << 12) + quads
+        for b in nbrs[v]:
+            label[b] += 16 + (cu[b] << 17)
+        for a in nbrs[u]:
+            label[a] += 16 + (cv[a] << 17)
+        if c:
+            for w in iter_bits(rows[u] & rows[v]):
+                label[w] += 2 << 11
+        key = [x << 28 for x in label]
+        for a, b in edges:
+            key[a] += label[b]
+            key[b] += label[a]
+        key[u] += label[v]
+        key[v] += label[u]
+        key.sort()
+        keys.append(tuple(key))
+    return keys
+
+
 def _grow(n: int, m: int, below: list, count: int) -> _Level:
     """Level m, the classes with m edges, from the classes ``below`` with
     m - 1 by single-edge extension, in one pass over the children.
@@ -375,8 +431,10 @@ def _grow(n: int, m: int, below: list, count: int) -> _Level:
     Each class is extended by the first non-edge of each twin orbit
     (``Graph.orbit_non_edges``): the other non-edges of an orbit give
     isomorphic children, so every child class is still reached.  Children
-    are grouped by ``_class_key``, and only the first child to reach a key
-    is put in canonical form, which gives the class's rep and encoding.
+    are grouped by ``_class_key``, computed from their parent by
+    ``_child_keys``, and only the first child to reach a key is built and
+    put in canonical form, which gives the class's rep and encoding.  The
+    reps share one int object per row value.
 
     The key is an isomorphism invariant, so there are at most as many keys
     as classes reached, and at most as many of those as the Pólya count
@@ -386,22 +444,20 @@ def _grow(n: int, m: int, below: list, count: int) -> _Level:
     index = {}  # class key -> class index in order of first reach
     reps = []
     codes = []
+    shared = {}  # row value -> the one int object the reps hold for it
     pairs = bytearray()
     child = array("I")
     start = array("I", [0])
     for rows in below:
-        for u, v in Graph._from_adj(n, rows).orbit_non_edges():
-            adj = list(rows)
-            adj[u] |= 1 << v
-            adj[v] |= 1 << u
-            adj = tuple(adj)
-            key = _class_key(adj)
+        g = Graph._from_adj(n, rows)
+        orbit = g.orbit_non_edges()
+        for (u, v), key in zip(orbit, _child_keys(n, rows, orbit)):
             i = index.get(key)
             if i is None:
                 i = index[key] = len(reps)
-                h = Graph._from_adj(n, adj)
+                h = g.with_edge(u, v)
                 cf = canonical_form(h)
-                reps.append(h.relabel(cf.relabeling).adj)
+                reps.append(tuple(shared.setdefault(r, r) for r in h.relabel(cf.relabeling).adj))
                 codes.append(cf.encoding)
             pairs.append(u * n + v)
             child.append(i)
@@ -450,20 +506,28 @@ def enumerate_nonisomorphic_graphs(n: int, edge_budget: int | None = None):
 # -- exact saturation numbers ---------------------------------------------------
 
 
-def _saturated_levels(n: int, free, max_edges=None):
+def _saturated_levels(n: int, free, cores, max_edges=None):
     """Yield (edge count, classes, saturated classes) in ascending edge order,
     up to ``max_edges`` edges; classes are canonical representatives in
     ascending order of canonical encoding, as fresh lists of fresh graphs.
 
-    ``free(g)`` decides a property that survives edge deletion (rainbow-free
-    colorable, pattern-free).  The walk reads the levels of
-    ``enumerate_levels``, built once per process for each n, and keeps
-    ``free``'s verdicts to itself.  A child of a class that is not free is
-    not free.  Any other class is decided by one call of ``free`` on the
-    first child that reaches it from a free parent: parents in class order,
-    each by the first non-edge of each twin orbit, so it is the labeled
-    graph that trying every non-edge would reach it by.  A free class is
-    saturated iff none of its children is free; children past
+    ``free(g)`` decides a property of graphs on n vertices with two traits:
+    it survives edge deletion, and it passes from g to g + uv when no copy
+    of any graph in ``cores`` uses the new edge uv.  Rainbow-free
+    colorability has both, with ``cores`` the cores of the patterns that fit
+    n vertices: a witness restricts to any subgraph, and a witness of g with
+    a new class on uv colors g + uv properly and leaves every copy that
+    avoids uv as it was in g.  Freedom from those patterns has both too.
+
+    The walk reads the levels of ``enumerate_levels``, built once per
+    process for each n, and keeps ``free``'s verdicts to itself.  A child
+    of a class that is not free is not free.  Any other class is decided on
+    the first child that reaches it from a free parent: parents in class
+    order, each by the first non-edge of each twin orbit, so it is the
+    labeled graph that trying every non-edge would reach it by.  That child
+    is free without a call of ``free`` when ``copy_through`` finds no core
+    copy through its new edge, and is decided by one call otherwise.  A
+    free class is saturated iff none of its children is free; children past
     ``max_edges`` are decided too, so the last level within the budget is
     judged in full.
     """
@@ -487,7 +551,8 @@ def _saturated_levels(n: int, free, max_edges=None):
                 for k in kids:
                     if above[child[k]] is None:
                         u, v = divmod(pairs[k], n)
-                        above[child[k]] = free(g.with_edge(u, v))
+                        h = g.with_edge(u, v)
+                        above[child[k]] = not copy_through(h, cores, u, v) or free(h)
                 if not any(above[child[k]] for k in kids):
                     hits.append(g)
         yield m, classes, hits
@@ -495,11 +560,12 @@ def _saturated_levels(n: int, free, max_edges=None):
         verdicts = above
 
 
-def _sat_number(n: int, famkey: tuple, free, edge_budget=None, found=None) -> SatNumberResult:
+def _sat_number(n: int, famkey: tuple, free, cores, edge_budget=None,
+                found=None) -> SatNumberResult:
     """The first level of _saturated_levels with a saturated class.  Given a
     list ``found``, every level is scanned and its saturated classes appended."""
     res = SatNumberResult(n, famkey, None, (), 0, 0)
-    for m, graphs, hits in _saturated_levels(n, free, edge_budget):
+    for m, graphs, hits in _saturated_levels(n, free, cores, edge_budget):
         res.graphs_checked += len(graphs)
         res.levels_searched = m
         if hits and res.value is None:
@@ -515,7 +581,8 @@ def sat_exact(n: int, h, *, edge_budget=None) -> SatNumberResult:
     """Classical saturation number by ascending exhaustive enumeration."""
     pat = as_pattern(h)
     return _sat_number(
-        n, (graph6_encode(pat.graph),), lambda g: not exists_embedding(g, pat), edge_budget
+        n, (graph6_encode(pat.graph),), lambda g: not exists_embedding(g, pat),
+        [pat.core] if pat.order <= n else [], edge_budget,
     )
 
 
@@ -536,7 +603,8 @@ def sat_star_exact(
     """
     solver = RainbowSolver(family, node_limit=node_limit, time_limit=time_limit)
     famkey = tuple(graph6_encode(p.graph) for p in solver.patterns)
-    return _sat_number(n, famkey, solver.colorable, edge_budget)
+    cores = [p.core for p in solver.patterns if p.order <= n]
+    return _sat_number(n, famkey, solver.colorable, cores, edge_budget)
 
 
 def all_rainbow_saturated(n: int, family, *, node_limit=None, time_limit=None):
@@ -548,7 +616,8 @@ def all_rainbow_saturated(n: int, family, *, node_limit=None, time_limit=None):
     solver = RainbowSolver(family, node_limit=node_limit, time_limit=time_limit)
     famkey = tuple(graph6_encode(p.graph) for p in solver.patterns)
     found = []
-    res = _sat_number(n, famkey, solver.colorable, found=found)
+    cores = [p.core for p in solver.patterns if p.order <= n]
+    res = _sat_number(n, famkey, solver.colorable, cores, found=found)
     return found, res
 
 

@@ -27,12 +27,14 @@ from rainbowsat import (
 )
 from rainbowsat.constructions import wheel_construction
 from rainbowsat.engine import (
+    _arc_orbits,
     _collect_embeddings,
     _copies,
     _match_order,
     _matches,
     _search_component,
     _search_order,
+    copy_through,
 )
 from rainbowsat.graphs import complete_bipartite, induced_subgraph, iter_bits
 from rainbowsat.oracle import brute_embeddings, naive_rainbow_free_colorable, set_partitions
@@ -357,6 +359,36 @@ def test_one_map_per_copy_matches_deduplicated_maps(name):
         copies = _copies(g, core)
         assert len(copies) == len(set(copies))
         assert set(copies) == reference_copies(g, core)
+
+
+THROUGH_PATTERNS = {
+    "P3": path(3), "P4": path(4), "K1,3": star(3), "C4": cycle(4),
+    "K3": complete_graph(3), "K4": complete_graph(4),
+    "paw": Graph(4, [(0, 1), (0, 2), (1, 2), (2, 3)]),
+    "2K2": COPY_PATTERNS["2K2"], "K3+K1": COPY_PATTERNS["K3+K1"],
+}
+
+
+@settings(max_examples=150, deadline=None)
+@given(graphs(min_n=2, max_n=8))
+def test_copy_through_matches_copies_containing_the_edge(g):
+    pats = [Pattern(p) for p in THROUGH_PATTERNS.values()]
+    for e, (u, v) in enumerate(g.edges):
+        anywhere = False
+        for p in pats:
+            cores = [p.core] if p.order <= g.n else []
+            want = any(e in copy for copy in enumerate_embeddings(g, p))
+            assert copy_through(g, cores, u, v) is want, (p, g.adj, u, v)
+            assert copy_through(g, cores, v, u) is want
+            anywhere = anywhere or want
+        every = [p.core for p in pats if p.order <= g.n]
+        assert copy_through(g, every, u, v) is anywhere
+
+
+def test_arc_orbit_counts():
+    counts = {name: len(_arc_orbits(Pattern(THROUGH_PATTERNS[name]).core))
+              for name in ("P3", "P4", "K1,3", "C4", "K4")}
+    assert counts == {"P3": 2, "P4": 3, "K1,3": 2, "C4": 1, "K4": 1}
 
 
 def test_match_order_is_computed_once_per_pattern():

@@ -47,7 +47,7 @@ from rainbowsat.oracle import (
     naive_rainbow_free_colorable,
 )
 from rainbowsat import constructions, saturation
-from rainbowsat.engine import as_pattern
+from rainbowsat.engine import as_pattern, copy_through
 from rainbowsat.graphs import canonical_form, graph6_encode, induced_subgraph
 from rainbowsat.saturation import RainbowSolver, _saturated_levels, enumerate_levels
 
@@ -254,6 +254,52 @@ def test_class_key_separates_the_atlas():
     assert {nm: len(k) for nm, k in keys.items()} == count
 
 
+def child_rows(n, rows, u, v):
+    return Graph._from_adj(n, rows).with_edge(u, v).adj
+
+
+def child_keys_by(key):
+    """A ``_child_keys`` that applies ``key`` to each child's rows."""
+    return lambda n, rows, pairs: [key(child_rows(n, rows, u, v)) for u, v in pairs]
+
+
+def check_child_keys(n):
+    """``_child_keys`` against ``_class_key`` on every twin-orbit child on n
+    vertices; returns the number of children."""
+    children = 0
+    for m in range(comb(n, 2)):
+        for rows in saturation._level(n, m).reps:
+            pairs = Graph._from_adj(n, rows).orbit_non_edges()
+            want = [saturation._class_key(child_rows(n, rows, u, v)) for u, v in pairs]
+            assert saturation._child_keys(n, rows, pairs) == want, (n, rows)
+            children += len(pairs)
+    return children
+
+
+def test_child_keys_match_class_key():
+    assert [check_child_keys(n) for n in range(8)] == [0, 0, 1, 3, 16, 92, 726, 7863]
+
+
+@pytest.mark.extended
+def test_child_keys_match_class_key_at_eight():
+    assert check_child_keys(8) == 139934
+
+
+@settings(max_examples=100, deadline=None)
+@given(graphs(max_n=9))
+def test_child_keys_match_class_key_on_every_non_edge(g):
+    pairs = g.non_edges()
+    want = [saturation._class_key(g.with_edge(u, v).adj) for u, v in pairs]
+    assert saturation._child_keys(g.n, g.adj, pairs) == want
+
+
+def test_level_reps_share_one_int_per_row_value():
+    shared = {}
+    for rows in saturation._level(9, 6).reps:
+        assert all(shared.setdefault(row, row) is row for row in rows)
+    assert max(shared) > 256  # past CPython's cached small ints
+
+
 @pytest.mark.parametrize("key", [
     lambda adj: tuple(sorted(row.bit_count() for row in adj)),  # merges classes
     lambda adj: adj,  # splits classes
@@ -261,7 +307,7 @@ def test_class_key_separates_the_atlas():
 def test_inexact_class_key_raises(key, monkeypatch):
     whole = [level for _, level in enumerate_levels(6)]
     monkeypatch.setattr(saturation, "_DAG", {})
-    monkeypatch.setattr(saturation, "_class_key", key)
+    monkeypatch.setattr(saturation, "_child_keys", child_keys_by(key))
     with pytest.raises(RuntimeError, match="Pólya"):
         list(enumerate_levels(6))
     # no failed level is left behind: every kept level is whole
@@ -289,7 +335,7 @@ def test_class_key_splitting_one_class_and_merging_two_raises(monkeypatch):
         return adj if k == split else target if k == merged else k
 
     monkeypatch.setattr(saturation, "_DAG", {})
-    monkeypatch.setattr(saturation, "_class_key", key)
+    monkeypatch.setattr(saturation, "_child_keys", child_keys_by(key))
     list(enumerate_levels(n, m - 1))
     with pytest.raises(RuntimeError, match="Pólya"):
         list(enumerate_levels(n, m))
@@ -434,7 +480,8 @@ def test_saturated_levels_match_per_graph_filter(name):
 
     for n in range(7):
         levels = dict(enumerate_levels(n))
-        rainbow = list(_saturated_levels(n, colorable))
+        cores = [p.core for p in map(as_pattern, fam) if p.order <= n]
+        rainbow = list(_saturated_levels(n, colorable, cores))
         assert [m for m, _, _ in rainbow] == sorted(levels)
         for m, classes, hits in rainbow:
             assert classes == levels[m]
@@ -443,7 +490,8 @@ def test_saturated_levels_match_per_graph_filter(name):
             assert hits == want, (name, n, m)
         if len(fam) == 1:
             pat = fam[0]
-            for m, _, hits in _saturated_levels(n, lambda g: not exists_embedding(g, pat)):
+            classical = _saturated_levels(n, lambda g: not exists_embedding(g, pat), cores)
+            for m, _, hits in classical:
                 assert hits == [g for g in levels[m] if is_classically_saturated(g, pat)]
 
 
@@ -467,8 +515,9 @@ def reference_levels(n):
         level = nxt
 
 
-def reference_saturated_levels(n, free, max_edges=None):
-    """Reference: the level table, trying every non-edge of every class."""
+def reference_saturated_levels(n, free, cores, max_edges=None):
+    """Reference: the level table, trying every non-edge of every class; a
+    child of a free class with no core copy through its new edge is free."""
     assert max_edges is None
     levels = reference_levels(n)
     m, graphs = next(levels)
@@ -487,7 +536,7 @@ def reference_saturated_levels(n, free, max_edges=None):
                     h = g.with_edge(u, v)
                     key = canonical_form(h).encoding
                     if key not in children:
-                        children[key] = free(h)
+                        children[key] = not saturation.copy_through(h, cores, u, v) or free(h)
                     saturated = saturated and not children[key]
                 if saturated:
                     hits.append(g)
@@ -501,16 +550,25 @@ def reference_saturated_levels(n, free, max_edges=None):
 
 def free_calls(levels, monkeypatch):
     """The labeled graphs sat* and all_rainbow_saturated pass to ``free`` at
-    n = 6 for C4, in order, and their results, with ``levels`` as the table."""
+    n = 6 for C4, and those they settle free without a call, in order, and
+    their results, with ``levels`` as the table."""
     calls = []
     colorable = RainbowSolver.colorable
+    through = saturation.copy_through
 
     def recording(solver, g):
-        calls.append((g.n, g.adj))
+        calls.append(("free", g.n, g.adj))
         return colorable(solver, g)
+
+    def settling(h, cores, u, v):
+        found = through(h, cores, u, v)
+        if not found:
+            calls.append(("settled", h.n, h.adj))
+        return found
 
     with monkeypatch.context() as patch:
         patch.setattr(RainbowSolver, "colorable", recording)
+        patch.setattr(saturation, "copy_through", settling)
         patch.setattr(saturation, "_saturated_levels", levels)
         results = (sat_star_exact(6, [cycle(4)]), all_rainbow_saturated(6, [cycle(4)]))
     return calls, results
@@ -524,6 +582,28 @@ def test_twin_orbit_children_reach_the_same_graphs(monkeypatch):
     want = free_calls(reference_saturated_levels, monkeypatch)
     assert free_calls(_saturated_levels, monkeypatch) == want
     assert len(want[0]) > 100
+    assert Counter(kind for kind, _, _ in want[0]) == {"free": 99, "settled": 152}
+
+
+@pytest.mark.extended
+@pytest.mark.parametrize("n", [7, 8])
+@pytest.mark.parametrize("pattern", [cycle(4), complete_graph(4)], ids=["C4", "K4"])
+def test_through_edge_rule_settles_colorable_children(pattern, n, monkeypatch):
+    # every child the walk marks free without a search is rainbow-free
+    # colorable by a search of its own
+    settled = []
+
+    def recording(h, cores, u, v):
+        found = copy_through(h, cores, u, v)
+        if not found:
+            settled.append(h)
+        return found
+
+    monkeypatch.setattr(saturation, "copy_through", recording)
+    sat_star_exact(n, [pattern])
+    checker = RainbowSolver([pattern])
+    assert settled
+    assert all(checker.colorable(h) for h in settled)
 
 
 def test_second_run_reuses_the_levels():
@@ -551,10 +631,15 @@ def test_aborted_run_shares_no_verdicts():
     assert sorted(res.witnesses) == ["FFz~w", "FJ^~w", "FJn~w", "FJ~vw", "FLv~w", "Fjm~w"]
 
 
+# every new edge is a copy of K2, so a walk given [K2] calls ``free`` on
+# every child it decides, as the walks below need
+K2 = complete_graph(2)
+
+
 def test_yielded_levels_are_fresh_lists():
     for _, level in enumerate_levels(6):
         level.reverse()
-    for _, classes, hits in _saturated_levels(6, lambda g: g.edge_count < 9):
+    for _, classes, hits in _saturated_levels(6, lambda g: g.edge_count < 9, [K2]):
         classes.clear()
         hits.append(empty_graph(6))
     assert list(enumerate_levels(6)) == list(reference_levels(6))
@@ -567,7 +652,7 @@ def test_yielded_graphs_are_fresh():
     assert first == second
     for (_, a), (_, b) in zip(first, second):
         assert all(g is not h for g, h in zip(a, b))
-    walks = [list(_saturated_levels(6, lambda g: g.edge_count < 9)) for _ in range(2)]
+    walks = [list(_saturated_levels(6, lambda g: g.edge_count < 9, [K2])) for _ in range(2)]
     assert walks[0] == walks[1]
     for (_, a, _), (_, b, _) in zip(*walks):
         assert all(g is not h for g, h in zip(a, b))
