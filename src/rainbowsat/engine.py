@@ -33,7 +33,7 @@ from functools import lru_cache
 from itertools import groupby
 from math import factorial
 
-from .graphs import Graph, induced_subgraph, iter_bits
+from .graphs import Graph, _Expired, induced_subgraph, iter_bits
 
 
 class Status(Enum):
@@ -119,10 +119,6 @@ class Pattern:
 
 def as_pattern(obj) -> Pattern:
     return obj if isinstance(obj, Pattern) else Pattern(obj)
-
-
-class _Expired(Exception):
-    """The time budget ran out while copies were being collected."""
 
 
 @lru_cache(maxsize=256)

@@ -9,6 +9,7 @@ that order.
 """
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
@@ -110,15 +111,20 @@ class Graph:
             masks[u] |= 1 << v
         return tuple([masks[u] for u in owner])
 
-    def orbit_non_edges(self) -> list:
+    def orbit_non_edges(self, gens=()) -> list:
         """The lexicographically first non-edge of each orbit under the twin
-        group, in lexicographic order.
+        group, or under the group that it and the automorphisms ``gens``
+        (tuples sending v to perm[v]) generate, in lexicographic order.
 
         Twins have equal neighborhoods apart from each other, so swapping two
         twins is an automorphism; twin classes are cliques or independent
         sets, and a vertex outside a class sees all of it or none of it.  So
         the first non-edges are the joins of nonadjacent class minima plus
         the two least vertices of each independent class of two or more.
+
+        An automorphism maps twin classes onto twin classes, so it maps twin
+        orbits onto twin orbits; joining each first non-edge's twin orbit
+        with its images' under ``gens`` gives the larger group's orbits.
         """
         adj = self.adj
         classes = self.twin_classes()
@@ -137,7 +143,36 @@ class Graph:
                 bit = mates & -mates
                 mates ^= bit
                 out.append((u, bit.bit_length() - 1))
-        return out
+        if not gens or len(out) < 2:
+            return out
+
+        def first(a, b):
+            """The first non-edge of the twin orbit of the non-edge ab."""
+            ca, cb = classes[a], classes[b]
+            if ca == cb:  # an independent class: its two least vertices
+                low = ca & -ca
+                ca ^= low
+                cb = ca & -ca
+            else:
+                low = ca & -ca
+                cb &= -cb
+                if cb < low:
+                    low, cb = cb, low
+            return low.bit_length() - 1, cb.bit_length() - 1
+
+        root = {e: e for e in out}  # union-find, each root its class's least
+
+        def find(e):
+            while root[e] != e:
+                root[e] = e = root[root[e]]
+            return e
+
+        for perm in gens:
+            for u, v in out:
+                x, y = find((u, v)), find(first(perm[u], perm[v]))
+                if x != y:
+                    root[max(x, y)] = min(x, y)
+        return [e for e in out if root[e] == e]
 
     # -- derived graphs --------------------------------------------------
 
@@ -419,66 +454,180 @@ def _leaf_code(adj, order):
     return code
 
 
-def _canonical_search(g: Graph):
-    """Minimum adjacency code over all refinement-compatible orderings."""
+class _Expired(Exception):
+    """A search's deadline, a ``time.monotonic`` value, has passed."""
+
+
+def _canonical_search(g: Graph, deadline=None):
+    """Minimum adjacency code over all refinement-compatible orderings, the
+    first ordering that reaches it, and generators of automorphisms met on
+    the way, each a list sending v to perm[v].
+
+    The tree individualizes one vertex of the first non-singleton cell per
+    level and refines.  A later leaf with the code of the first leaf, or of
+    the best one so far, gives the map from that leaf's ordering onto its
+    own; equal codes mean it keeps the adjacency of every pair of vertices,
+    so it is an automorphism.  It fixes the vertices that the two leaves'
+    paths individualized in common, so it maps the subtree at their common
+    node onto itself, and the new leaf's subtree one level below onto the
+    other leaf's, explored before.
+    The search prunes only subtrees that are automorphic images of subtrees
+    explored before them, and so have the same leaf codes: it leaves the
+    new leaf's subtree at once, back to the common node, and each node
+    skips a child in the orbit of an explored child under the generators
+    found so far that fix the node's individualized vertices, or a twin of
+    an explored child, which a transposition swaps.  So neither the minimum
+    nor the first ordering reaching it changes (McKay and Piperno,
+    *Practical graph isomorphism, II*, 2014).
+
+    The generators and the twin transpositions together generate the
+    automorphism group: at each node on the first path, every child in the
+    first child's orbit is either explored, and gives an automorphism
+    mapping the first child's subtree onto its own, or skipped as an image
+    of an explored one.  Past ``deadline`` (a ``time.monotonic`` value) the
+    search stops and returns None, None and the generators found so far.
+    """
     n, adj = g.n, g.adj
     if n <= 1:
-        return 0, tuple(range(n))
+        return 0, tuple(range(n)), []
     full = (1 << n) - 1
     if all(a == full ^ (1 << v) for v, a in enumerate(adj)) or not any(adj):
-        # complete and empty graphs: every ordering gives the same code
-        return _leaf_code(adj, range(n)), tuple(range(n))
+        # complete and empty graphs: every ordering gives the same code, and
+        # all vertices are twins
+        return _leaf_code(adj, range(n)), tuple(range(n)), []
 
-    best_code = None
-    best_order = None
+    first = best = None  # the code of the first leaf, and of the best one
+    leaves = {}  # code -> (ordering, individualized vertices) of those two
+    gens = []
+    fixes = []  # the vertices each generator fixes, as a bitmask
+    path = []  # the vertices individualized above the current node
 
-    def descend(cells):
-        nonlocal best_code, best_order
-        target = None
-        for idx, cell in enumerate(cells):
-            if len(cell) > 1:
-                target = idx
-                break
-        if target is None:
+    def descend(cells) -> int:
+        """Search below the node ``cells``, whose individualized vertices
+        are ``path``; return the depth at which the search resumes, less
+        than the node's depth to leave it."""
+        nonlocal first, best
+        if len(cells) == n:  # discrete: a leaf
+            if deadline is not None and time.monotonic() > deadline:
+                raise _Expired
             order = [c[0] for c in cells]
             code = _leaf_code(adj, order)
-            if best_code is None or code < best_code:
-                best_code = code
-                best_order = tuple(order)
-            return
-        cell = cells[target]
+            if first is None:
+                first = best = code
+            elif code == first or code == best:
+                # equal codes: the map between the orderings keeps every
+                # pair's adjacency, so it is an automorphism
+                known, known_path = leaves[code]
+                perm = [0] * n
+                fix = 0
+                for a, b in zip(known, order):
+                    perm[a] = b
+                    if a == b:
+                        fix |= 1 << a
+                gens.append(perm)
+                fixes.append(fix)
+                # back to the node where the two paths part
+                common = 0
+                for a, b in zip(known_path, path):
+                    if a != b:
+                        break
+                    common += 1
+                return common
+            elif code < best:
+                best = code
+            else:
+                return len(path)
+            leaves[code] = order, path[:]
+            return len(path)
+        for target, cell in enumerate(cells):
+            if len(cell) > 1:
+                break
         # twin vertices (equal open or closed neighborhoods) are swapped by a
         # transposition automorphism, so one representative per twin class
-        # suffices
-        seen_open = set()
-        seen_closed = set()
-        for v in cell:
+        # suffices; a closed neighborhood is kept complemented, so negative
+        seen = set()
+        explored = []
+        orbit = None  # union-find over the vertices under the generators fixing ``path``
+        used = 0  # the generators looked at
+        for i, v in enumerate(cell):
             open_key = adj[v]
-            closed_key = adj[v] | (1 << v)
-            if open_key in seen_open or closed_key in seen_closed:
+            closed_key = ~(open_key | (1 << v))
+            if open_key in seen or closed_key in seen:
                 continue
-            seen_open.add(open_key)
-            seen_closed.add(closed_key)
-            rest = [w for w in cell if w != v]
+            if used < len(gens):
+                orbit = _join_orbits(orbit, gens[used:], fixes[used:], path)
+                used = len(gens)
+            if orbit is not None and _find(orbit, v) in {_find(orbit, u) for u in explored}:
+                continue
+            seen.add(open_key)
+            seen.add(closed_key)
+            rest = cell[:i] + cell[i + 1 :]
             # the partition was equitable, so only the two new cells can split
             dirty = [False] * (len(cells) + 1)
             dirty[target] = dirty[target + 1] = True
-            descend(_refine(adj, cells[:target] + [[v], rest] + cells[target + 1 :], dirty))
+            path.append(v)
+            back = descend(_refine(adj, cells[:target] + [[v], rest] + cells[target + 1 :], dirty))
+            path.pop()
+            if back < len(path):
+                return back
+            explored.append(v)
+        return len(path)
 
-    descend(_refine(adj, [list(range(n))], [True]))
-    return best_code, best_order
+    try:
+        descend(_refine(adj, [list(range(n))], [True]))
+    except _Expired:
+        return None, None, gens
+    return best, tuple(leaves[best][0]), gens
+
+
+def _find(orbit, v):
+    """The root of v in the union-find list ``orbit``, halving the path."""
+    while orbit[v] != v:
+        orbit[v] = v = orbit[orbit[v]]
+    return v
+
+
+def _join_orbits(orbit, gens, fixes, path):
+    """Join, in the union-find list ``orbit`` (None for the identity), each
+    vertex with its images under those of ``gens`` that fix every vertex of
+    ``path``, by the bitmasks ``fixes`` of their fixed points; return the
+    list, or None while it is the identity."""
+    fixed = 0
+    for v in path:
+        fixed |= 1 << v
+    for perm, fix in zip(gens, fixes):
+        if fixed & ~fix:
+            continue
+        if orbit is None:
+            orbit = list(range(len(perm)))
+        for a, b in enumerate(perm):
+            a, b = _find(orbit, a), _find(orbit, b)
+            if a != b:
+                orbit[max(a, b)] = min(a, b)
+    return orbit
 
 
 @lru_cache(maxsize=1 << 17)
 def canonical_form(g: Graph) -> CanonicalForm:
     """Canonical form; encodings are equal iff the graphs are isomorphic."""
-    code, order = _canonical_search(g)
+    code, order, _ = _canonical_search(g)
     relabel = [0] * g.n
     for position, v in enumerate(order):
         relabel[v] = position
     nbits = comb(g.n, 2)
     encoding = bytes([g.n]) + code.to_bytes((nbits + 7) // 8, "big")
     return CanonicalForm(encoding, tuple(relabel))
+
+
+def automorphism_generators(g: Graph, deadline=None) -> list:
+    """Automorphisms of g, each a tuple sending v to perm[v], that generate
+    its automorphism group together with the twin transpositions.
+
+    They are the ones the canonical search meets (``_canonical_search``),
+    each checked once more here to map every edge onto an edge.  Past
+    ``deadline`` (a ``time.monotonic`` value) the search stops and the ones
+    found by then are returned: fewer, but each still an automorphism."""
+    return [tuple(perm) for perm in _canonical_search(g, deadline)[2] if g.relabel(perm) == g]
 
 
 def canonical_graph(g: Graph) -> Graph:

@@ -115,6 +115,20 @@ def brute_isomorphic(g: Graph, h: Graph) -> bool:
     return False
 
 
+def brute_non_edge_orbits(g: Graph) -> list:
+    """The first non-edge of each orbit of g's automorphism group on its
+    non-edges, in lexicographic order, trying every bijection."""
+    edges = g.edges
+    adj = g.adj
+    first = {e: e for e in g.non_edges()}  # non-edge -> least image so far
+    for perm in permutations(range(g.n)):
+        if all(adj[perm[u]] >> perm[v] & 1 for u, v in edges):
+            for u, v in first:
+                a, b = perm[u], perm[v]
+                first[u, v] = min(first[u, v], (a, b) if a < b else (b, a))
+    return sorted(set(first.values()))
+
+
 def _cycle_types(n: int, largest: int | None = None):
     """Partitions of n as non-increasing part lists: the cycle types of S_n."""
     if n == 0:

@@ -14,11 +14,16 @@ Two structural facts carry the heavy lifting:
   search when one of its parents (the class minus an edge) is UNCOLORABLE;
   a colorable class is saturated iff no child (the class plus an edge) is
   colorable, so each class is decided at most once;
-* non-edges in one orbit of the twin group give isomorphic graphs, so
-  condition (b) tries only the first non-edge of each orbit
-  (``Graph.orbit_non_edges``), in the exact search and in the check of a
-  single graph alike; greedy addition searches once per twin orbit of a
-  rejected non-edge, which downward closure keeps rejected.
+* non-edges in one orbit of the automorphism group give isomorphic
+  graphs.  The exact search extends each class by the first non-edge of
+  each twin orbit (``Graph.orbit_non_edges``), and greedy addition searches
+  once per twin orbit of a rejected non-edge, which downward closure keeps
+  rejected.  The check of a single graph tries the first non-edge of each
+  orbit of the full group: after the first non-edge is refuted, it merges
+  the twin orbits under automorphisms that the canonical search meets
+  (``graphs.automorphism_generators``), each checked to preserve edges and
+  found within the solver's ``time_limit``; fewer of them only means more
+  searches.
 
 ``RainbowSolver`` memoizes its verdicts by labeled host, so a witness
 depends on the host alone.  The level table holds the isomorphism classes
@@ -34,6 +39,7 @@ class with no pattern copy through its new edge (``engine.copy_through``).
 """
 from __future__ import annotations
 
+import time
 from array import array
 from dataclasses import dataclass
 from enum import Enum
@@ -55,6 +61,7 @@ from .engine import (
 )
 from .graphs import (
     Graph,
+    automorphism_generators,
     canonical_form,
     empty_graph,
     graph6_encode,
@@ -149,6 +156,11 @@ class RainbowSolver:
         self._cores = tuple(Pattern(p.core) for p in self.patterns)
         self._cache: dict = {}
 
+    def fitting_cores(self, n: int) -> list:
+        """The cores of the patterns with at most n vertices: a copy of a
+        pattern in a host on n vertices is a copy of its core there."""
+        return [p.core for p in self.patterns if p.order <= n]
+
     def colorability(self, g: Graph) -> ColorabilityResult:
         """Rainbow-free colorability of g, one search per component when sound.
 
@@ -214,11 +226,19 @@ def is_rainbow_saturated(g: Graph, family=None, *, solver: RainbowSolver | None 
                          node_limit=None, time_limit=None) -> SaturationVerdict:
     """Check conditions (a) and (b) of rainbow family saturation.
 
-    (b) tries the first non-edge of each twin orbit only: the others give
-    isomorphic graphs, so ``failing_edge`` is still the lexicographically
-    first addable non-edge, and ``nonedges_checked``/``nonedges_refuted``
-    count orbit representatives.  The solver splits each g+e into
-    components and reads the untouched ones back from its cache.
+    (b) tries the first non-edge of each automorphism orbit only, in
+    lexicographic order: the others give isomorphic graphs, so
+    ``failing_edge`` is still the lexicographically first addable non-edge,
+    and ``nonedges_checked``/``nonedges_refuted`` count orbit
+    representatives.  The first non-edge is tried before any automorphism
+    is sought, so a host that fails there pays nothing for them.  Once it is
+    refuted, the twin orbits (``Graph.orbit_non_edges``) are merged under
+    the generators that the canonical search meets
+    (``graphs.automorphism_generators``), each checked to preserve edges;
+    that search stops at the solver's ``time_limit``, and the generators
+    found by then merge fewer orbits, which costs searches, not soundness.
+    The solver splits each g+e into components and reads the untouched ones
+    back from its cache.
     """
     if solver is None:
         solver = RainbowSolver(family, node_limit=node_limit, time_limit=time_limit)
@@ -231,7 +251,7 @@ def is_rainbow_saturated(g: Graph, family=None, *, solver: RainbowSolver | None 
         )
 
     checked = refuted = 0
-    for u, v in g.orbit_non_edges():
+    for u, v in _orbit_representatives(g, solver.time_limit):
         res = solver.colorability(g.with_edge(u, v))
         checked += 1
         if res.status is Status.INDETERMINATE:
@@ -260,6 +280,18 @@ def is_rainbow_saturated(g: Graph, family=None, *, solver: RainbowSolver | None 
         nonedges_checked=checked,
         nonedges_refuted=refuted,
     )
+
+
+def _orbit_representatives(g: Graph, time_limit):
+    """Yield the first non-edge of each automorphism orbit of g, in
+    lexicographic order; the automorphisms are sought only when the second
+    one is asked for, within ``time_limit`` seconds."""
+    reps = g.orbit_non_edges()
+    yield from reps[:1]
+    if len(reps) > 1:
+        deadline = None if time_limit is None else time.monotonic() + time_limit
+        # the first non-edge of all is the first of its orbit
+        yield from g.orbit_non_edges(automorphism_generators(g, deadline))[1:]
 
 
 def is_classically_saturated(g: Graph, h) -> bool:
@@ -603,8 +635,7 @@ def sat_star_exact(
     """
     solver = RainbowSolver(family, node_limit=node_limit, time_limit=time_limit)
     famkey = tuple(graph6_encode(p.graph) for p in solver.patterns)
-    cores = [p.core for p in solver.patterns if p.order <= n]
-    return _sat_number(n, famkey, solver.colorable, cores, edge_budget)
+    return _sat_number(n, famkey, solver.colorable, solver.fitting_cores(n), edge_budget)
 
 
 def all_rainbow_saturated(n: int, family, *, node_limit=None, time_limit=None):
@@ -616,8 +647,7 @@ def all_rainbow_saturated(n: int, family, *, node_limit=None, time_limit=None):
     solver = RainbowSolver(family, node_limit=node_limit, time_limit=time_limit)
     famkey = tuple(graph6_encode(p.graph) for p in solver.patterns)
     found = []
-    cores = [p.core for p in solver.patterns if p.order <= n]
-    res = _sat_number(n, famkey, solver.colorable, cores, found=found)
+    res = _sat_number(n, famkey, solver.colorable, solver.fitting_cores(n), found=found)
     return found, res
 
 
@@ -626,15 +656,23 @@ def all_rainbow_saturated(n: int, family, *, node_limit=None, time_limit=None):
 
 def _add_greedily(g: Graph, pairs, solver: RainbowSolver):
     """Add each of ``pairs``, in order, whose edge keeps g rainbow-free
-    colorable; return the grown graph and the added pairs.  A rejected uv
-    settles unsearched every pair from u's and v's twin classes under the
-    current g: isomorphic graphs, kept rejected by downward closure."""
+    colorable; return the grown graph and the added pairs.  g must be
+    rainbow-free colorable (``greedy_saturate`` checks its seed, and the
+    caller of a ladder re-verifies the graph built), and stays so.
+
+    Two kinds of pair are settled unsearched.  A pair uv whose edge no copy
+    of a fitting core uses (``copy_through``) is added, by the rule of
+    ``_saturated_levels``: a new class on uv over g's witness colors g + uv
+    rainbow-free.  A rejected uv settles every pair from u's and v's twin
+    classes under the current g: isomorphic graphs, kept rejected by
+    downward closure."""
+    cores = solver.fitting_cores(g.n)
     added, rejected = [], set()
     for u, v in pairs:
         if (u, v) in rejected:
             continue
         g2 = g.with_edge(u, v)
-        if solver.colorable(g2):
+        if not copy_through(g2, cores, u, v) or solver.colorable(g2):
             g = g2
             added.append((u, v))
         else:
@@ -650,7 +688,8 @@ def greedy_saturate(g0: Graph, family, *, node_limit=None, time_limit=None) -> G
     Scans candidate non-edges once in lexicographic order and adds each edge
     whose addition keeps rainbow-free colorability.  One pass suffices: a
     rejected edge stays rejected because UNCOLORABLE verdicts persist under
-    adding more edges, and it settles its twin orbit without a search.  An
+    adding more edges, and it settles its twin orbit without a search.  A
+    non-edge that no pattern copy would use is added without a search.  An
     exhausted budget raises SearchAborted; a settled non-edge cannot.
     """
     solver = RainbowSolver(family, node_limit=node_limit, time_limit=time_limit)

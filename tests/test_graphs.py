@@ -1,5 +1,7 @@
 import random
+import time
 from itertools import combinations
+from types import SimpleNamespace
 
 import networkx as nx
 import pytest
@@ -9,6 +11,7 @@ from hypothesis import strategies as st
 from rainbowsat import (
     Graph,
     are_isomorphic,
+    automorphism_generators,
     canonical_form,
     canonical_graph,
     complete_graph,
@@ -28,10 +31,11 @@ from rainbowsat import (
     wheel,
 )
 from rainbowsat import graphs as graphs_module
+from rainbowsat.constructions import p4_construction
 from rainbowsat.graphs import induced_subgraph, iter_bits
-from rainbowsat.oracle import brute_isomorphic
+from rainbowsat.oracle import brute_isomorphic, brute_non_edge_orbits
 
-from .strategies import graphs
+from .strategies import flower, graphs
 
 
 def random_graph(rng, n, m=None):
@@ -241,11 +245,133 @@ def test_orbit_non_edges_match_twin_transpositions():
             assert x.orbit_non_edges() == brute_first_orbit_non_edges(x)
 
 
+def reference_canonical_search(g):
+    """The canonical search before automorphism pruning: every child but
+    twins of explored ones, at every node.  It reports no generators."""
+    n, adj = g.n, g.adj
+    if n <= 1:
+        return 0, tuple(range(n)), []
+    full = (1 << n) - 1
+    if all(a == full ^ (1 << v) for v, a in enumerate(adj)) or not any(adj):
+        return graphs_module._leaf_code(adj, range(n)), tuple(range(n)), []
+
+    best_code = None
+    best_order = None
+
+    def descend(cells):
+        nonlocal best_code, best_order
+        target = None
+        for idx, cell in enumerate(cells):
+            if len(cell) > 1:
+                target = idx
+                break
+        if target is None:
+            order = [c[0] for c in cells]
+            code = graphs_module._leaf_code(adj, order)
+            if best_code is None or code < best_code:
+                best_code = code
+                best_order = tuple(order)
+            return
+        cell = cells[target]
+        seen_open = set()
+        seen_closed = set()
+        for v in cell:
+            open_key = adj[v]
+            closed_key = adj[v] | (1 << v)
+            if open_key in seen_open or closed_key in seen_closed:
+                continue
+            seen_open.add(open_key)
+            seen_closed.add(closed_key)
+            rest = [w for w in cell if w != v]
+            dirty = [False] * (len(cells) + 1)
+            dirty[target] = dirty[target + 1] = True
+            descend(graphs_module._refine(
+                adj, cells[:target] + [[v], rest] + cells[target + 1 :], dirty))
+
+    descend(graphs_module._refine(adj, [list(range(n))], [True]))
+    return best_code, best_order, []
+
+
+PETERSEN = Graph(10, [(i, (i + 1) % 5) for i in range(5)]
+                 + [(i, i + 5) for i in range(5)]
+                 + [(5 + i, 5 + (i + 2) % 5) for i in range(5)])
+
+
+def symmetric_hosts():
+    """Graphs with large automorphism groups, where the pruning fires."""
+    q4 = Graph(16, [(a, a | 1 << i) for a in range(16) for i in range(4) if not a >> i & 1])
+    yield PETERSEN
+    yield q4
+    yield Graph(12, [(a, 6 + b) for a in range(6) for b in range(6) if a != b])
+    yield disjoint_union([cycle(5)] * 3)
+    yield wheel(16)
+    yield wheel(24)
+    yield p4_construction(16).graph
+    # components of two kinds, which one refined cell mixes
+    yield disjoint_union([cycle(5), cycle(5), cycle(3), cycle(3)])
+    yield disjoint_union([cycle(4), cycle(4), cycle(6)])
+
+
+def test_pruned_search_matches_reference(monkeypatch):
+    # same encoding and same relabeling, so the level table, the goldens
+    # and every witness in graph6 stay as they were
+    rng = random.Random(53)
+    hosts = [Graph(h.number_of_nodes(), h.edges()) for h in nx.graph_atlas_g()]
+    hosts += [random_graph(rng, rng.randint(1, 14)) for _ in range(2000)]
+    for g in symmetric_hosts():
+        hosts += [g] + [g.relabel(rng.sample(range(g.n), g.n)) for _ in range(4)]
+    monkeypatch.setattr(graphs_module, "_canonical_search", reference_canonical_search)
+    want = [canonical_form.__wrapped__(g) for g in hosts]
+    monkeypatch.undo()
+    assert [canonical_form.__wrapped__(g) for g in hosts] == want
+    pruned = 0
+    for g in hosts:
+        gens = automorphism_generators(g)
+        assert all(g.relabel(perm) == g for perm in gens)
+        pruned += bool(gens)
+    assert pruned > 500
+
+
+def test_generators_and_twins_give_every_non_edge_orbit():
+    rng = random.Random(59)
+    for h in nx.graph_atlas_g():
+        g = Graph(h.number_of_nodes(), h.edges())
+        g = g.relabel(rng.sample(range(g.n), g.n))
+        assert g.orbit_non_edges(automorphism_generators(g)) == brute_non_edge_orbits(g), g
+
+
+def test_generator_search_keeps_what_it_found_by_the_deadline(monkeypatch):
+    for g in symmetric_hosts():
+        assert automorphism_generators(g, time.monotonic() - 1) == []
+    g = disjoint_union([cycle(5)] * 3)
+    full = automorphism_generators(g)
+    # a clock that ticks once per leaf: the deadline passes after k leaves
+    found = []
+    for k in range(60):
+        ticks = iter(range(10**6))
+        monkeypatch.setattr(graphs_module, "time", SimpleNamespace(monotonic=lambda: next(ticks)))
+        found.append(automorphism_generators(g, k))
+    monkeypatch.undo()
+    assert found[0] == [] and found[-1] == full and len(full) > 1
+    assert all(got == full[: len(got)] for got in found)
+    assert sorted(found, key=len) == found
+
+
+@pytest.mark.parametrize("g", [disjoint_union([cycle(5)] * k) for k in range(4, 9)]
+                         + [flower(10, 3)], ids=[f"{k}C5" for k in range(4, 9)] + ["C4-flower"])
+def test_isomorphism_of_symmetric_graphs_is_fast(g):
+    # without pruning by automorphisms the tree grows with the group: a
+    # search that skips only twins needs about 12 s for four disjoint C5s
+    # on a 2-core x86 box, and more for each C5 added
+    h = g.relabel(random.Random(g.n).sample(range(g.n), g.n))
+    start = time.perf_counter()
+    assert are_isomorphic(g, h)
+    assert time.perf_counter() - start < 1.0
+
+
 def test_canonical_form_on_refinement_resistant_graphs():
     # equitable partitions of these are trivial, so only the search separates
-    petersen = Graph(10, [(i, (i + 1) % 5) for i in range(5)]
-                     + [(i, i + 5) for i in range(5)]
-                     + [(5 + i, 5 + (i + 2) % 5) for i in range(5)])
+    petersen = PETERSEN
     cells = [(a, b) for a in range(4) for b in range(4)]
     at = {c: i for i, c in enumerate(cells)}
     # Cayley graph of Z4 x Z4 with generators +-(1,0), +-(0,1), +-(1,1)

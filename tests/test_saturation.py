@@ -39,10 +39,16 @@ from rainbowsat import (
     structural_report,
     wheel,
 )
-from rainbowsat.constructions import ehm_graph, ladder_construction, p4_construction
+from rainbowsat.constructions import (
+    ehm_graph,
+    ladder_construction,
+    p4_construction,
+    wheel_construction,
+)
 from rainbowsat.oracle import (
     brute_embeddings,
     brute_isomorphic,
+    brute_non_edge_orbits,
     graph_counts,
     naive_rainbow_free_colorable,
 )
@@ -51,7 +57,7 @@ from rainbowsat.engine import as_pattern, copy_through
 from rainbowsat.graphs import canonical_form, graph6_encode, induced_subgraph
 from rainbowsat.saturation import RainbowSolver, _saturated_levels, enumerate_levels
 
-from .strategies import graphs
+from .strategies import flower, graphs
 
 
 def naive_is_rainbow_saturated(g, pats):
@@ -134,9 +140,11 @@ def every_non_edge_saturation(g, fam):
 
 def orbit_rule_hosts():
     yield from ((ladder_construction(complete_graph(3), n).graph, [complete_graph(3)])
-                for n in (8, 9, 10))
-    yield ladder_construction(complete_graph(4), 9).graph, [complete_graph(4)]
-    yield p4_construction(16).graph, [path(4)]
+                for n in (8, 9, 10, 33))
+    yield from ((ladder_construction(complete_graph(4), n).graph, [complete_graph(4)])
+                for n in (9, 13, 14))
+    yield from ((p4_construction(n).graph, [path(4)]) for n in (16, 17, 18))
+    yield from ((wheel_construction(n).graph, [cycle(4)]) for n in range(6, 25))
     parts = [complete_graph(2), complete_graph(3), complete_graph(4), star(2), star(3)]
     for a, b in combinations(parts + [empty_graph(2)], 2):
         for fam in ([path(4)], [cycle(4)], [complete_graph(3)]):
@@ -148,20 +156,71 @@ def orbit_rule_hosts():
                 yield g, fam
 
 
-def test_orbit_rule_matches_every_non_edge():
-    # one non-edge per twin orbit decides condition (b), and the first
-    # addable non-edge is the first of its orbit
+def verdict_fields(v):
+    return v.status, v.failing_edge, v.failing_coloring, v.witness_coloring
+
+
+def test_orbit_rule_matches_every_non_edge(monkeypatch):
+    # one non-edge per automorphism orbit decides condition (b), and the
+    # first addable non-edge is the first of its orbit; the verdict is the
+    # one that trying every twin orbit gives, witnesses included
     seen = Counter()
     for g, fam in orbit_rule_hosts():
         got = is_rainbow_saturated(g, fam)
         assert (got.status, got.failing_edge) == every_non_edge_saturation(g, fam), g
-        assert got.nonedges_checked <= len(g.orbit_non_edges())
+        with monkeypatch.context() as patch:
+            patch.setattr(saturation, "_orbit_representatives", lambda g, _: g.orbit_non_edges())
+            twin = is_rainbow_saturated(g, fam)
+        assert verdict_fields(got) == verdict_fields(twin), g
+        assert got.nonedges_checked <= twin.nonedges_checked
+        if got.status is Verdict.SATURATED and g.n <= 7:
+            assert got.nonedges_checked == len(brute_non_edge_orbits(g)), g
         seen[got.status] += 1
         if got.failing_coloring is not None:
             g2 = g.with_edge(*got.failing_edge)
             assert is_proper(g2, got.failing_coloring)
             assert all(find_rainbow_embedding(g2, got.failing_coloring, p) is None for p in fam)
     assert seen[Verdict.SATURATED] > 20 and seen[Verdict.NOT_SATURATED] > 100
+
+
+@pytest.mark.parametrize("family, pattern, n, orbits", [
+    ("wheel", cycle(4), 16, 6), ("wheel", cycle(4), 24, 10),
+    ("ladder", complete_graph(3), 33, 2),
+    ("ladder", complete_graph(4), 13, 1), ("ladder", complete_graph(4), 14, 2),
+])
+def test_certified_hosts_check_one_non_edge_per_orbit(family, pattern, n, orbits):
+    # the wheel's group is dihedral on the rim, one orbit per chord length
+    if family == "wheel":
+        g = wheel_construction(n).graph
+    else:
+        g = ladder_construction(pattern, n).graph
+    got = is_rainbow_saturated(g.relabel(random.Random(n).sample(range(n), n)), [pattern])
+    assert got.status is Verdict.SATURATED
+    assert got.nonedges_checked == got.nonedges_refuted == orbits
+
+
+def test_saturation_check_without_generators_tries_every_twin_orbit(monkeypatch):
+    # an expired deadline leaves fewer generators: more searches, same verdict
+    g = wheel_construction(12).graph
+    want = is_rainbow_saturated(g, [cycle(4)])
+    monkeypatch.setattr(saturation, "automorphism_generators", lambda g, deadline: [])
+    got = is_rainbow_saturated(g, [cycle(4)])
+    assert verdict_fields(got) == verdict_fields(want)
+    assert got.nonedges_checked == len(g.orbit_non_edges()) == 44 > want.nonedges_checked
+
+
+def test_saturation_check_seeks_no_automorphisms_before_a_refutation(monkeypatch):
+    def refuse(g, deadline):
+        raise AssertionError("generators sought")
+
+    monkeypatch.setattr(saturation, "automorphism_generators", refuse)
+    # hosts that fail at their first non-edge, and K4 minus an edge, whose
+    # one twin orbit holds its one non-edge
+    k4_minus_edge = Graph(4, [e for e in combinations(range(4), 2) if e != (0, 1)])
+    for g, fam in ((disjoint_union([cycle(5)] * 8), [cycle(4)]),
+                   (flower(6, 4), [cycle(4)]),
+                   (k4_minus_edge, [complete_graph(4)])):
+        assert is_rainbow_saturated(g, fam).nonedges_checked == 1
 
 
 # -- classical saturation ---------------------------------------------------------
@@ -795,6 +854,17 @@ def colorable_calls(monkeypatch, build):
         patch.setattr(RainbowSolver, "colorable", counting)
         build()
     return len(calls)
+
+
+def test_greedy_adds_an_edge_no_copy_uses_unsearched(monkeypatch):
+    # 12 of the 31 candidates that searching each would try have no C4
+    # copy through uv
+    def build():
+        return greedy_saturate(empty_graph(12), [cycle(4)])
+
+    want = with_every_pair_greedy(monkeypatch, build)
+    assert colorable_calls(monkeypatch, build) == 1 + 19  # the seed check, then the loop
+    assert build() == want
 
 
 @pytest.mark.parametrize("r, n", [(3, 33), (4, 14)])
