@@ -6,6 +6,16 @@ found by raw permutation search, and isomorphism is decided by trying every
 bijection.  These are the oracles the fast implementations are checked
 against.  ``graph_counts`` counts isomorphism classes by Pólya's theorem,
 without generating a single graph.
+
+Two rules keep this module independent, and a test enforces the first:
+
+* the only name it imports from the package is ``Graph`` from ``.graphs``,
+  so nothing here borrows the engine's or the saturation layer's pruning;
+* the partition sweep is never pruned: every set partition is generated,
+  in lexicographic order, and only then filtered for properness.
+
+Speedups may lower the cost of each step (a flat generator, precomputed
+conflicting edge pairs, bitmask edge tests), never the number of steps.
 """
 from __future__ import annotations
 
@@ -17,30 +27,35 @@ from .graphs import Graph
 
 
 def set_partitions(m: int):
-    """All partitions of {0..m-1} as restricted-growth block-id lists."""
-    blocks = [0] * m
+    """All partitions of {0..m-1} as restricted-growth block-id lists, in
+    lexicographic order; each yielded list is a fresh one."""
+    if m < 0:
+        raise ValueError("negative element count")
+    return _restricted_growth(m)
 
-    def rec(i, k):
-        if i == m:
-            yield list(blocks)
-            return
-        for c in range(k + 1):
-            blocks[i] = c
-            yield from rec(i + 1, k + 1 if c == k else k)
 
-    if m == 0:
-        yield []
+def _restricted_growth(m: int):
+    if m <= 1:
+        yield [0] * m
         return
-    yield from rec(0, 0)
-
-
-def partition_is_proper(g: Graph, blocks) -> bool:
-    edges = g.edges
-    for i in range(len(edges)):
-        for j in range(i + 1, len(edges)):
-            if blocks[i] == blocks[j] and set(edges[i]) & set(edges[j]):
-                return False
-    return True
+    # blocks[i] may range over 0..top[i]: top[0] = 0, else 1 + max(blocks[:i])
+    blocks = [0] * m
+    top = [0] + [1] * (m - 1)
+    last = m - 1
+    while True:
+        head = blocks[:last]
+        for c in range(top[last] + 1):
+            yield head + [c]
+        i = last - 1
+        while i and blocks[i] == top[i]:
+            i -= 1
+        if i == 0:
+            return
+        blocks[i] += 1
+        nxt = top[i] + 1 if blocks[i] == top[i] else top[i]
+        for j in range(i + 1, m):
+            blocks[j] = 0
+            top[j] = nxt
 
 
 def brute_embeddings(g: Graph, h: Graph):
@@ -48,19 +63,19 @@ def brute_embeddings(g: Graph, h: Graph):
     if h.n > g.n:
         return set()
     hedges = h.edges
+    adj = g.adj
+    index = g.edge_index
     found = set()
-    for combo in combinations(range(g.n), h.n):
-        for perm in permutations(combo):
+    for perm in permutations(range(g.n), h.n):
+        for u, v in hedges:
+            if not adj[perm[u]] >> perm[v] & 1:
+                break
+        else:
             ids = []
-            ok = True
             for u, v in hedges:
                 a, b = perm[u], perm[v]
-                if not g.has_edge(a, b):
-                    ok = False
-                    break
-                ids.append(g.edge_index[(a, b) if a < b else (b, a)])
-            if ok:
-                found.add(tuple(sorted(ids)))
+                ids.append(index[(a, b) if a < b else (b, a)])
+            found.add(tuple(sorted(ids)))
     return found
 
 
@@ -79,38 +94,42 @@ def naive_rainbow_free_colorable_multi(g: Graph, families: dict) -> dict:
         key: [emb for h in pats for emb in sorted(brute_embeddings(g, h))]
         for key, pats in families.items()
     }
+    edges = g.edges
+    # a partition is proper when it splits every pair of edges sharing a vertex
+    conflicts = [
+        (i, j)
+        for i, j in combinations(range(len(edges)), 2)
+        if set(edges[i]) & set(edges[j])
+    ]
     verdict = {key: False for key in families}
     pending = set(families)
-    for blocks in set_partitions(len(g.edges)):
+    for blocks in set_partitions(len(edges)):
         if not pending:
             break
-        if not partition_is_proper(g, blocks):
-            continue
-        for key in list(pending):
-            rainbow = False
-            for emb in copy_sets[key]:
-                cols = [blocks[i] for i in emb]
-                if len(set(cols)) == len(cols):
-                    rainbow = True
-                    break
-            if not rainbow:
-                verdict[key] = True
-                pending.discard(key)
+        for i, j in conflicts:
+            if blocks[i] == blocks[j]:
+                break
+        else:
+            for key in list(pending):
+                for emb in copy_sets[key]:
+                    if len({blocks[i] for i in emb}) == len(emb):
+                        break  # a rainbow copy
+                else:
+                    verdict[key] = True
+                    pending.discard(key)
     return verdict
 
 
 def brute_isomorphic(g: Graph, h: Graph) -> bool:
     if g.n != h.n or g.edge_count != h.edge_count:
         return False
-    gset = set(g.edges)
+    adj = g.adj
+    hedges = h.edges
     for perm in permutations(range(g.n)):
-        ok = True
-        for u, v in h.edges:
-            a, b = perm[u], perm[v]
-            if (a, b) not in gset and (b, a) not in gset:
-                ok = False
+        for u, v in hedges:
+            if not adj[perm[u]] >> perm[v] & 1:
                 break
-        if ok:
+        else:
             return True
     return False
 
@@ -122,7 +141,10 @@ def brute_non_edge_orbits(g: Graph) -> list:
     adj = g.adj
     first = {e: e for e in g.non_edges()}  # non-edge -> least image so far
     for perm in permutations(range(g.n)):
-        if all(adj[perm[u]] >> perm[v] & 1 for u, v in edges):
+        for u, v in edges:
+            if not adj[perm[u]] >> perm[v] & 1:
+                break
+        else:
             for u, v in first:
                 a, b = perm[u], perm[v]
                 first[u, v] = min(first[u, v], (a, b) if a < b else (b, a))

@@ -359,6 +359,22 @@ def claim_ladder(config):
     return _claim("ladder", checks)
 
 
+def engine_oracle_cases(seed: int) -> list:
+    """The (label, graph) cases of the engine-oracle claim: 500 random graphs
+    on 4 to 8 vertices with at most 8 edges, drawn from ``seed``, then every
+    gadget."""
+    rng = random.Random(seed)
+    cases = []
+    for i in range(500):
+        n = rng.randint(4, 8)
+        pairs = list(combinations(range(n), 2))
+        m = rng.randint(0, min(8, len(pairs)))
+        cases.append((f"random-{i}", Graph(n, rng.sample(pairs, m))))
+    for name in gadget_names():
+        cases.append((f"gadget-{name}", gadget(name).graph))
+    return cases
+
+
 def claim_engine_oracle(config):
     """The engine agrees with the naive all-partitions oracle on 500 seeded
     random graphs with at most 8 edges plus every gadget, for patterns
@@ -371,16 +387,7 @@ def claim_engine_oracle(config):
         "P4": path(4),
     }
     solvers = {name: RainbowSolver([g], node_limit=config["node_limit"]) for name, g in pats.items()}
-    rng = random.Random(config["seed"])
-    cases = []
-    for i in range(500):
-        n = rng.randint(4, 8)
-        pairs = list(combinations(range(n), 2))
-        m = rng.randint(0, min(8, len(pairs)))
-        cases.append((f"random-{i}", Graph(n, rng.sample(pairs, m))))
-    for name in gadget_names():
-        cases.append((f"gadget-{name}", gadget(name).graph))
-
+    cases = engine_oracle_cases(config["seed"])
     mismatches = []
     indeterminate = 0
     for label, g in cases:

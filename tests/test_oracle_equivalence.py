@@ -1,8 +1,12 @@
-"""Engine verdicts against the naive all-partitions oracle."""
+"""Engine verdicts against the naive all-partitions oracle, and the oracle
+against the plainer code it replaced."""
+import ast
 import random
-from itertools import combinations
+from itertools import combinations, permutations
 from math import comb
+from pathlib import Path
 
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -19,6 +23,7 @@ from rainbowsat import (
     is_rainbow_saturated,
     path,
     rainbow_free_colorable,
+    star,
 )
 from rainbowsat.constructions import gadget, gadget_names
 from rainbowsat.oracle import (
@@ -27,7 +32,9 @@ from rainbowsat.oracle import (
     naive_rainbow_free_colorable_multi,
     set_partitions,
 )
+from rainbowsat import oracle
 from rainbowsat.saturation import RainbowSolver
+from rainbowsat.verify import DEFAULT_SEED, engine_oracle_cases
 
 from .strategies import graphs
 
@@ -44,6 +51,154 @@ def test_set_partition_counts_are_bell_numbers():
     bell = [1, 1, 2, 5, 15, 52, 203, 877]
     for m, want in enumerate(bell):
         assert sum(1 for _ in set_partitions(m)) == want
+
+
+# -- the oracle against its earlier, plainer form -------------------------------
+# A recursive partition generator, copies by combinations x permutations and
+# Graph.has_edge, and properness by pairwise vertex-set intersection: the
+# same sweep the oracle makes, with none of its per-step shortcuts.
+
+
+def reference_set_partitions(m):
+    blocks = [0] * m
+
+    def rec(i, k):
+        if i == m:
+            yield list(blocks)
+            return
+        for c in range(k + 1):
+            blocks[i] = c
+            yield from rec(i + 1, k + 1 if c == k else k)
+
+    if m == 0:
+        yield []
+        return
+    yield from rec(0, 0)
+
+
+def reference_partition_is_proper(g, blocks):
+    edges = g.edges
+    for i in range(len(edges)):
+        for j in range(i + 1, len(edges)):
+            if blocks[i] == blocks[j] and set(edges[i]) & set(edges[j]):
+                return False
+    return True
+
+
+def reference_brute_embeddings(g, h):
+    if h.n > g.n:
+        return set()
+    found = set()
+    for combo in combinations(range(g.n), h.n):
+        for perm in permutations(combo):
+            ids = []
+            ok = True
+            for u, v in h.edges:
+                a, b = perm[u], perm[v]
+                if not g.has_edge(a, b):
+                    ok = False
+                    break
+                ids.append(g.edge_index[(a, b) if a < b else (b, a)])
+            if ok:
+                found.add(tuple(sorted(ids)))
+    return found
+
+
+def reference_colorable_multi(g, families):
+    copy_sets = {
+        key: [emb for h in pats for emb in sorted(reference_brute_embeddings(g, h))]
+        for key, pats in families.items()
+    }
+    verdict = {key: False for key in families}
+    pending = set(families)
+    for blocks in reference_set_partitions(len(g.edges)):
+        if not pending:
+            break
+        if not reference_partition_is_proper(g, blocks):
+            continue
+        for key in list(pending):
+            rainbow = False
+            for emb in copy_sets[key]:
+                cols = [blocks[i] for i in emb]
+                if len(set(cols)) == len(cols):
+                    rainbow = True
+                    break
+            if not rainbow:
+                verdict[key] = True
+                pending.discard(key)
+    return verdict
+
+
+def test_set_partitions_match_the_recursive_reference():
+    for m in range(10):
+        assert list(set_partitions(m)) == list(reference_set_partitions(m)), m
+
+
+def test_set_partitions_yield_fresh_lists():
+    want = list(reference_set_partitions(6))
+    got = []
+    for blocks in set_partitions(6):
+        got.append(list(blocks))
+        blocks[:] = [9] * len(blocks)
+    assert got == want
+
+
+def test_set_partitions_reject_a_negative_count():
+    with pytest.raises(ValueError):
+        set_partitions(-1)
+
+
+EMBEDDING_PATTERNS = [
+    path(3),
+    path(4),
+    cycle(4),
+    complete_graph(3),
+    complete_graph(4),
+    star(3),
+    Graph(4, [(0, 1), (2, 3)]),
+]
+
+
+@settings(deadline=None)
+@given(graphs(max_n=8))
+def test_brute_embeddings_match_the_reference(g):
+    for h in EMBEDDING_PATTERNS:
+        assert brute_embeddings(g, h) == reference_brute_embeddings(g, h), h
+
+
+ORACLE_FAMILIES = {k: [v] for k, v in PATTERNS.items()}
+SLOW_GADGETS = {"gadget-GA", "gadget-GB"}  # 115,975 and 678,570 partitions
+
+
+def test_multi_verdicts_match_the_reference_on_engine_oracle_cases():
+    cases = [(label, g) for label, g in engine_oracle_cases(DEFAULT_SEED) if label not in SLOW_GADGETS]
+    assert len(cases) == 505
+    for label, g in cases:
+        want = reference_colorable_multi(g, ORACLE_FAMILIES)
+        assert naive_rainbow_free_colorable_multi(g, ORACLE_FAMILIES) == want, label
+
+
+@pytest.mark.extended
+def test_multi_verdicts_match_the_reference_on_the_large_gadgets():
+    for name in ("GA", "GB"):
+        g = gadget(name).graph
+        want = reference_colorable_multi(g, ORACLE_FAMILIES)
+        assert naive_rainbow_free_colorable_multi(g, ORACLE_FAMILIES) == want, name
+
+
+def test_oracle_imports_only_graph_from_the_package():
+    # a speedup that borrowed the engine's or the saturation layer's pruning
+    # would no longer be an independent check of them
+    tree = ast.parse(Path(oracle.__file__).read_text())
+    package = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            package += [a.name for a in node.names if a.name.split(".")[0] == "rainbowsat"]
+        elif isinstance(node, ast.ImportFrom) and (
+            node.level or (node.module or "").split(".")[0] == "rainbowsat"
+        ):
+            package += [(node.level, node.module, a.name) for a in node.names]
+    assert package == [(1, "graphs", "Graph")]
 
 
 def test_brute_embedding_count():
