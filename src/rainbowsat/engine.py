@@ -148,14 +148,13 @@ def _match_order(pat: Graph) -> tuple:
     return tuple(order), anchors
 
 
-def _matches(host: Graph, pat: Graph, above=None, deadline=None, pin=None):
+def _matches(host: Graph, pat: Graph, above=None, deadline=None):
     """Injective maps sending pattern edges onto host edges.
 
     From a graph onto itself these are its automorphisms: a bijection that
     sends edges into edges sends them onto edges.  Pattern vertices are
     placed in ``_match_order``; ``above[j]`` lists earlier steps whose host
-    vertex the one placed at step j must exceed, and ``pin`` maps pattern
-    vertices to the one host vertex each may take.  With a ``deadline`` the
+    vertex the one placed at step j must exceed.  With a ``deadline`` the
     clock is read every 4,096 placements, and ``_Expired`` is raised once it
     has passed.
     """
@@ -167,17 +166,18 @@ def _matches(host: Graph, pat: Graph, above=None, deadline=None, pin=None):
     order, anchors = _match_order(pat)
     k = pat.n
     hadj = host.adj
-    hdeg = host.degrees()
+    by_degree = {}  # pattern degree -> the host vertices of at least that degree
     fits = []  # per step, the host vertices of a suitable degree
     for v in order:
-        want = pat.degree(v)
-        mask = 0
-        for hv, d in enumerate(hdeg):
-            if d >= want:
-                mask |= 1 << hv
+        want = pat.adj[v].bit_count()
+        mask = by_degree.get(want)
+        if mask is None:
+            mask = 0
+            for hv, row in enumerate(hadj):
+                if row.bit_count() >= want:
+                    mask |= 1 << hv
+            by_degree[want] = mask
         fits.append(mask)
-    if pin:
-        fits = [fit & (1 << pin[v]) if v in pin else fit for v, fit in zip(order, fits)]
     if above is None:
         above = [()] * k
     assigned = [0] * k  # host vertex per pattern vertex
@@ -245,32 +245,143 @@ def _symmetry(core: Graph) -> tuple:
 @lru_cache(maxsize=256)
 def _arc_orbits(core: Graph) -> tuple:
     """One arc (a, b), the least, from each orbit of Aut(core) on the arcs
-    of core: the ordered pairs of adjacent vertices."""
+    of core (the ordered pairs of adjacent vertices), as a plan that places
+    the core with a and b first: (order, anchors, the core's edges other
+    than ab).  After a and b, ``order`` takes the vertex with the most
+    placed neighbors, the least on ties; ``anchors[j]`` lists the earlier
+    steps whose vertex is adjacent to order[j]."""
     auts = list(_matches(core, core))
     seen = set()
     out = []
     for a in range(core.n):
         for b in iter_bits(core.adj[a]):
-            if (a, b) not in seen:
-                out.append((a, b))
-                seen.update((aut[a], aut[b]) for aut in auts)
+            if (a, b) in seen:
+                continue
+            seen.update((aut[a], aut[b]) for aut in auts)
+            order = [a, b]
+            placed = 1 << a | 1 << b
+            while len(order) < core.n:
+                w = max((x for x in range(core.n) if not placed >> x & 1),
+                        key=lambda x: ((core.adj[x] & placed).bit_count(), -x))
+                order.append(w)
+                placed |= 1 << w
+            anchors = tuple(tuple(i for i in range(j) if core.has_edge(order[i], w))
+                            for j, w in enumerate(order))
+            others = tuple(e for e in core.edges if e != (a, b) and e != (b, a))
+            out.append((tuple(order), anchors, others))
     return tuple(out)
+
+
+def _maps_through(g: Graph, cores, u: int, v: int):
+    """Maps of the pattern graphs ``cores`` into g that send an edge onto
+    the edge uv of g, each with the core's other edges: every copy through
+    uv is met at least once.
+
+    Such a copy is a map sending some arc (a, b) of the core onto (u, v).
+    Composed with an automorphism of the core it sends every arc of (a, b)'s
+    orbit there, so one search per arc orbit (``_arc_orbits``), with a on u
+    and b on v, finds it.  The search places the other core vertices as
+    ``_matches`` does, on unused host vertices adjacent to the images of
+    their anchors.
+    """
+    hadj = g.adj
+    rest = ((1 << g.n) - 1) & ~(1 << u | 1 << v)  # the host vertices not yet used
+    for core in cores:
+        for order, anchors, others in _arc_orbits(core):
+            k = len(order)
+            assigned = [0] * k  # host vertex per core vertex
+            assigned[order[0]] = u
+            assigned[order[1]] = v
+            if k == 2:
+                yield tuple(assigned), others
+                continue
+            image = [u, v] + [0] * (k - 2)  # host vertex per step
+            cand = [0] * k  # the untried host vertices of each step
+            unused = c = rest
+            for i in anchors[2]:
+                c &= hadj[image[i]]
+            cand[2] = c
+            j = 2
+            while True:
+                c = cand[j]
+                if not c:
+                    j -= 1
+                    if j < 2:
+                        break
+                    unused |= 1 << image[j]
+                    continue
+                bit = c & -c
+                cand[j] = c ^ bit
+                image[j] = hv = bit.bit_length() - 1
+                assigned[order[j]] = hv
+                if j + 1 == k:
+                    yield tuple(assigned), others
+                    continue
+                unused ^= bit
+                j += 1
+                c = unused
+                for i in anchors[j]:
+                    c &= hadj[image[i]]
+                cand[j] = c
 
 
 def copy_through(g: Graph, cores, u: int, v: int) -> bool:
     """Whether some copy of one of the pattern graphs ``cores`` in g uses
-    the edge uv of g.
-
-    Such a copy is a map sending some arc (a, b) of the core onto (u, v).
-    Composed with an automorphism of the core it sends every arc of (a, b)'s
-    orbit there, so one pinned match per arc orbit (``_arc_orbits``)
-    decides.
-    """
-    for core in cores:
-        for a, b in _arc_orbits(core):
-            for _ in _matches(g, core, pin={a: u, b: v}):
-                return True
+    the edge uv of g."""
+    for _ in _maps_through(g, cores, u, v):
+        return True
     return False
+
+
+class EdgeClasses:
+    """A proper edge coloring of a graph, looked up by endpoints, and the
+    rule that extends it to one more edge.
+
+    Built from a graph g and its classes in g's edge order.
+    """
+
+    def __init__(self, g: Graph, classes):
+        n = self.n = g.n
+        self.color = color = [0] * (n * n)  # the class of edge xy at x * n + y and y * n + x
+        self.used = used = [0] * n  # per vertex, the classes at it as a mask
+        for (x, y), c in zip(g.edges, classes):
+            color[x * n + y] = color[y * n + x] = c
+            used[x] |= 1 << c
+            used[y] |= 1 << c
+        self.fresh = max(classes, default=-1) + 1
+
+    def extension(self, h: Graph, cores, u: int, v: int):
+        """The least class for the edge uv of h = g + uv that keeps the
+        coloring proper and free of rainbow copies of ``cores``, given that
+        it is free of them on g; None if no class does.
+
+        The class is sought in 0..k, k the fresh class: one used at neither
+        u nor v, and, for each copy through uv whose other edges already
+        have pairwise distinct classes, one of those classes.  Copies that
+        avoid uv keep their classes from g.  With no copy through uv the
+        rule always finds a class, the fresh one at the latest.
+        """
+        n, color = self.n, self.color
+        allowed = ((2 << self.fresh) - 1) & ~(self.used[u] | self.used[v])
+        for f, others in _maps_through(h, cores, u, v):
+            seen = 0
+            for p, q in others:
+                b = 1 << color[f[p] * n + f[q]]
+                if seen & b:
+                    break
+                seen |= b
+            else:
+                allowed &= seen
+                if not allowed:
+                    return None
+        return (allowed & -allowed).bit_length() - 1
+
+    def add(self, u: int, v: int, c: int) -> None:
+        """Color the new edge uv with class c."""
+        self.color[u * self.n + v] = self.color[v * self.n + u] = c
+        self.used[u] |= 1 << c
+        self.used[v] |= 1 << c
+        self.fresh = max(self.fresh, c + 1)
 
 
 def _copies(g: Graph, core: Graph, deadline=None) -> list:

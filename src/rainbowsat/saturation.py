@@ -30,12 +30,14 @@ depends on the host alone.  The level table holds the isomorphism classes
 of each n and their twin-orbit children, built once per process, one level
 at a time as a walk first needs it, and shared by ``sat_exact``,
 ``sat_star_exact``, ``all_rainbow_saturated`` and ``enumerate_levels``.
-Children are told apart by a cheap vertex-invariant key (``_class_key``),
+Children are told apart by a cheap vertex-invariant key (``_child_keys``),
 exact through n = 9 and checked against Pólya's count at every level, so
-canonical form runs once per class, on the first child to reach it.  The
-table holds no ``free`` verdict; each walk keeps its own, and asks the
+canonical form runs once per class, on the first child to reach it, and the
+table keeps that relabeling.  The table holds no verdict; each walk keeps
+its own, with a witness coloring per free class for ``sat*``, and asks the
 solver at most once per isomorphism class: not at all for a child of a free
-class with no pattern copy through its new edge (``engine.copy_through``).
+class that one class more on the parent's witness colors rainbow-free (the
+witness rule, ``engine.EdgeClasses.extension``).
 """
 from __future__ import annotations
 
@@ -52,6 +54,7 @@ from .engine import (
     EdgeColoring,
     Pattern,
     SearchStats,
+    EdgeClasses,
     Status,
     as_pattern,
     copy_through,
@@ -189,15 +192,15 @@ class RainbowSolver:
             parts.append((sub, vmap, res.witness.classes))
         return ColorabilityResult(Status.COLORABLE, merge_colorings(g, parts), total)
 
-    def colorable(self, g: Graph) -> bool:
-        """The verdict of ``colorability``: True for COLORABLE, False for
-        UNCOLORABLE.  An exhausted budget raises SearchAborted naming g."""
-        status = self.colorability(g).status
-        if status is Status.INDETERMINATE:
+    def witness(self, g: Graph) -> EdgeColoring | None:
+        """The verdict of ``colorability``: its witness for COLORABLE, None
+        for UNCOLORABLE.  An exhausted budget raises SearchAborted naming g."""
+        res = self.colorability(g)
+        if res.status is Status.INDETERMINATE:
             raise SearchAborted(
                 f"budget exhausted at n={g.n}, edges={g.edge_count}, graph {graph6_encode(g)}"
             )
-        return status is Status.COLORABLE
+        return res.witness
 
     def _solve(self, g: Graph, cores, tag) -> ColorabilityResult:
         if not cores:
@@ -294,17 +297,6 @@ def _orbit_representatives(g: Graph, time_limit):
         yield from g.orbit_non_edges(automorphism_generators(g, deadline))[1:]
 
 
-def is_classically_saturated(g: Graph, h) -> bool:
-    """Pattern-free, and every non-edge addition creates a copy."""
-    pat = as_pattern(h)
-    if exists_embedding(g, pat):
-        return False
-    for u, v in g.non_edges():
-        if not exists_embedding(g.with_edge(u, v), pat):
-            return False
-    return True
-
-
 # -- isomorphism-free enumeration ----------------------------------------------
 
 
@@ -318,14 +310,19 @@ class _Level(NamedTuple):
     Class i of the level below has its children at positions
     ``start[i]:start[i + 1]`` of ``pairs`` (its orbit non-edge uv, stored as
     u * n + v) and ``child`` (the index of g + uv's class in ``reps``).
-    Reps are bare adjacency tuples, so no ``Graph`` built from them, nor
-    anything cached on one, outlives its caller.
+    Class j was put in canonical form on the first child to reach it, g + uv
+    for the first parent g and pair uv in that order, and n bytes of
+    ``relabel`` from j * n on keep that relabeling: vertex x of g + uv is
+    vertex relabel[j * n + x] of the rep.  Reps are bare adjacency tuples,
+    so no ``Graph`` built from them, nor anything cached on one, outlives
+    its caller.
     """
 
     reps: list     # canonical adjacency tuples, ascending canonical encoding
     pairs: bytes
     child: array
     start: array
+    relabel: bytes
 
 
 # n -> (class count per edge level by oracle.graph_counts, the levels built
@@ -348,7 +345,7 @@ def _level(n: int, m: int) -> _Level:
     graph has no children."""
     entry = _DAG.get(n)
     if entry is None:
-        bottom = _Level([empty_graph(n).adj], b"", array("I"), array("I", [0]))
+        bottom = _Level([empty_graph(n).adj], b"", array("I"), array("I", [0]), bytes(range(n)))
         entry = _DAG[n] = (graph_counts(n), [bottom])
     counts, levels = entry
     while len(levels) <= m:
@@ -361,50 +358,20 @@ def _level(n: int, m: int) -> _Level:
 _QUADS = tuple((c * (c - 1) >> 1) << 17 for c in range(ENUMERATION_LIMIT - 1))
 
 
-def _class_key(adj) -> tuple:
-    """An isomorphism invariant of the graph with adjacency rows ``adj``.
-
-    Each vertex v gets a label from its degree, the sum of its neighbors'
-    degrees, twice its triangle count and its 4-cycle count (the sum over
-    w != v of C(codeg(v, w), 2)); the key is the sorted tuple of the pairs
-    (label of v, sum of v's neighbors' labels), each packed into one int.
-    The fields fit their bits for n <= 9; an overflow could only merge keys.
-    The key tells apart every two classes with equal edge counts on at most
-    9 vertices: ``_grow`` checks that at every level it builds.
-    """
-    n = len(adj)
-    # a label packs degree | neighbors' degrees << 4 | twice the triangles
-    # << 11 | 4-cycles << 17; each pair of vertices adds its share to both
-    label = [row.bit_count() for row in adj]
-    shifted = [d << 4 for d in label]
-    edges = []
-    for v in range(n):
-        row = adj[v]
-        if not row:
-            continue
-        mine = 0
-        for w in range(v + 1, n):
-            c = (row & adj[w]).bit_count()
-            if row >> w & 1:
-                edges.append((v, w))
-                share = _QUADS[c] + (c << 11)
-                mine += share + shifted[w]
-                label[w] += share + shifted[v]
-            elif c > 1:
-                mine += _QUADS[c]
-                label[w] += _QUADS[c]
-        label[v] += mine
-    key = [x << 28 for x in label]
-    for v, w in edges:
-        key[v] += label[w]
-        key[w] += label[v]
-    key.sort()
-    return tuple(key)
-
-
 def _child_keys(n: int, rows, pairs) -> list:
-    """``_class_key`` of rows + uv for each non-edge (u, v) of ``pairs``,
+    """The class key of rows + uv for each non-edge (u, v) of ``pairs``,
     each from the parent's degrees, codegrees and labels.
+
+    The key is an isomorphism invariant.  Each vertex v gets a label from
+    its degree, the sum of its neighbors' degrees, twice its triangle count
+    and its 4-cycle count (the sum over w != v of C(codeg(v, w), 2)),
+    packed as degree | neighbors' degrees << 4 | twice the triangles << 11
+    | 4-cycles << 17; the key is the sorted tuple of the pairs (label of v,
+    sum of v's neighbors' labels), each packed into one int as label << 28
+    | sum.  The fields fit their bits for n <= 9; an overflow could only
+    merge keys.  The key tells apart every two classes with equal edge
+    counts on at most 9 vertices: ``_grow`` checks that at every level it
+    builds.
 
     Adding uv changes the label fields of few vertices: u and v gain a
     degree, the other's new degree in their neighbors' degrees and twice
@@ -420,7 +387,7 @@ def _child_keys(n: int, rows, pairs) -> list:
     nbrs = [[b for b in range(n) if row >> b & 1] for row in rows]
     edges = [(a, b) for a in range(n) for b in nbrs[a] if a < b]
     quad = _QUADS.__getitem__
-    base = []  # the parent's labels, packed as in _class_key
+    base = []  # the parent's labels, packed as above
     for a in range(n):
         ca = codeg[a]
         ca[a] = 0  # a vertex is no pair with itself
@@ -463,10 +430,11 @@ def _grow(n: int, m: int, below: list, count: int) -> _Level:
     Each class is extended by the first non-edge of each twin orbit
     (``Graph.orbit_non_edges``): the other non-edges of an orbit give
     isomorphic children, so every child class is still reached.  Children
-    are grouped by ``_class_key``, computed from their parent by
+    are grouped by a vertex-invariant key, computed from their parent by
     ``_child_keys``, and only the first child to reach a key is built and
-    put in canonical form, which gives the class's rep and encoding.  The
-    reps share one int object per row value.
+    put in canonical form, which gives the class's rep, its encoding and
+    the relabeling onto the rep.  The reps share one int object per row
+    value.
 
     The key is an isomorphism invariant, so there are at most as many keys
     as classes reached, and at most as many of those as the Pólya count
@@ -476,6 +444,7 @@ def _grow(n: int, m: int, below: list, count: int) -> _Level:
     index = {}  # class key -> class index in order of first reach
     reps = []
     codes = []
+    relabel = bytearray()  # n bytes per class, in order of first reach
     shared = {}  # row value -> the one int object the reps hold for it
     pairs = bytearray()
     child = array("I")
@@ -491,6 +460,7 @@ def _grow(n: int, m: int, below: list, count: int) -> _Level:
                 cf = canonical_form(h)
                 reps.append(tuple(shared.setdefault(r, r) for r in h.relabel(cf.relabeling).adj))
                 codes.append(cf.encoding)
+                relabel += bytes(cf.relabeling)
             pairs.append(u * n + v)
             child.append(i)
         start.append(len(child))
@@ -504,7 +474,8 @@ def _grow(n: int, m: int, below: list, count: int) -> _Level:
     rank = [0] * count
     for r, i in enumerate(order):
         rank[i] = r
-    return _Level([reps[i] for i in order], bytes(pairs), array("I", [rank[i] for i in child]), start)
+    return _Level([reps[i] for i in order], bytes(pairs), array("I", [rank[i] for i in child]),
+                  start, b"".join(relabel[i * n:i * n + n] for i in order))
 
 
 def enumerate_levels(n: int, max_edges: int | None = None):
@@ -529,75 +500,124 @@ def enumerate_levels(n: int, max_edges: int | None = None):
         yield m, [Graph._from_adj(n, adj) for adj in _level(n, m).reps]
 
 
-def enumerate_nonisomorphic_graphs(n: int, edge_budget: int | None = None):
-    """One canonical representative per isomorphism class, ascending edge count."""
-    for _, graphs in enumerate_levels(n, edge_budget):
-        yield from graphs
-
-
 # -- exact saturation numbers ---------------------------------------------------
 
 
-def _saturated_levels(n: int, free, cores, max_edges=None):
+def _saturated_levels(n: int, root, rule, max_edges=None):
     """Yield (edge count, classes, saturated classes) in ascending edge order,
     up to ``max_edges`` edges; classes are canonical representatives in
     ascending order of canonical encoding, as fresh lists of fresh graphs.
 
-    ``free(g)`` decides a property of graphs on n vertices with two traits:
-    it survives edge deletion, and it passes from g to g + uv when no copy
-    of any graph in ``cores`` uses the new edge uv.  Rainbow-free
-    colorability has both, with ``cores`` the cores of the patterns that fit
-    n vertices: a witness restricts to any subgraph, and a witness of g with
-    a new class on uv colors g + uv properly and leaves every copy that
-    avoids uv as it was in g.  Freedom from those patterns has both too.
+    The walk decides a property of graphs on n vertices, "free", that
+    survives edge deletion.  It keeps a state for each free class of the
+    current and the next level, in the labeling of the class's rep, and
+    False for a class that is not free; ``root`` is the state of the empty
+    graph.  ``rule(g, state)`` gives the function that decides the children
+    of a free class g: called with a non-edge (u, v) of g and the relabeling
+    perm of g + uv onto its class's rep (vertex x to perm[x]), it returns
+    the child's state in the rep's labeling, or False.
 
     The walk reads the levels of ``enumerate_levels``, built once per
-    process for each n, and keeps ``free``'s verdicts to itself.  A child
-    of a class that is not free is not free.  Any other class is decided on
-    the first child that reaches it from a free parent: parents in class
-    order, each by the first non-edge of each twin orbit, so it is the
-    labeled graph that trying every non-edge would reach it by.  That child
-    is free without a call of ``free`` when ``copy_through`` finds no core
-    copy through its new edge, and is decided by one call otherwise.  A
-    free class is saturated iff none of its children is free; children past
-    ``max_edges`` are decided too, so the last level within the budget is
-    judged in full.
+    process for each n, and keeps its states to itself.  A child of a class
+    that is not free is not free.  Any other class is decided once, on the
+    first child to reach it: all its parents are free, so that child comes
+    from the first parent in class order, by the first non-edge of each twin
+    orbit, and is the labeled graph that trying every non-edge would reach
+    it by and that the level put in canonical form.  So the relabeling the
+    level stored moves the child onto the rep, with no canonical form
+    computed.  A free class is saturated iff none of its children is free;
+    children past ``max_edges`` are decided too, so the last level within
+    the budget is judged in full.
     """
     cap = _edge_cap(n, max_edges)
     classes = [Graph._from_adj(n, adj) for adj in _level(n, 0).reps]
-    verdicts = [free(g) for g in classes]
+    states = [root]
     for m in range(cap + 1):
         up = _level(n, m + 1)
-        pairs, child, start = up.pairs, up.child, up.start
-        above = [None] * len(up.reps)
-        for i, ok in enumerate(verdicts):
-            if not ok:
+        pairs, child, start, relabel = up.pairs, up.child, up.start, up.relabel
+        above = [None] * len(up.reps)  # None until decided
+        for i, state in enumerate(states):
+            if state is False:
                 for k in range(start[i], start[i + 1]):
                     above[child[k]] = False
         hits = []
-        for i, ok in enumerate(verdicts):
-            if ok:
+        for i, state in enumerate(states):
+            if state is not False:
                 g = classes[i]
                 kids = range(start[i], start[i + 1])
+                decide = None
                 # every child is decided, saturated or not: they are the next level
                 for k in kids:
-                    if above[child[k]] is None:
+                    j = child[k]
+                    if above[j] is None:
+                        if decide is None:
+                            decide = rule(g, state)
                         u, v = divmod(pairs[k], n)
-                        h = g.with_edge(u, v)
-                        above[child[k]] = not copy_through(h, cores, u, v) or free(h)
-                if not any(above[child[k]] for k in kids):
+                        above[j] = decide(u, v, relabel[j * n:j * n + n])
+                if all(above[child[k]] is False for k in kids):
                     hits.append(g)
         yield m, classes, hits
         classes = [Graph._from_adj(n, adj) for adj in up.reps]
-        verdicts = above
+        states = above
 
 
-def _sat_number(n: int, famkey: tuple, free, cores, edge_budget=None,
+def _pattern_free_rule(cores):
+    """The rule of ``_saturated_levels`` for freedom from the pattern graphs
+    ``cores``, with True as every free class's state: g + uv is free iff no
+    copy goes through uv."""
+    def rule(g, _):
+        return lambda u, v, _: not copy_through(g.with_edge(u, v), cores, u, v)
+    return rule
+
+
+def _witness_rule(solver: RainbowSolver, n: int):
+    """(root, rule) of ``_saturated_levels`` for rainbow-free colorability
+    on n vertices.  A free class's state is a witness coloring, its classes
+    as one bytes in the edge order of the class's rep.
+
+    A child g + uv of a free class g takes g's witness plus the class that
+    ``EdgeClasses.extension`` finds for uv over it, with no search; only
+    when there is none does the solver decide g + uv.  The witnesses stay
+    out of the solver's cache: they depend on which parent reached a class
+    first.
+    """
+    cores = solver.fitting_cores(n)
+
+    def rule(g, witness):
+        table = EdgeClasses(g, witness)
+        edges = g.edges
+
+        def decide(u, v, perm):
+            h = g.with_edge(u, v)
+            c = table.extension(h, cores, u, v)
+            if c is not None:
+                return _moved(edges + ((u, v),), witness + bytes((c,)), perm)
+            found = solver.witness(h)
+            return False if found is None else _moved(h.edges, found.classes, perm)
+        return decide
+
+    root = solver.witness(empty_graph(n))
+    return (False if root is None else bytes(root.classes)), rule
+
+
+def _moved(edges, classes, perm) -> bytes:
+    """``classes``, one per edge of ``edges``, in the edge order of the graph
+    relabeled by perm."""
+    n = len(perm)
+    keyed = []  # per edge, its position among the pairs of the new labeling << 8 | its class
+    for (a, b), c in zip(edges, classes):
+        x, y = perm[a], perm[b]
+        keyed.append((x * n + y if x < y else y * n + x) << 8 | c)
+    keyed.sort()
+    return bytes([k & 255 for k in keyed])
+
+
+def _sat_number(n: int, famkey: tuple, root, rule, edge_budget=None,
                 found=None) -> SatNumberResult:
     """The first level of _saturated_levels with a saturated class.  Given a
     list ``found``, every level is scanned and its saturated classes appended."""
     res = SatNumberResult(n, famkey, None, (), 0, 0)
-    for m, graphs, hits in _saturated_levels(n, free, cores, edge_budget):
+    for m, graphs, hits in _saturated_levels(n, root, rule, edge_budget):
         res.graphs_checked += len(graphs)
         res.levels_searched = m
         if hits and res.value is None:
@@ -613,8 +633,8 @@ def sat_exact(n: int, h, *, edge_budget=None) -> SatNumberResult:
     """Classical saturation number by ascending exhaustive enumeration."""
     pat = as_pattern(h)
     return _sat_number(
-        n, (graph6_encode(pat.graph),), lambda g: not exists_embedding(g, pat),
-        [pat.core] if pat.order <= n else [], edge_budget,
+        n, (graph6_encode(pat.graph),), not exists_embedding(empty_graph(n), pat),
+        _pattern_free_rule([pat.core] if pat.order <= n else []), edge_budget,
     )
 
 
@@ -635,7 +655,7 @@ def sat_star_exact(
     """
     solver = RainbowSolver(family, node_limit=node_limit, time_limit=time_limit)
     famkey = tuple(graph6_encode(p.graph) for p in solver.patterns)
-    return _sat_number(n, famkey, solver.colorable, solver.fitting_cores(n), edge_budget)
+    return _sat_number(n, famkey, *_witness_rule(solver, n), edge_budget)
 
 
 def all_rainbow_saturated(n: int, family, *, node_limit=None, time_limit=None):
@@ -647,38 +667,48 @@ def all_rainbow_saturated(n: int, family, *, node_limit=None, time_limit=None):
     solver = RainbowSolver(family, node_limit=node_limit, time_limit=time_limit)
     famkey = tuple(graph6_encode(p.graph) for p in solver.patterns)
     found = []
-    res = _sat_number(n, famkey, solver.colorable, solver.fitting_cores(n), found=found)
+    res = _sat_number(n, famkey, *_witness_rule(solver, n), found=found)
     return found, res
 
 
 # -- greedy saturation ----------------------------------------------------------
 
 
-def _add_greedily(g: Graph, pairs, solver: RainbowSolver):
+def _add_greedily(g: Graph, pairs, solver: RainbowSolver, classes=None):
     """Add each of ``pairs``, in order, whose edge keeps g rainbow-free
     colorable; return the grown graph and the added pairs.  g must be
     rainbow-free colorable (``greedy_saturate`` checks its seed, and the
     caller of a ladder re-verifies the graph built), and stays so.
 
-    Two kinds of pair are settled unsearched.  A pair uv whose edge no copy
-    of a fitting core uses (``copy_through``) is added, by the rule of
-    ``_saturated_levels``: a new class on uv over g's witness colors g + uv
-    rainbow-free.  A rejected uv settles every pair from u's and v's twin
-    classes under the current g: isomorphic graphs, kept rejected by
-    downward closure."""
+    ``classes`` is a witness of g, in its edge order, when one is known.
+    Two kinds of pair are settled unsearched.  A pair uv for which the rule
+    of ``_saturated_levels`` (``EdgeClasses.extension``) finds a class over
+    the current witness is added, and the witness gains that class on uv.
+    Any other pair is searched, and if it is added the solver's witness of
+    the grown graph becomes the current one; until a witness is known,
+    every pair is searched.  A rejected uv settles every pair from u's and
+    v's twin classes under the current g: isomorphic graphs, kept rejected
+    by downward closure."""
     cores = solver.fitting_cores(g.n)
+    table = None if classes is None else EdgeClasses(g, classes)
     added, rejected = [], set()
     for u, v in pairs:
         if (u, v) in rejected:
             continue
         g2 = g.with_edge(u, v)
-        if not copy_through(g2, cores, u, v) or solver.colorable(g2):
-            g = g2
-            added.append((u, v))
+        c = None if table is None else table.extension(g2, cores, u, v)
+        if c is not None:
+            table.add(u, v, c)
         else:
-            classes = g.twin_classes()
-            rejected.update((a, b) if a < b else (b, a)
-                            for a in iter_bits(classes[u]) for b in iter_bits(classes[v]) if a != b)
+            found = solver.witness(g2)
+            if found is None:
+                twins = g.twin_classes()
+                rejected.update((a, b) if a < b else (b, a)
+                                for a in iter_bits(twins[u]) for b in iter_bits(twins[v]) if a != b)
+                continue
+            table = EdgeClasses(g2, found.classes)
+        g = g2
+        added.append((u, v))
     return g, added
 
 
@@ -689,13 +719,15 @@ def greedy_saturate(g0: Graph, family, *, node_limit=None, time_limit=None) -> G
     whose addition keeps rainbow-free colorability.  One pass suffices: a
     rejected edge stays rejected because UNCOLORABLE verdicts persist under
     adding more edges, and it settles its twin orbit without a search.  A
-    non-edge that no pattern copy would use is added without a search.  An
-    exhausted budget raises SearchAborted; a settled non-edge cannot.
+    non-edge that one more class on the current witness colors rainbow-free
+    is added without a search.  An exhausted budget raises SearchAborted; a
+    settled non-edge cannot.
     """
     solver = RainbowSolver(family, node_limit=node_limit, time_limit=time_limit)
-    if not solver.colorable(g0):
+    seed = solver.witness(g0)
+    if seed is None:
         raise ValueError("seed graph has no rainbow-free proper coloring")
-    return _add_greedily(g0, g0.non_edges(), solver)[0]
+    return _add_greedily(g0, g0.non_edges(), solver, seed.classes)[0]
 
 
 # -- closed-form oracles ---------------------------------------------------------

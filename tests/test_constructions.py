@@ -178,14 +178,14 @@ def test_solver_colorable_agrees_with_colorability(name):
     solver = RainbowSolver(family)
     res = solver.colorability(g)
     assert res.status is want
-    assert solver.colorable(g) is (want is Status.COLORABLE)
+    assert (solver.witness(g) is not None) is (want is Status.COLORABLE)
     starved = RainbowSolver(family, node_limit=0)
     if not res.stats.searches:
         # no pattern fits the host, so no search runs and no node is spent
-        assert starved.colorable(g) is (want is Status.COLORABLE)
+        assert (starved.witness(g) is not None) is (want is Status.COLORABLE)
         return
     with pytest.raises(SearchAborted, match=r"^budget exhausted") as err:
-        starved.colorable(g)
+        starved.witness(g)
     assert graph6_encode(g) in str(err.value)
 
 

@@ -34,6 +34,7 @@ from rainbowsat.engine import (
     _matches,
     _search_component,
     _search_order,
+    EdgeClasses,
     copy_through,
 )
 from rainbowsat.graphs import complete_bipartite, induced_subgraph, iter_bits
@@ -383,6 +384,34 @@ def test_copy_through_matches_copies_containing_the_edge(g):
             anywhere = anywhere or want
         every = [p.core for p in pats if p.order <= g.n]
         assert copy_through(g, every, u, v) is anywhere
+
+
+@settings(max_examples=60, deadline=None)
+@given(graphs(min_n=2, max_n=6))
+def test_extension_is_the_least_class_that_keeps_the_witness(g):
+    # the rule's class is the least one, fresh class included, that keeps a
+    # witness of g proper and rainbow-free on g + uv, by a check of every copy
+    for p in map(Pattern, THROUGH_PATTERNS.values()):
+        res = rainbow_free_colorable(g, [p])
+        if res.status is not Status.COLORABLE:
+            continue
+        cores = [p.core] if p.order <= g.n else []
+        for u, v in g.non_edges():
+            h = g.with_edge(u, v)
+            table = EdgeClasses(g, res.witness.classes)
+
+            def extended(c):
+                old = dict(zip(g.edges, res.witness.classes))
+                return EdgeColoring(tuple(old.get(e, c) for e in h.edges))
+
+            fresh = max(res.witness.classes, default=-1) + 1
+            want = next((c for c in range(fresh + 1) if is_proper(h, extended(c))
+                         and find_rainbow_embedding(h, extended(c), p) is None), None)
+            assert table.extension(h, cores, u, v) == want, (p, g.adj, u, v)
+            if want is not None:
+                table.add(u, v, want)
+                grown = EdgeClasses(h, extended(want).classes)
+                assert (table.color, table.used, table.fresh) == (grown.color, grown.used, grown.fresh)
 
 
 def test_arc_orbit_counts():

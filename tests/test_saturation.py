@@ -21,12 +21,10 @@ from rainbowsat import (
     cycle,
     disjoint_union,
     empty_graph,
-    enumerate_nonisomorphic_graphs,
     exists_embedding,
     find_rainbow_embedding,
     graph6_decode,
     greedy_saturate,
-    is_classically_saturated,
     is_proper,
     is_rainbow_saturated,
     join,
@@ -53,9 +51,15 @@ from rainbowsat.oracle import (
     naive_rainbow_free_colorable,
 )
 from rainbowsat import constructions, saturation
-from rainbowsat.engine import as_pattern, copy_through
+from rainbowsat.engine import EdgeClasses, EdgeColoring, as_pattern
 from rainbowsat.graphs import canonical_form, graph6_encode, induced_subgraph
-from rainbowsat.saturation import RainbowSolver, _saturated_levels, enumerate_levels
+from rainbowsat.saturation import (
+    RainbowSolver,
+    _pattern_free_rule,
+    _saturated_levels,
+    _witness_rule,
+    enumerate_levels,
+)
 
 from .strategies import flower, graphs
 
@@ -144,7 +148,7 @@ def orbit_rule_hosts():
     yield from ((ladder_construction(complete_graph(4), n).graph, [complete_graph(4)])
                 for n in (9, 13, 14))
     yield from ((p4_construction(n).graph, [path(4)]) for n in (16, 17, 18))
-    yield from ((wheel_construction(n).graph, [cycle(4)]) for n in range(6, 25))
+    yield from ((wheel_construction(n).graph, [cycle(4)]) for n in range(6, 17))
     parts = [complete_graph(2), complete_graph(3), complete_graph(4), star(2), star(3)]
     for a, b in combinations(parts + [empty_graph(2)], 2):
         for fam in ([path(4)], [cycle(4)], [complete_graph(3)]):
@@ -160,12 +164,13 @@ def verdict_fields(v):
     return v.status, v.failing_edge, v.failing_coloring, v.witness_coloring
 
 
-def test_orbit_rule_matches_every_non_edge(monkeypatch):
-    # one non-edge per automorphism orbit decides condition (b), and the
-    # first addable non-edge is the first of its orbit; the verdict is the
-    # one that trying every twin orbit gives, witnesses included
+def check_orbit_rule(hosts, monkeypatch) -> Counter:
+    """One non-edge per automorphism orbit decides condition (b), and the
+    first addable non-edge is the first of its orbit; the verdict is the one
+    that trying every twin orbit gives, witnesses included.  Returns the
+    count of each verdict."""
     seen = Counter()
-    for g, fam in orbit_rule_hosts():
+    for g, fam in hosts:
         got = is_rainbow_saturated(g, fam)
         assert (got.status, got.failing_edge) == every_non_edge_saturation(g, fam), g
         with monkeypatch.context() as patch:
@@ -180,7 +185,20 @@ def test_orbit_rule_matches_every_non_edge(monkeypatch):
             g2 = g.with_edge(*got.failing_edge)
             assert is_proper(g2, got.failing_coloring)
             assert all(find_rainbow_embedding(g2, got.failing_coloring, p) is None for p in fam)
+    return seen
+
+
+def test_orbit_rule_matches_every_non_edge(monkeypatch):
+    seen = check_orbit_rule(orbit_rule_hosts(), monkeypatch)
     assert seen[Verdict.SATURATED] > 20 and seen[Verdict.NOT_SATURATED] > 100
+
+
+@pytest.mark.extended
+def test_orbit_rule_matches_every_non_edge_on_large_wheels(monkeypatch):
+    # the reference runs, which search every twin orbit, take most of the
+    # time on these hosts
+    hosts = ((wheel_construction(n).graph, [cycle(4)]) for n in range(17, 25))
+    assert check_orbit_rule(hosts, monkeypatch) == {Verdict.SATURATED: 8}
 
 
 @pytest.mark.parametrize("family, pattern, n, orbits", [
@@ -226,6 +244,14 @@ def test_saturation_check_seeks_no_automorphisms_before_a_refutation(monkeypatch
 # -- classical saturation ---------------------------------------------------------
 
 
+def is_classically_saturated(g, h) -> bool:
+    """Reference: pattern-free, and every non-edge addition creates a copy."""
+    pat = as_pattern(h)
+    if exists_embedding(g, pat):
+        return False
+    return all(exists_embedding(g.with_edge(u, v), pat) for u, v in g.non_edges())
+
+
 def test_classical_examples():
     assert is_classically_saturated(join(complete_graph(2), empty_graph(4)), complete_graph(4))
     assert not is_classically_saturated(complete_graph(3), complete_graph(3))
@@ -245,6 +271,52 @@ def test_classical_matches_brute_force():
 
 
 # -- enumeration -------------------------------------------------------------------
+
+
+def enumerate_nonisomorphic_graphs(n, edge_budget=None):
+    """One canonical representative per isomorphism class, ascending edge count."""
+    for _, graphs in enumerate_levels(n, edge_budget):
+        yield from graphs
+
+
+def class_key(adj) -> tuple:
+    """Reference for ``saturation._child_keys``: the class key of the graph
+    with adjacency rows ``adj``, from scratch.
+
+    Each vertex v gets a label from its degree, the sum of its neighbors'
+    degrees, twice its triangle count and its 4-cycle count (the sum over
+    w != v of C(codeg(v, w), 2)); the key is the sorted tuple of the pairs
+    (label of v, sum of v's neighbors' labels), each packed into one int.
+    """
+    quads = saturation._QUADS
+    n = len(adj)
+    # a label packs degree | neighbors' degrees << 4 | twice the triangles
+    # << 11 | 4-cycles << 17; each pair of vertices adds its share to both
+    label = [row.bit_count() for row in adj]
+    shifted = [d << 4 for d in label]
+    edges = []
+    for v in range(n):
+        row = adj[v]
+        if not row:
+            continue
+        mine = 0
+        for w in range(v + 1, n):
+            c = (row & adj[w]).bit_count()
+            if row >> w & 1:
+                edges.append((v, w))
+                share = quads[c] + (c << 11)
+                mine += share + shifted[w]
+                label[w] += share + shifted[v]
+            elif c > 1:
+                mine += quads[c]
+                label[w] += quads[c]
+        label[v] += mine
+    key = [x << 28 for x in label]
+    for v, w in edges:
+        key[v] += label[w]
+        key[w] += label[v]
+    key.sort()
+    return tuple(key)
 
 
 def test_enumeration_counts():
@@ -299,7 +371,7 @@ def test_level_count_other_than_polya_raises(monkeypatch):
 @given(graphs(max_n=9), st.data())
 def test_class_key_is_relabel_invariant(g, data):
     perm = data.draw(st.permutations(range(g.n)))
-    assert saturation._class_key(g.relabel(perm).adj) == saturation._class_key(g.adj)
+    assert class_key(g.relabel(perm).adj) == class_key(g.adj)
 
 
 def test_class_key_separates_the_atlas():
@@ -308,7 +380,7 @@ def test_class_key_separates_the_atlas():
     for h in nx.graph_atlas_g():
         g = Graph(h.number_of_nodes(), h.edges())
         count[g.n, g.edge_count] += 1
-        keys.setdefault((g.n, g.edge_count), set()).add(saturation._class_key(g.adj))
+        keys.setdefault((g.n, g.edge_count), set()).add(class_key(g.adj))
     assert sum(count.values()) == 1253
     assert {nm: len(k) for nm, k in keys.items()} == count
 
@@ -323,13 +395,13 @@ def child_keys_by(key):
 
 
 def check_child_keys(n):
-    """``_child_keys`` against ``_class_key`` on every twin-orbit child on n
+    """``_child_keys`` against ``class_key`` on every twin-orbit child on n
     vertices; returns the number of children."""
     children = 0
     for m in range(comb(n, 2)):
         for rows in saturation._level(n, m).reps:
             pairs = Graph._from_adj(n, rows).orbit_non_edges()
-            want = [saturation._class_key(child_rows(n, rows, u, v)) for u, v in pairs]
+            want = [class_key(child_rows(n, rows, u, v)) for u, v in pairs]
             assert saturation._child_keys(n, rows, pairs) == want, (n, rows)
             children += len(pairs)
     return children
@@ -348,7 +420,7 @@ def test_child_keys_match_class_key_at_eight():
 @given(graphs(max_n=9))
 def test_child_keys_match_class_key_on_every_non_edge(g):
     pairs = g.non_edges()
-    want = [saturation._class_key(g.with_edge(u, v).adj) for u, v in pairs]
+    want = [class_key(g.with_edge(u, v).adj) for u, v in pairs]
     assert saturation._child_keys(g.n, g.adj, pairs) == want
 
 
@@ -379,7 +451,7 @@ def test_class_key_splitting_one_class_and_merging_two_raises(monkeypatch):
     # as many keys as classes, but one class under two keys and two classes
     # under one: only the check on canonical encodings catches it
     n, m = 6, 4
-    exact = saturation._class_key
+    exact = class_key
     labeled = {}  # key -> the labeled children under it
     for rows in saturation._level(n, m - 1).reps:
         g = Graph._from_adj(n, rows)
@@ -533,14 +605,9 @@ def test_saturated_levels_match_per_graph_filter(name):
     fam = LEVEL_TABLE_FAMILIES[name]
     table = RainbowSolver(fam)
     reference = RainbowSolver(fam)
-
-    def colorable(g):
-        return table.colorability(g).status is Status.COLORABLE
-
     for n in range(7):
         levels = dict(enumerate_levels(n))
-        cores = [p.core for p in map(as_pattern, fam) if p.order <= n]
-        rainbow = list(_saturated_levels(n, colorable, cores))
+        rainbow = list(_saturated_levels(n, *_witness_rule(table, n)))
         assert [m for m, _, _ in rainbow] == sorted(levels)
         for m, classes, hits in rainbow:
             assert classes == levels[m]
@@ -548,8 +615,10 @@ def test_saturated_levels_match_per_graph_filter(name):
                     if is_rainbow_saturated(g, solver=reference).status is Verdict.SATURATED]
             assert hits == want, (name, n, m)
         if len(fam) == 1:
-            pat = fam[0]
-            classical = _saturated_levels(n, lambda g: not exists_embedding(g, pat), cores)
+            pat = as_pattern(fam[0])
+            cores = [pat.core] if pat.order <= n else []
+            classical = _saturated_levels(n, not exists_embedding(empty_graph(n), pat),
+                                          _pattern_free_rule(cores))
             for m, _, hits in classical:
                 assert hits == [g for g in levels[m] if is_classically_saturated(g, pat)]
 
@@ -574,29 +643,30 @@ def reference_levels(n):
         level = nxt
 
 
-def reference_saturated_levels(n, free, cores, max_edges=None):
+def reference_saturated_levels(n, root, rule, max_edges=None):
     """Reference: the level table, trying every non-edge of every class; a
-    child of a free class with no core copy through its new edge is free."""
+    class is decided by ``rule`` on the first child to reach it, moved onto
+    the rep by that child's canonical relabeling."""
     assert max_edges is None
     levels = reference_levels(n)
     m, graphs = next(levels)
-    verdicts = [free(g) for g in graphs]
+    states = [root]
     while True:
         children = {}
-        for g, ok in zip(graphs, verdicts):
-            if not ok:
+        for g, state in zip(graphs, states):
+            if state is False:
                 for u, v in g.non_edges():
                     children[canonical_form(g.with_edge(u, v)).encoding] = False
         hits = []
-        for g, ok in zip(graphs, verdicts):
-            if ok:
+        for g, state in zip(graphs, states):
+            if state is not False:
+                decide = rule(g, state)
                 saturated = True
                 for u, v in g.non_edges():
-                    h = g.with_edge(u, v)
-                    key = canonical_form(h).encoding
-                    if key not in children:
-                        children[key] = not saturation.copy_through(h, cores, u, v) or free(h)
-                    saturated = saturated and not children[key]
+                    cf = canonical_form(g.with_edge(u, v))
+                    if cf.encoding not in children:
+                        children[cf.encoding] = decide(u, v, cf.relabeling)
+                    saturated = saturated and children[cf.encoding] is False
                 if saturated:
                     hits.append(g)
         yield m, graphs, hits
@@ -604,30 +674,30 @@ def reference_saturated_levels(n, free, cores, max_edges=None):
         if upper is None:
             return
         m, graphs = upper
-        verdicts = [children[key] for key in sorted(children)]
+        states = [children[key] for key in sorted(children)]
 
 
 def free_calls(levels, monkeypatch):
-    """The labeled graphs sat* and all_rainbow_saturated pass to ``free`` at
-    n = 6 for C4, and those they settle free without a call, in order, and
-    their results, with ``levels`` as the table."""
+    """The labeled graphs sat* and all_rainbow_saturated pass to the solver
+    at n = 6 for C4, and those they settle from a parent's witness, in
+    order, and their results, with ``levels`` as the walk."""
     calls = []
-    colorable = RainbowSolver.colorable
-    through = saturation.copy_through
+    witness = RainbowSolver.witness
+    extension = EdgeClasses.extension
 
     def recording(solver, g):
         calls.append(("free", g.n, g.adj))
-        return colorable(solver, g)
+        return witness(solver, g)
 
-    def settling(h, cores, u, v):
-        found = through(h, cores, u, v)
-        if not found:
+    def settling(table, h, cores, u, v):
+        c = extension(table, h, cores, u, v)
+        if c is not None:
             calls.append(("settled", h.n, h.adj))
-        return found
+        return c
 
     with monkeypatch.context() as patch:
-        patch.setattr(RainbowSolver, "colorable", recording)
-        patch.setattr(saturation, "copy_through", settling)
+        patch.setattr(RainbowSolver, "witness", recording)
+        patch.setattr(EdgeClasses, "extension", settling)
         patch.setattr(saturation, "_saturated_levels", levels)
         results = (sat_star_exact(6, [cycle(4)]), all_rainbow_saturated(6, [cycle(4)]))
     return calls, results
@@ -635,34 +705,89 @@ def free_calls(levels, monkeypatch):
 
 def test_twin_orbit_children_reach_the_same_graphs(monkeypatch):
     # the first child that reaches a class comes from the first non-edge of
-    # its twin orbit, so each class is decided on the same labeled graph
+    # its twin orbit, so each class is decided on the same labeled graph,
+    # from the same witness
     for n in range(8):
         assert list(enumerate_levels(n)) == list(reference_levels(n))
     want = free_calls(reference_saturated_levels, monkeypatch)
     assert free_calls(_saturated_levels, monkeypatch) == want
     assert len(want[0]) > 100
-    assert Counter(kind for kind, _, _ in want[0]) == {"free": 99, "settled": 152}
+    assert Counter(kind for kind, _, _ in want[0]) == {"free": 14, "settled": 237}
+
+
+def test_stored_relabeling_moves_each_decided_child_onto_its_rep():
+    # with every class free, the walk decides every class above the empty
+    # graph, each on the labeled child that its level put in canonical form
+    for n in range(8):
+        decided = []
+
+        def rule(g, _):
+            def decide(u, v, perm):
+                decided.append(g.with_edge(u, v).relabel(perm).adj)
+                return True
+            return decide
+
+        for m, _, _ in _saturated_levels(n, True, rule):
+            assert sorted(decided) == sorted(saturation._level(n, m + 1).reps), (n, m)
+            decided.clear()
+
+
+class CountingSolver(RainbowSolver):
+    searched = 0
+
+    def witness(self, g):
+        self.searched += 1
+        return super().witness(g)
+
+
+def settled_children(n, fam) -> list:
+    """Each child that the sat* walk on n vertices settles from its parent's
+    witness, up to the first level with a saturated class, as the child in
+    its rep's labeling and the witness it carries."""
+    solver = CountingSolver(fam)
+    root, rule = _witness_rule(solver, n)
+    settled = []
+
+    def recording(g, state):
+        decide = rule(g, state)
+
+        def recorded(u, v, perm):
+            before = solver.searched
+            out = decide(u, v, perm)
+            if solver.searched == before:
+                settled.append((g.with_edge(u, v).relabel(perm), out))
+            return out
+        return recorded
+
+    for _, _, hits in _saturated_levels(n, root, recording):
+        if hits:
+            break
+    return settled
+
+
+def check_settled_children(n, fam) -> int:
+    """Every settled child's witness is proper and rainbow-free, and a fresh
+    solver finds the child COLORABLE; returns the number of them."""
+    settled = settled_children(n, fam)
+    checker = RainbowSolver(fam)
+    for h, classes in settled:
+        coloring = EdgeColoring(tuple(classes))
+        assert is_proper(h, coloring), graph6_encode(h)
+        assert all(find_rainbow_embedding(h, coloring, p) is None for p in fam), graph6_encode(h)
+        assert checker.witness(h) is not None, graph6_encode(h)
+    return len(settled)
+
+
+@pytest.mark.parametrize("name", sorted(LEVEL_TABLE_FAMILIES))
+def test_witness_rule_settles_colorable_children(name):
+    assert sum(check_settled_children(n, LEVEL_TABLE_FAMILIES[name]) for n in range(7)) > 0
 
 
 @pytest.mark.extended
 @pytest.mark.parametrize("n", [7, 8])
 @pytest.mark.parametrize("pattern", [cycle(4), complete_graph(4)], ids=["C4", "K4"])
-def test_through_edge_rule_settles_colorable_children(pattern, n, monkeypatch):
-    # every child the walk marks free without a search is rainbow-free
-    # colorable by a search of its own
-    settled = []
-
-    def recording(h, cores, u, v):
-        found = copy_through(h, cores, u, v)
-        if not found:
-            settled.append(h)
-        return found
-
-    monkeypatch.setattr(saturation, "copy_through", recording)
-    sat_star_exact(n, [pattern])
-    checker = RainbowSolver([pattern])
-    assert settled
-    assert all(checker.colorable(h) for h in settled)
+def test_witness_rule_settles_colorable_children_at_seven_and_eight(pattern, n):
+    assert check_settled_children(n, [pattern]) > 0
 
 
 def test_second_run_reuses_the_levels():
@@ -690,15 +815,16 @@ def test_aborted_run_shares_no_verdicts():
     assert sorted(res.witnesses) == ["FFz~w", "FJ^~w", "FJn~w", "FJ~vw", "FLv~w", "Fjm~w"]
 
 
-# every new edge is a copy of K2, so a walk given [K2] calls ``free`` on
-# every child it decides, as the walks below need
-K2 = complete_graph(2)
+def below_nine_edges(g, _):
+    """A rule for walks that only need one: graphs with fewer than 9 edges
+    are free."""
+    return lambda u, v, _: g.edge_count < 8
 
 
 def test_yielded_levels_are_fresh_lists():
     for _, level in enumerate_levels(6):
         level.reverse()
-    for _, classes, hits in _saturated_levels(6, lambda g: g.edge_count < 9, [K2]):
+    for _, classes, hits in _saturated_levels(6, True, below_nine_edges):
         classes.clear()
         hits.append(empty_graph(6))
     assert list(enumerate_levels(6)) == list(reference_levels(6))
@@ -711,7 +837,7 @@ def test_yielded_graphs_are_fresh():
     assert first == second
     for (_, a), (_, b) in zip(first, second):
         assert all(g is not h for g, h in zip(a, b))
-    walks = [list(_saturated_levels(6, lambda g: g.edge_count < 9, [K2])) for _ in range(2)]
+    walks = [list(_saturated_levels(6, True, below_nine_edges)) for _ in range(2)]
     assert walks[0] == walks[1]
     for (_, a, _), (_, b, _) in zip(*walks):
         assert all(g is not h for g, h in zip(a, b))
@@ -786,12 +912,12 @@ def test_greedy_rejects_uncolorable_seed():
         greedy_saturate(path(3), [path(3)])
 
 
-def every_pair_greedy(g, pairs, solver):
+def every_pair_greedy(g, pairs, solver, classes=None):
     """Reference greedy loop: one search per candidate pair, no orbit skip."""
     added = []
     for u, v in pairs:
         g2 = g.with_edge(u, v)
-        if solver.colorable(g2):
+        if solver.witness(g2) is not None:
             g = g2
             added.append((u, v))
     return g, added
@@ -842,35 +968,35 @@ def test_greedy_matches_every_pair_greedy(name, monkeypatch):
     assert grown >= 8
 
 
-def colorable_calls(monkeypatch, build):
+def witness_calls(monkeypatch, build):
     calls = []
-    colorable = RainbowSolver.colorable
+    witness = RainbowSolver.witness
 
     def counting(solver, g):
         calls.append(g)
-        return colorable(solver, g)
+        return witness(solver, g)
 
     with monkeypatch.context() as patch:
-        patch.setattr(RainbowSolver, "colorable", counting)
+        patch.setattr(RainbowSolver, "witness", counting)
         build()
     return len(calls)
 
 
 def test_greedy_adds_an_edge_no_copy_uses_unsearched(monkeypatch):
-    # 12 of the 31 candidates that searching each would try have no C4
-    # copy through uv
+    # the witness rule finds a class for 21 of the 31 candidates that
+    # searching each would try, 12 of them with no C4 copy through uv
     def build():
         return greedy_saturate(empty_graph(12), [cycle(4)])
 
     want = with_every_pair_greedy(monkeypatch, build)
-    assert colorable_calls(monkeypatch, build) == 1 + 19  # the seed check, then the loop
+    assert witness_calls(monkeypatch, build) == 1 + 10  # the seed check, then the loop
     assert build() == want
 
 
 @pytest.mark.parametrize("r, n", [(3, 33), (4, 14)])
 def test_ladder_searches_once_per_rejected_twin_orbit(r, n, monkeypatch):
     # each lift joins a set of twins, so one rejected pair settles the set
-    assert colorable_calls(monkeypatch, lambda: ladder_construction(complete_graph(r), n)) <= 3
+    assert witness_calls(monkeypatch, lambda: ladder_construction(complete_graph(r), n)) <= 3
 
 
 # -- formulas and audits ---------------------------------------------------------------
