@@ -8,7 +8,8 @@ Exit codes: colorable exits 0/1/2 for COLORABLE/UNCOLORABLE/INDETERMINATE,
 check and construct --verify exit 0/1/2 for SATURATED/NOT_SATURATED/
 INDETERMINATE, any command whose search runs out of budget prints
 "INDETERMINATE: <message>" to stderr and exits 2, verify-paper exits 0 only
-if every claim passes, and unparsable or missing input exits 64.  Each
+if every claim passes, unparsable or missing input exits 64, and a closed
+standard output (say, ``| head``) exits 141, as 128 + SIGPIPE would.  Each
 subcommand reads only the global flags that ``READS`` lists for it and exits
 64 when given any other: verify-paper is budgeted by --nodes only, so that
 its report is reproducible, and sat and gadget run no colorability search.
@@ -17,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from . import verify
@@ -41,6 +43,7 @@ from .saturation import (
 
 EXIT_PARSE = 64
 EXIT_INDETERMINATE = 2
+EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE
 # one exit code per verdict, for colorable, check and construct --verify
 EXIT_CODES = {
     Status.COLORABLE: 0, Status.UNCOLORABLE: 1, Status.INDETERMINATE: EXIT_INDETERMINATE,
@@ -298,7 +301,14 @@ def main(argv=None) -> int:
             raise ValueError("timeout must be nonnegative")
         if args.nodes is not None and args.nodes < 0:
             raise ValueError("nodes must be nonnegative")
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # so that a closed pipe is met here, not at exit
+        return code
+    except BrokenPipeError:
+        # the reader has gone; send what is left to devnull, as Python's
+        # documentation advises, so that the flush at exit cannot fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_BROKEN_PIPE
     except SearchAborted as exc:
         print(f"INDETERMINATE: {exc}", file=sys.stderr)
         return EXIT_INDETERMINATE

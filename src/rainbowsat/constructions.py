@@ -15,12 +15,11 @@ from .graphs import (
     canonical_form,
     canonical_graph,
     complete_graph,
-    delete_vertices,
     disjoint_union,
     empty_graph,
     graph6_encode,
-    independence_number,
     independent_sets_of_size,
+    induced_subgraph,
     is_even_cycle_free,
     join,
     star,
@@ -193,11 +192,14 @@ def build_family_ladder(h) -> FamilyLadder:
     alphas = []
     while not any(f.is_bipartite() for f in levels[-1]):
         current = levels[-1]
-        alpha = max(independence_number(f) for f in current)
+        # independent sets shrink to independent sets, so alpha is the
+        # largest k at which some member has one
+        alpha = max(k for f in current for k in range(f.n + 1)
+                    if next(independent_sets_of_size(f, k), None) is not None)
         nxt = {}
         for f in current:
             for X in independent_sets_of_size(f, alpha):
-                sub = delete_vertices(f, X)
+                sub, _ = induced_subgraph(f, set(range(f.n)).difference(X))
                 cf = canonical_form(sub)
                 if cf.encoding not in nxt:
                     nxt[cf.encoding] = sub.relabel(cf.relabeling)

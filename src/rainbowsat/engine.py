@@ -31,7 +31,6 @@ from dataclasses import dataclass, field
 from enum import Enum
 from functools import lru_cache
 from itertools import groupby
-from math import factorial
 
 from .graphs import Graph, _Expired, induced_subgraph, iter_bits
 
@@ -108,10 +107,6 @@ class Pattern:
         self.isolated = graph.n - self.core.n
         self.core_connected = self.core.n <= 1 or self.core.is_connected()
 
-    @property
-    def automorphism_count(self) -> int:
-        return _symmetry(self.core)[0] * factorial(self.isolated)
-
     def __repr__(self):
         tag = self.name or f"n={self.graph.n},m={self.graph.edge_count}"
         return f"Pattern({tag})"
@@ -121,31 +116,30 @@ def as_pattern(obj) -> Pattern:
     return obj if isinstance(obj, Pattern) else Pattern(obj)
 
 
-@lru_cache(maxsize=256)
-def _match_order(pat: Graph) -> tuple:
-    """(order, anchors): a vertex order growing each component from a
-    high-degree root, and for each step the earlier steps whose vertex is
-    adjacent to the one placed.  Computed once per pattern graph."""
-    order = []
+def _plan(pat: Graph, head=()) -> tuple:
+    """(order, anchors): a vertex order that places ``head`` first, then at
+    each step the unplaced vertex with the most placed neighbors, then the
+    highest degree, then the least label; ``anchors[j]`` lists the earlier
+    steps whose vertex is adjacent to order[j].  With no placed neighbor
+    left, the order starts the next component at a highest-degree root."""
+    order = list(head)
     placed = 0
-    remaining = set(range(pat.n))
-    while remaining:
-        root = max(remaining, key=lambda v: (pat.degree(v), -v))
-        order.append(root)
-        placed |= 1 << root
-        remaining.remove(root)
-        while True:
-            frontier = [v for v in remaining if pat.adj[v] & placed]
-            if not frontier:
-                break
-            v = max(frontier, key=lambda u: ((pat.adj[u] & placed).bit_count(), pat.degree(u), -u))
-            order.append(v)
-            placed |= 1 << v
-            remaining.remove(v)
+    for v in head:
+        placed |= 1 << v
+    rest = [v for v in range(pat.n) if not placed >> v & 1]
+    while rest:
+        v = max(rest, key=lambda u: ((pat.adj[u] & placed).bit_count(), pat.degree(u), -u))
+        order.append(v)
+        placed |= 1 << v
+        rest.remove(v)
     anchors = tuple(
         tuple(i for i in range(j) if pat.has_edge(order[i], v)) for j, v in enumerate(order)
     )
     return tuple(order), anchors
+
+
+# the plan of each pattern graph, computed once
+_match_order = lru_cache(maxsize=256)(_plan)
 
 
 def _matches(host: Graph, pat: Graph, above=None, deadline=None):
@@ -219,7 +213,7 @@ def _matches(host: Graph, pat: Graph, above=None, deadline=None):
 
 @lru_cache(maxsize=256)
 def _symmetry(core: Graph) -> tuple:
-    """(|Aut(core)|, ``above`` conditions that admit one map per copy).
+    """The ``above`` conditions that admit one map per copy.
 
     One pass over the automorphisms.  Along ``_match_order``, the group
     fixing the first j vertices moves vertex order[j] within an orbit; the
@@ -231,25 +225,21 @@ def _symmetry(core: Graph) -> tuple:
     order, _ = _match_order(core)
     step = {v: j for j, v in enumerate(order)}
     above = [set() for _ in order]
-    count = 0
     for aut in _matches(core, core):
-        count += 1
         for j, v in enumerate(order):
             if aut[v] != v:
                 # aut fixes order[:j], so aut[v] is placed after step j
                 above[step[aut[v]]].add(j)
                 break
-    return count, tuple(tuple(sorted(a)) for a in above)
+    return tuple(tuple(sorted(a)) for a in above)
 
 
 @lru_cache(maxsize=256)
 def _arc_orbits(core: Graph) -> tuple:
     """One arc (a, b), the least, from each orbit of Aut(core) on the arcs
     of core (the ordered pairs of adjacent vertices), as a plan that places
-    the core with a and b first: (order, anchors, the core's edges other
-    than ab).  After a and b, ``order`` takes the vertex with the most
-    placed neighbors, the least on ties; ``anchors[j]`` lists the earlier
-    steps whose vertex is adjacent to order[j]."""
+    the core with a and b first: ``_plan``'s (order, anchors) and the
+    core's edges other than ab."""
     auts = list(_matches(core, core))
     seen = set()
     out = []
@@ -258,17 +248,8 @@ def _arc_orbits(core: Graph) -> tuple:
             if (a, b) in seen:
                 continue
             seen.update((aut[a], aut[b]) for aut in auts)
-            order = [a, b]
-            placed = 1 << a | 1 << b
-            while len(order) < core.n:
-                w = max((x for x in range(core.n) if not placed >> x & 1),
-                        key=lambda x: ((core.adj[x] & placed).bit_count(), -x))
-                order.append(w)
-                placed |= 1 << w
-            anchors = tuple(tuple(i for i in range(j) if core.has_edge(order[i], w))
-                            for j, w in enumerate(order))
             others = tuple(e for e in core.edges if e != (a, b) and e != (b, a))
-            out.append((tuple(order), anchors, others))
+            out.append((*_plan(core, (a, b)), others))
     return tuple(out)
 
 
@@ -395,7 +376,7 @@ def _copies(g: Graph, core: Graph, deadline=None) -> list:
     index = g.edge_index
     pedges = core.edges
     found = []
-    for assigned in _matches(g, core, above=_symmetry(core)[1], deadline=deadline):
+    for assigned in _matches(g, core, above=_symmetry(core), deadline=deadline):
         ids = []
         for pu, pv in pedges:
             hu, hv = assigned[pu], assigned[pv]

@@ -161,15 +161,9 @@ class Graph:
             return low.bit_length() - 1, cb.bit_length() - 1
 
         root = {e: e for e in out}  # union-find, each root its class's least
-
-        def find(e):
-            while root[e] != e:
-                root[e] = e = root[root[e]]
-            return e
-
         for perm in gens:
             for u, v in out:
-                x, y = find((u, v)), find(first(perm[u], perm[v]))
+                x, y = _find(root, (u, v)), _find(root, first(perm[u], perm[v]))
                 if x != y:
                     root[max(x, y)] = min(x, y)
         return [e for e in out if root[e] == e]
@@ -279,13 +273,6 @@ def induced_subgraph(g: Graph, vertices) -> tuple:
         (pos[u], pos[v]) for u, v in combinations(vmap, 2) if g.has_edge(u, v)
     ]
     return Graph(len(vmap), edges), vmap
-
-
-def delete_vertices(g: Graph, vertices) -> Graph:
-    drop = set(vertices)
-    keep = [v for v in range(g.n) if v not in drop]
-    sub, _ = induced_subgraph(g, keep)
-    return sub
 
 
 # -- standard generators ---------------------------------------------------
@@ -490,11 +477,9 @@ def _canonical_search(g: Graph, deadline=None):
     n, adj = g.n, g.adj
     if n <= 1:
         return 0, tuple(range(n)), []
-    full = (1 << n) - 1
-    if all(a == full ^ (1 << v) for v, a in enumerate(adj)) or not any(adj):
-        # complete and empty graphs: every ordering gives the same code, and
-        # all vertices are twins
-        return _leaf_code(adj, range(n)), tuple(range(n)), []
+    # twins (equal open or closed neighborhoods) are swapped by a
+    # transposition automorphism, so one child per twin class suffices
+    twins = g.twin_classes()
 
     first = best = None  # the code of the first leaf, and of the best one
     leaves = {}  # code -> (ordering, individualized vertices) of those two
@@ -542,25 +527,19 @@ def _canonical_search(g: Graph, deadline=None):
         for target, cell in enumerate(cells):
             if len(cell) > 1:
                 break
-        # twin vertices (equal open or closed neighborhoods) are swapped by a
-        # transposition automorphism, so one representative per twin class
-        # suffices; a closed neighborhood is kept complemented, so negative
-        seen = set()
+        tried = 0  # the twin classes of the children explored
         explored = []
         orbit = None  # union-find over the vertices under the generators fixing ``path``
         used = 0  # the generators looked at
         for i, v in enumerate(cell):
-            open_key = adj[v]
-            closed_key = ~(open_key | (1 << v))
-            if open_key in seen or closed_key in seen:
+            if tried >> v & 1:
                 continue
             if used < len(gens):
                 orbit = _join_orbits(orbit, gens[used:], fixes[used:], path)
                 used = len(gens)
             if orbit is not None and _find(orbit, v) in {_find(orbit, u) for u in explored}:
                 continue
-            seen.add(open_key)
-            seen.add(closed_key)
+            tried |= twins[v]
             rest = cell[:i] + cell[i + 1 :]
             # the partition was equitable, so only the two new cells can split
             dirty = [False] * (len(cells) + 1)
@@ -581,7 +560,8 @@ def _canonical_search(g: Graph, deadline=None):
 
 
 def _find(orbit, v):
-    """The root of v in the union-find list ``orbit``, halving the path."""
+    """The root of v in the union-find ``orbit``, a list or a dict sending
+    each element to its parent, halving the path."""
     while orbit[v] != v:
         orbit[v] = v = orbit[orbit[v]]
     return v
@@ -642,34 +622,6 @@ def are_isomorphic(g: Graph, h: Graph) -> bool:
 
 
 # -- independent sets --------------------------------------------------------
-
-
-def max_independent_set(g: Graph) -> tuple:
-    """A maximum independent set, found by exact branch and bound."""
-    n = g.n
-    if n == 0:
-        return ()
-    adj = g.adj
-    best = [0, -1]  # size, mask
-
-    def grow(cand: int, cur_mask: int, cur_size: int):
-        if cur_size + cand.bit_count() <= best[0]:
-            return
-        if cand == 0:
-            best[0] = cur_size
-            best[1] = cur_mask
-            return
-        # branch on the highest-degree candidate, lowest id on ties
-        v = max(iter_bits(cand), key=lambda u: ((adj[u] & cand).bit_count(), -u))
-        grow(cand & ~(adj[v] | (1 << v)), cur_mask | (1 << v), cur_size + 1)
-        grow(cand & ~(1 << v), cur_mask, cur_size)
-
-    grow((1 << n) - 1, 0, 0)
-    return tuple(iter_bits(best[1]))
-
-
-def independence_number(g: Graph) -> int:
-    return len(max_independent_set(g))
 
 
 def independent_sets_of_size(g: Graph, k: int):

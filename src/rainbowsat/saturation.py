@@ -241,9 +241,13 @@ def is_rainbow_saturated(g: Graph, family=None, *, solver: RainbowSolver | None 
     that search stops at the solver's ``time_limit``, and the generators
     found by then merge fewer orbits, which costs searches, not soundness.
     The solver splits each g+e into components and reads the untouched ones
-    back from its cache.
+    back from its cache.  Only a NOT_SATURATED verdict has a
+    ``failing_edge``; an INDETERMINATE one names the non-edge whose search
+    ran out of budget in its ``reason``.
     """
     if solver is None:
+        if family is None:
+            raise ValueError("is_rainbow_saturated needs a family or a solver")
         solver = RainbowSolver(family, node_limit=node_limit, time_limit=time_limit)
     base = solver.colorability(g)
     if base.status is Status.INDETERMINATE:
@@ -260,8 +264,7 @@ def is_rainbow_saturated(g: Graph, family=None, *, solver: RainbowSolver | None 
         if res.status is Status.INDETERMINATE:
             return SaturationVerdict(
                 Verdict.INDETERMINATE,
-                failing_edge=(u, v),
-                reason="budget exhausted on non-edge check",
+                reason=f"budget exhausted on non-edge {(u, v)}",
                 nonedges_checked=checked,
                 nonedges_refuted=refuted,
             )

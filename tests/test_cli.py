@@ -1,10 +1,17 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import rainbowsat
 from rainbowsat.cli import main
-from rainbowsat.constructions import gadget
-from rainbowsat.graphs import graph6_decode, graph6_encode
+from rainbowsat.constructions import gadget, ladder_construction, p4_construction
+from rainbowsat.graphs import complete_graph, graph6_decode, graph6_encode
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def run(capsys, *argv):
@@ -96,6 +103,43 @@ def test_check_command(capsys):
 
     code, out = run(capsys, "check", "E2", "K2")
     assert code == 0 and "SATURATED" in out
+
+
+@pytest.mark.parametrize(
+    "graph, pattern, golden",
+    [
+        ("W24", "C4", "check-W24-C4.json"),
+        (graph6_encode(p4_construction(18).graph), "P4", "check-p4-18-P4.json"),
+    ],
+    ids=["W24-C4", "p4-18-P4"],
+)
+def test_check_json_matches_golden(graph, pattern, golden, capsys):
+    # the orbit count and the witness coloring rest on the canonical search's
+    # twin rule and on the union-find that merges non-edge orbits
+    code, out = run(capsys, "check", graph, pattern, "--json")
+    assert code == 0 and out == (GOLDEN / golden).read_text()
+
+
+def test_indeterminate_check_names_no_failing_edge(capsys):
+    host = graph6_encode(ladder_construction(complete_graph(4), 12).graph)
+    code, out = run(capsys, "check", host, "K4", "--nodes", "0")
+    assert code == 2 and out == "INDETERMINATE: budget exhausted on non-edge (1, 2)\n"
+    code, out = run(capsys, "--json", "check", host, "K4", "--nodes", "0")
+    payload = json.loads(out)
+    assert code == 2 and payload["status"] == "INDETERMINATE"
+    assert "failing_edge" not in payload and "failing_coloring" not in payload
+
+
+def test_closed_stdout_exits_141():
+    read, write = os.pipe()
+    os.close(read)  # the reader is gone before anything is written
+    env = {**os.environ, "PYTHONPATH": str(Path(rainbowsat.__file__).parents[1])}
+    try:
+        done = subprocess.run([sys.executable, "-m", "rainbowsat.cli", "gadget", "--list"],
+                              stdout=write, stderr=subprocess.PIPE, env=env, timeout=60)
+    finally:
+        os.close(write)
+    assert (done.returncode, done.stderr) == (141, b"")
 
 
 def test_sat_commands(capsys):

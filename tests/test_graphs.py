@@ -24,7 +24,6 @@ from rainbowsat import (
     graph_to_json,
     is_even_cycle_free,
     join,
-    max_independent_set,
     named_graph,
     path,
     star,
@@ -32,7 +31,7 @@ from rainbowsat import (
 )
 from rainbowsat import graphs as graphs_module
 from rainbowsat.constructions import p4_construction
-from rainbowsat.graphs import induced_subgraph, iter_bits
+from rainbowsat.graphs import independent_sets_of_size, induced_subgraph, iter_bits
 from rainbowsat.oracle import brute_isomorphic, brute_non_edge_orbits
 
 from .strategies import flower, graphs
@@ -434,45 +433,14 @@ def test_canonical_relabeling_realizes_encoding():
 # -- independent sets ---------------------------------------------------------
 
 
-def test_mis_examples():
-    assert len(max_independent_set(complete_graph(4))) == 1
-    assert len(max_independent_set(empty_graph(6))) == 6
-    assert len(max_independent_set(cycle(5))) == 2
-
-
 @settings(max_examples=80)
 @given(graphs(max_n=9))
-def test_mis_is_independent_and_maximum(g):
-    mis = max_independent_set(g)
-    assert all(not g.has_edge(u, v) for u, v in combinations(mis, 2))
-    # exhaustive maximality check
-    for size in range(len(mis) + 1, g.n + 1):
-        for combo in combinations(range(g.n), size):
-            assert any(g.has_edge(u, v) for u, v in combinations(combo, 2))
-
-
-def test_mis_sixteen_vertices():
-    rng = random.Random(99)
-    g = random_graph(rng, 16, 30)
-    mis = max_independent_set(g)
-    assert all(not g.has_edge(u, v) for u, v in combinations(mis, 2))
-    best = max(
-        (mask.bit_count() for mask in range(1 << 16)
-         if all(not g.adj[v] & mask for v in range(16) if mask >> v & 1)),
-    )
-    assert len(mis) == best
-
-
-@pytest.mark.extended
-def test_mis_twenty_vertices_exhaustive():
-    rng = random.Random(7)
-    g = random_graph(rng, 20, 60)
-    mis = max_independent_set(g)
-    best = 0
-    for mask in range(1 << 20):
-        if all(not g.adj[v] & mask for v in range(20) if mask >> v & 1):
-            best = max(best, mask.bit_count())
-    assert len(mis) == best
+def test_independent_sets_of_size_match_bitmask_enumeration(g):
+    independent = [mask for mask in range(1 << g.n)
+                   if all(not g.adj[v] & mask for v in iter_bits(mask))]
+    for k in range(g.n + 1):
+        want = sorted(tuple(iter_bits(mask)) for mask in independent if mask.bit_count() == k)
+        assert list(independent_sets_of_size(g, k)) == want
 
 
 # -- graph6 -------------------------------------------------------------------

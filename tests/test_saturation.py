@@ -102,6 +102,11 @@ def test_edgeless_pair_is_k2_saturated():
     assert is_rainbow_saturated(path(2), [complete_graph(2)]).status is Verdict.NOT_SATURATED
 
 
+def test_saturation_check_needs_a_family_or_a_solver():
+    with pytest.raises(ValueError, match="family or a solver"):
+        is_rainbow_saturated(wheel(8))
+
+
 def test_failing_coloring_merges_across_components():
     g = disjoint_union([complete_graph(4), star(3)])
     v = is_rainbow_saturated(g, [path(4)])
