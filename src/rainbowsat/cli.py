@@ -8,7 +8,7 @@ Exit codes: colorable exits 0/1/2 for COLORABLE/UNCOLORABLE/INDETERMINATE,
 check and construct --verify exit 0/1/2 for SATURATED/NOT_SATURATED/
 INDETERMINATE, any command whose search runs out of budget prints
 "INDETERMINATE: <message>" to stderr and exits 2, verify-paper exits 0 only
-if every claim passes, unparsable or missing input exits 64, and a closed
+if every claim passes, any usage or input error exits 64, and a closed
 standard output (say, ``| head``) exits 141, as 128 + SIGPIPE would.  Each
 subcommand reads only the global flags that ``READS`` lists for it and exits
 64 when given any other: verify-paper is budgeted by --nodes only, so that
@@ -134,24 +134,18 @@ def cmd_satstar(args) -> int:
     return 0
 
 
+# the colored constructions: kind -> (builder, the pattern their coloring keeps rainbow-free)
+COLORED = {"p4": (p4_construction, "P4"), "wheel": (wheel_construction, "C4")}
+
+
 def cmd_construct(args) -> int:
+    coloring = None
     if args.kind == "ehm":
         if args.r is None:
             raise ValueError("construct ehm needs --r")
         g = ehm_graph(args.n, args.r)
         payload = {"graph6": graph6_encode(g), "graph": graph_to_json(g)}
         family = [named_graph(f"K{args.r}")]
-        coloring = None
-    elif args.kind == "p4":
-        cg = p4_construction(args.n)
-        g, coloring = cg.graph, cg.coloring
-        payload = {"graph6": graph6_encode(g), "coloring": coloring.to_json()}
-        family = [named_graph("P4")]
-    elif args.kind == "wheel":
-        cg = wheel_construction(args.n)
-        g, coloring = cg.graph, cg.coloring
-        payload = {"graph6": graph6_encode(g), "coloring": coloring.to_json()}
-        family = [named_graph("C4")]
     elif args.kind == "ladder":
         if args.pattern is None:
             raise ValueError("construct ladder needs --pattern")
@@ -160,9 +154,12 @@ def cmd_construct(args) -> int:
         g = res.graph
         payload = {"graph6": graph6_encode(g), "trace": res.trace}
         family = [pattern]
-        coloring = None
     else:
-        raise ValueError(args.kind)
+        build, name = COLORED[args.kind]
+        cg = build(args.n)
+        g, coloring = cg.graph, cg.coloring
+        payload = {"graph6": graph6_encode(g), "coloring": coloring.to_json()}
+        family = [named_graph(name)]
     human = graph6_encode(g)
     if coloring is not None:
         human += "\n" + coloring.as_lines(g)
@@ -170,10 +167,8 @@ def cmd_construct(args) -> int:
         verdict = is_rainbow_saturated(g, family, **_limits(args))
         payload["verified"] = verdict.status.value
         human += f"\nverified: {verdict.status.value}"
-        _emit(args, payload, human)
-        return EXIT_CODES[verdict.status]
     _emit(args, payload, human)
-    return 0
+    return EXIT_CODES[verdict.status] if args.verify else 0
 
 
 def cmd_gadget(args) -> int:
@@ -207,6 +202,14 @@ def cmd_verify_paper(args) -> int:
     return 0 if report["status"] == "pass" else 1
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors exit EXIT_PARSE, not argparse's 2, which means INDETERMINATE."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_PARSE, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
     # global flags live on a suppressed-default parent so they parse both
     # before and after the subcommand
@@ -222,9 +225,7 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--seed", type=int, default=argparse.SUPPRESS,
                         help="seed for verify-paper's random graphs")
 
-    parser = argparse.ArgumentParser(
-        prog="rainbowsat", description=__doc__.splitlines()[0], parents=[common]
-    )
+    parser = _Parser(prog="rainbowsat", description=__doc__.splitlines()[0], parents=[common])
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("colorable", help="decide rainbow-free colorability", parents=[common])

@@ -105,7 +105,7 @@ class Pattern:
         keep = [v for v in range(graph.n) if graph.degree(v) > 0]
         self.core, _ = induced_subgraph(graph, keep)
         self.isolated = graph.n - self.core.n
-        self.core_connected = self.core.n <= 1 or self.core.is_connected()
+        self.core_connected = self.core.is_connected()
 
     def __repr__(self):
         tag = self.name or f"n={self.graph.n},m={self.graph.edge_count}"

@@ -743,8 +743,6 @@ def named_graph(name: str) -> Graph:
     if "_" in name and name.startswith("K"):
         a, _, b = name[1:].partition("_")
         if a.isdigit() and b.isdigit():
-            if a == "1":
-                return star(int(b))
             return complete_bipartite(int(a), int(b))
     kind, num = name[:1], name[1:]
     if num.isdigit():

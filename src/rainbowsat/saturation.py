@@ -22,14 +22,14 @@ Two structural facts carry the heavy lifting:
   orbit of the full group: after the first non-edge is refuted, it merges
   the twin orbits under automorphisms that the canonical search meets
   (``graphs.automorphism_generators``), each checked to preserve edges and
-  found within the solver's ``time_limit``; fewer of them only means more
+  found within the check's ``time_limit``; fewer of them only means more
   searches.
 
 ``RainbowSolver`` memoizes its verdicts by labeled host, so a witness
 depends on the host alone.  The level table holds the isomorphism classes
 of each n and their twin-orbit children, built once per process, one level
-at a time as a walk first needs it, and shared by ``sat_exact``,
-``sat_star_exact``, ``all_rainbow_saturated`` and ``enumerate_levels``.
+at a time as ``enumerate_levels`` first yields it; the walks of ``sat_exact``,
+``sat_star_exact`` and ``all_rainbow_saturated`` read it through that generator.
 Children are told apart by a cheap vertex-invariant key (``_child_keys``),
 exact through n = 9 and checked against Pólya's count at every level, so
 canonical form runs once per class, on the first child to reach it, and the
@@ -225,8 +225,7 @@ class RainbowSolver:
 # -- saturation checks --------------------------------------------------------
 
 
-def is_rainbow_saturated(g: Graph, family=None, *, solver: RainbowSolver | None = None,
-                         node_limit=None, time_limit=None) -> SaturationVerdict:
+def is_rainbow_saturated(g: Graph, family, *, node_limit=None, time_limit=None) -> SaturationVerdict:
     """Check conditions (a) and (b) of rainbow family saturation.
 
     (b) tries the first non-edge of each automorphism orbit only, in
@@ -238,17 +237,14 @@ def is_rainbow_saturated(g: Graph, family=None, *, solver: RainbowSolver | None 
     refuted, the twin orbits (``Graph.orbit_non_edges``) are merged under
     the generators that the canonical search meets
     (``graphs.automorphism_generators``), each checked to preserve edges;
-    that search stops at the solver's ``time_limit``, and the generators
-    found by then merge fewer orbits, which costs searches, not soundness.
+    that search stops at ``time_limit``, and the generators found by then
+    merge fewer orbits, which costs searches, not soundness.
     The solver splits each g+e into components and reads the untouched ones
     back from its cache.  Only a NOT_SATURATED verdict has a
     ``failing_edge``; an INDETERMINATE one names the non-edge whose search
     ran out of budget in its ``reason``.
     """
-    if solver is None:
-        if family is None:
-            raise ValueError("is_rainbow_saturated needs a family or a solver")
-        solver = RainbowSolver(family, node_limit=node_limit, time_limit=time_limit)
+    solver = RainbowSolver(family, node_limit=node_limit, time_limit=time_limit)
     base = solver.colorability(g)
     if base.status is Status.INDETERMINATE:
         return SaturationVerdict(Verdict.INDETERMINATE, reason="budget exhausted on host")
@@ -258,7 +254,7 @@ def is_rainbow_saturated(g: Graph, family=None, *, solver: RainbowSolver | None 
         )
 
     checked = refuted = 0
-    for u, v in _orbit_representatives(g, solver.time_limit):
+    for u, v in _orbit_representatives(g, time_limit):
         res = solver.colorability(g.with_edge(u, v))
         checked += 1
         if res.status is Status.INDETERMINATE:
@@ -494,9 +490,9 @@ def enumerate_levels(n: int, max_edges: int | None = None):
     canonical form once; each finished level's key count is checked against
     ``oracle.graph_counts``.
 
-    The levels of each n are built once per process and shared with
-    ``sat_exact``, ``sat_star_exact`` and ``all_rainbow_saturated``; each
-    level is yielded as a fresh list of fresh graphs.
+    The levels of each n are built once per process, each in the ``next()``
+    that first yields it, and every walk reads them through this generator;
+    each level is yielded as a fresh list of fresh graphs.
     """
     cap = _edge_cap(n, max_edges)
     for m in range(cap + 1):
@@ -520,25 +516,26 @@ def _saturated_levels(n: int, root, rule, max_edges=None):
     perm of g + uv onto its class's rep (vertex x to perm[x]), it returns
     the child's state in the rep's labeling, or False.
 
-    The walk reads the levels of ``enumerate_levels``, built once per
-    process for each n, and keeps its states to itself.  A child of a class
-    that is not free is not free.  Any other class is decided once, on the
-    first child to reach it: all its parents are free, so that child comes
-    from the first parent in class order, by the first non-edge of each twin
-    orbit, and is the labeled graph that trying every non-edge would reach
-    it by and that the level put in canonical form.  So the relabeling the
-    level stored moves the child onto the rep, with no canonical form
-    computed.  A free class is saturated iff none of its children is free;
-    children past ``max_edges`` are decided too, so the last level within
-    the budget is judged in full.
+    The walk reads ``enumerate_levels`` one level ahead, so each level is
+    built in that generator, and keeps its states to itself.  A child of a
+    class that is not free is not free.  Any other class is decided once, on
+    the first child to reach it: all its parents are free, so that child
+    comes from the first parent in class order, by the first non-edge of
+    each twin orbit, and is the labeled graph that trying every non-edge
+    would reach it by and that the level put in canonical form.  So the
+    relabeling the level stored moves the child onto the rep, with no
+    canonical form computed.  A free class is saturated iff none of its
+    children is free; children past ``max_edges`` are decided too, so the
+    last level within the budget is judged in full.
     """
     cap = _edge_cap(n, max_edges)
-    classes = [Graph._from_adj(n, adj) for adj in _level(n, 0).reps]
+    levels = enumerate_levels(n, cap + 1)
+    _, classes = next(levels)
     states = [root]
     for m in range(cap + 1):
-        up = _level(n, m + 1)
-        pairs, child, start, relabel = up.pairs, up.child, up.start, up.relabel
-        above = [None] * len(up.reps)  # None until decided
+        _, ahead = next(levels, (None, []))
+        _, pairs, child, start, relabel = _level(n, m + 1)
+        above = [None] * len(ahead)  # None until decided
         for i, state in enumerate(states):
             if state is False:
                 for k in range(start[i], start[i + 1]):
@@ -560,17 +557,18 @@ def _saturated_levels(n: int, root, rule, max_edges=None):
                 if all(above[child[k]] is False for k in kids):
                     hits.append(g)
         yield m, classes, hits
-        classes = [Graph._from_adj(n, adj) for adj in up.reps]
-        states = above
+        classes, states = ahead, above
 
 
-def _pattern_free_rule(cores):
-    """The rule of ``_saturated_levels`` for freedom from the pattern graphs
-    ``cores``, with True as every free class's state: g + uv is free iff no
-    copy goes through uv."""
+def _pattern_free_rule(pat: Pattern, n: int):
+    """(root, rule) of ``_saturated_levels`` for freedom from the pattern
+    ``pat`` on n vertices, with True as every free class's state: g + uv is
+    free iff no copy of the core goes through uv."""
+    cores = [pat.core] if pat.order <= n else []
+
     def rule(g, _):
         return lambda u, v, _: not copy_through(g.with_edge(u, v), cores, u, v)
-    return rule
+    return not exists_embedding(empty_graph(n), pat), rule
 
 
 def _witness_rule(solver: RainbowSolver, n: int):
@@ -635,10 +633,7 @@ def _sat_number(n: int, famkey: tuple, root, rule, edge_budget=None,
 def sat_exact(n: int, h, *, edge_budget=None) -> SatNumberResult:
     """Classical saturation number by ascending exhaustive enumeration."""
     pat = as_pattern(h)
-    return _sat_number(
-        n, (graph6_encode(pat.graph),), not exists_embedding(empty_graph(n), pat),
-        _pattern_free_rule([pat.core] if pat.order <= n else []), edge_budget,
-    )
+    return _sat_number(n, (graph6_encode(pat.graph),), *_pattern_free_rule(pat, n), edge_budget)
 
 
 def sat_star_exact(

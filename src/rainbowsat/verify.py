@@ -305,25 +305,13 @@ def claim_ladder(config):
     sizes and every result is engine-verified.
     """
     checks = []
-    lad4 = build_family_ladder(complete_graph(4))
-    seq4_ok = (
-        lad4.orders == (4, 3, 2)
-        and lad4.alphas == (1, 1)
-        and all(len(level) == 1 for level in lad4.levels)
-        and all(
-            are_isomorphic(lad4.levels[i][0], complete_graph(4 - i)) for i in range(3)
-        )
-    )
-    checks.append(_check("ladder levels K4", seq4_ok, {"orders": list(lad4.orders)}))
-    lad3 = build_family_ladder(complete_graph(3))
-    seq3_ok = (
-        lad3.orders == (3, 2)
-        and lad3.alphas == (1,)
-        and all(
-            are_isomorphic(lad3.levels[i][0], complete_graph(3 - i)) for i in range(2)
-        )
-    )
-    checks.append(_check("ladder levels K3", seq3_ok, {"orders": list(lad3.orders)}))
+    for r in (4, 3):
+        # K_r, K_{r-1}, ..., K2: each level one clique, one vertex smaller
+        lad = build_family_ladder(complete_graph(r))
+        ok = lad.orders == tuple(range(r, 1, -1)) and lad.alphas == (1,) * (r - 2) and all(
+            len(level) == 1 and are_isomorphic(level[0], complete_graph(r - i))
+            for i, level in enumerate(lad.levels))
+        checks.append(_check(f"ladder levels K{r}", ok, {"orders": list(lad.orders)}))
 
     bounds = {"K3": 31, "K4": 99}  # sum of guaranteed set sizes plus one
     ranges = {

@@ -67,6 +67,27 @@ def test_bad_input_exits_64(argv, tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error: ")
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [["check", "K4"], ["satstar", "x", "C4"], ["colorable", "K4", "P4", "--bogus"]],
+    ids=["missing-patterns", "non-integer-n", "unknown-flag"],
+)
+def test_usage_error_exits_64_not_2(argv, capsys):
+    # exit 2 means INDETERMINATE, so argparse's own usage exit would read as one
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 64
+    err = capsys.readouterr().err
+    assert err.startswith("usage: rainbowsat") and "error: " in err
+
+
+def test_help_exits_0(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["check", "--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: rainbowsat check")
+
+
 def test_verify_paper_timeout_error_points_to_nodes(capsys):
     assert main(["verify-paper", "--only", "c4-degree1", "--timeout", "5"]) == 64
     err = capsys.readouterr().err

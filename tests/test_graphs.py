@@ -521,6 +521,8 @@ def test_named_graph():
     assert named_graph("E7") == empty_graph(7)
     assert named_graph("W8") == wheel(8)
     assert named_graph("K1_4") == star(4)
+    assert named_graph("K1_0") == star(0)
+    assert named_graph("K1_1") == star(1)
     assert are_isomorphic(named_graph("K2_3"), join(empty_graph(2), empty_graph(3)))
     with pytest.raises(ValueError):
         named_graph("Q3")

@@ -268,7 +268,7 @@ def test_merged_witnesses_recheck_on_disjoint_unions(g, name):
         if want:
             assert _rainbow_free(g, res.witness, family)
 
-    verdict = is_rainbow_saturated(g, solver=solver)
+    verdict = is_rainbow_saturated(g, family)
     assert verdict.status is not Verdict.INDETERMINATE
     if verdict.status is Verdict.NOT_SATURATED and want:
         g2 = g.with_edge(*verdict.failing_edge)

@@ -102,11 +102,6 @@ def test_edgeless_pair_is_k2_saturated():
     assert is_rainbow_saturated(path(2), [complete_graph(2)]).status is Verdict.NOT_SATURATED
 
 
-def test_saturation_check_needs_a_family_or_a_solver():
-    with pytest.raises(ValueError, match="family or a solver"):
-        is_rainbow_saturated(wheel(8))
-
-
 def test_failing_coloring_merges_across_components():
     g = disjoint_union([complete_graph(4), star(3)])
     v = is_rainbow_saturated(g, [path(4)])
@@ -477,6 +472,55 @@ def test_class_key_splitting_one_class_and_merging_two_raises(monkeypatch):
         list(enumerate_levels(n, m))
 
 
+@pytest.mark.parametrize("walk", [
+    lambda: sat_star_exact(6, [cycle(4)]),
+    lambda: sat_exact(6, cycle(4)),
+    lambda: all_rainbow_saturated(6, [cycle(4)]),
+], ids=["sat_star_exact", "sat_exact", "all_rainbow_saturated"])
+def test_walks_read_the_table_through_enumerate_levels(walk, monkeypatch):
+    # a wrapper of enumerate_levels sees every level a walk judges, and the
+    # whole table build: every canonical form runs inside one of its next()
+    levels = saturation.enumerate_levels
+    walk_levels = saturation._saturated_levels
+    yielded, judged, outside = [], [], []
+    inside = False
+
+    def spy(*args):
+        nonlocal inside
+        gen = levels(*args)
+        while True:
+            inside = True
+            try:
+                item = next(gen, None)
+            finally:
+                inside = False
+            if item is None:
+                return
+            yielded.append(item[1])
+            yield item
+
+    def counted(g):
+        if not inside:
+            outside.append(g)
+        return canonical_form(g)
+
+    def judging(*args):
+        for item in walk_levels(*args):
+            judged.append(item[1])
+            yield item
+
+    monkeypatch.setattr(saturation, "_DAG", {})
+    monkeypatch.setattr(saturation, "enumerate_levels", spy)
+    monkeypatch.setattr(saturation, "canonical_form", counted)
+    monkeypatch.setattr(saturation, "_saturated_levels", judging)
+    before = canonical_form.cache_info()
+    walk()
+    after = canonical_form.cache_info()
+    assert judged and all(any(c is level for level in yielded) for c in judged)
+    assert after.hits + after.misses > before.hits + before.misses
+    assert outside == []
+
+
 def test_cold_build_puts_each_class_in_canonical_form_once(monkeypatch):
     monkeypatch.setattr(saturation, "_DAG", {})
     before = canonical_form.cache_info()
@@ -609,7 +653,6 @@ def test_saturated_levels_match_per_graph_filter(name):
     # the parent/child table against a saturation check of every class alone
     fam = LEVEL_TABLE_FAMILIES[name]
     table = RainbowSolver(fam)
-    reference = RainbowSolver(fam)
     for n in range(7):
         levels = dict(enumerate_levels(n))
         rainbow = list(_saturated_levels(n, *_witness_rule(table, n)))
@@ -617,14 +660,11 @@ def test_saturated_levels_match_per_graph_filter(name):
         for m, classes, hits in rainbow:
             assert classes == levels[m]
             want = [g for g in levels[m]
-                    if is_rainbow_saturated(g, solver=reference).status is Verdict.SATURATED]
+                    if is_rainbow_saturated(g, fam).status is Verdict.SATURATED]
             assert hits == want, (name, n, m)
         if len(fam) == 1:
             pat = as_pattern(fam[0])
-            cores = [pat.core] if pat.order <= n else []
-            classical = _saturated_levels(n, not exists_embedding(empty_graph(n), pat),
-                                          _pattern_free_rule(cores))
-            for m, _, hits in classical:
+            for m, _, hits in _saturated_levels(n, *_pattern_free_rule(pat, n)):
                 assert hits == [g for g in levels[m] if is_classically_saturated(g, pat)]
 
 
