@@ -19,6 +19,13 @@ would meet first.  A search node is one class taken from such a mask: a
 proper assignment that makes no copy rainbow.  ``node_limit`` (``--nodes``
 on the command line) bounds these nodes in one search.
 
+An UNCOLORABLE search also reports its refuted prefix: the positions up to
+one past the last that ever took a class.  The search never entered a
+position beyond that one, and each mask it computed depends only on earlier
+positions and on the copies that lie wholly among them, so the subgraph on
+the prefix's edges was swept exhaustively and is UNCOLORABLE by itself; by
+downward closure, so is every graph it embeds in.
+
 ``rainbow_free_colorable`` searches the host whole.  Splitting a host into
 components, sound when every pattern core is connected, is the job of
 ``saturation.RainbowSolver``, which then spends one budget per component.
@@ -395,11 +402,13 @@ def enumerate_embeddings(g: Graph, pattern) -> tuple:
     return tuple(sorted(_copies(g, pat.core)))
 
 
-def exists_embedding(g: Graph, pattern) -> bool:
+def exists_embedding(g: Graph, pattern, deadline=None) -> bool:
+    """Whether the pattern has a copy in g; raises ``_Expired`` once
+    ``deadline`` has passed."""
     pat = as_pattern(pattern)
     if pat.order > g.n:
         return False
-    for _ in _matches(g, pat.core):
+    for _ in _matches(g, pat.core, deadline=deadline):
         return True
     return False
 
@@ -425,6 +434,9 @@ def find_rainbow_embedding(g: Graph, coloring: EdgeColoring, pattern):
 class SearchStats:
     nodes: int = 0
     searches: int = 1
+    # an UNCOLORABLE search's refuted prefix: host edge indices whose
+    # subgraph is UNCOLORABLE by itself (see the module docstring)
+    refuted: tuple | None = None
 
 
 @dataclass
@@ -505,11 +517,13 @@ def _search_component(g: Graph, embeddings, node_limit=None, deadline=None):
     docstring); backtracking resumes from the untried rest of that mask.
     More than ``node_limit`` nodes, or a clock past ``deadline``, gives
     INDETERMINATE.  Returns (status, per-edge classes or None, stats).  Edge
-    classes cover all host edges when a witness is found.
+    classes cover all host edges when a witness is found; an UNCOLORABLE
+    result's stats carry its refuted prefix, ``order[:d + 2]`` for d the
+    last position whose ``bits`` entry is set (``bits`` is never cleared).
     """
     if any(len(e) == 0 for e in embeddings):
         # an edgeless pattern fits the host: every coloring is "rainbow"
-        return Status.UNCOLORABLE, None, SearchStats()
+        return Status.UNCOLORABLE, None, SearchStats(refuted=())
     if deadline is not None and time.monotonic() > deadline:
         # collecting the copies may already have used up the time budget
         return Status.INDETERMINATE, None, SearchStats()
@@ -579,6 +593,12 @@ def _search_component(g: Graph, embeddings, node_limit=None, deadline=None):
         t += 1
 
     stats = SearchStats(nodes=nodes)
+    if status is Status.UNCOLORABLE:
+        d = T - 1
+        while d >= 0 and not bits[d]:
+            d -= 1
+        # no position past d + 1 was entered
+        stats.refuted = tuple(order[:d + 2])
     if status is not Status.COLORABLE:
         return status, None, stats
     # copy-free edges can never complete a rainbow copy: color them greedily

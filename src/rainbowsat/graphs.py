@@ -465,7 +465,10 @@ def _canonical_search(g: Graph, deadline=None):
     found so far that fix the node's individualized vertices, or a twin of
     an explored child, which a transposition swaps.  So neither the minimum
     nor the first ordering reaching it changes (McKay and Piperno,
-    *Practical graph isomorphism, II*, 2014).
+    *Practical graph isomorphism, II*, 2014).  A cell of twins has one child
+    only, and refinement leaves the rest of it a cell of twins, so such a
+    cell is individualized in order, one level per vertex, with no
+    refinement.
 
     The generators and the twin transpositions together generate the
     automorphism group: at each node on the first path, every child in the
@@ -527,6 +530,17 @@ def _canonical_search(g: Graph, deadline=None):
         for target, cell in enumerate(cells):
             if len(cell) > 1:
                 break
+        mask = 0
+        for v in cell:
+            mask |= 1 << v
+        if not mask & ~twins[cell[0]]:
+            # a cell of twins (see the docstring); the levels it takes
+            # return at most this node's depth, as the sibling loop does
+            depth = len(path)
+            path.extend(cell[:-1])
+            back = descend(cells[:target] + [[v] for v in cell] + cells[target + 1 :])
+            del path[depth:]
+            return min(back, depth)
         tried = 0  # the twin classes of the children explored
         explored = []
         orbit = None  # union-find over the vertices under the generators fixing ``path``

@@ -26,9 +26,18 @@ Two structural facts carry the heavy lifting:
   searches.
 
 ``RainbowSolver`` memoizes its verdicts by labeled host, so a witness
-depends on the host alone.  The level table holds the isomorphism classes
-of each n and their twin-orbit children, built once per process, one level
-at a time as ``enumerate_levels`` first yields it; the walks of ``sat_exact``,
+depends on the host alone.  Every unbudgeted UNCOLORABLE search also adds
+its refuted prefix (``engine._search_component``) to one store shared by
+all solvers, keyed by the pattern cores searched.  A graph that a stored
+graph embeds in is UNCOLORABLE, so the saturation check and greedy addition
+test each g + e for such an embedding before they search it; a hit counts
+as refuted.  The walks add to the store but never read it: a class whose
+parents are all free contains no refuted graph.  A solver with a node
+budget neither adds to the store nor reads it.
+
+The level table holds the isomorphism classes of each n and their
+twin-orbit children, built once per process, one level at a time as
+``enumerate_levels`` first yields it; the walks of ``sat_exact``,
 ``sat_star_exact`` and ``all_rainbow_saturated`` read it through that generator.
 Children are told apart by a cheap vertex-invariant key (``_child_keys``),
 exact through n = 9 and checked against Pólya's count at every level, so
@@ -43,6 +52,7 @@ from __future__ import annotations
 
 import time
 from array import array
+from bisect import insort
 from dataclasses import dataclass
 from enum import Enum
 from itertools import combinations
@@ -64,6 +74,7 @@ from .engine import (
 )
 from .graphs import (
     Graph,
+    _Expired,
     automorphism_generators,
     canonical_form,
     empty_graph,
@@ -120,6 +131,13 @@ class SatNumberResult:
 # -- cached colorability -----------------------------------------------------
 
 
+# the tuple of pattern cores searched -> (the graphs that an unbudgeted search
+# for those cores refuted, each its refuted prefix renumbered onto 0..k-1,
+# fewest edges first; the same graphs as a set).  Every graph that one of
+# them embeds in is UNCOLORABLE for the same cores.
+_REFUTED: dict = {}
+
+
 def merge_colorings(g: Graph, parts) -> EdgeColoring:
     """One coloring of g from colorings of the induced subgraphs on its
     components.
@@ -146,6 +164,12 @@ class RainbowSolver:
     depends on the host alone, not on which hosts the solver answered
     before.  Isomorphic hosts in other labelings are searched apart;
     ``_saturated_levels`` asks once per isomorphism class anyway.
+
+    Each UNCOLORABLE search adds its refuted prefix to the store of refuted
+    graphs shared by every solver (``_REFUTED``), and ``contains_refuted``
+    tests a host for an embedding of one of them.  A solver with a
+    ``node_limit`` neither adds to the store nor reads it, so a budgeted
+    verdict depends on its inputs alone.
     """
 
     def __init__(self, family, *, node_limit: int | None = None, time_limit: float | None = None):
@@ -202,6 +226,23 @@ class RainbowSolver:
             )
         return res.witness
 
+    def contains_refuted(self, g: Graph) -> bool:
+        """Whether a graph of the store, refuted for the cores of the
+        patterns that fit g, embeds in g, which makes g UNCOLORABLE with no
+        search.  The stored graphs are tried fewest edges first, all within
+        ``time_limit``; a test that runs out of time finds nothing.  False
+        for a solver with a ``node_limit``."""
+        if self.node_limit is not None:
+            return False
+        held = _REFUTED.get(tuple(self.fitting_cores(g.n)))
+        if held is None:
+            return False
+        deadline = None if self.time_limit is None else time.monotonic() + self.time_limit
+        try:
+            return any(exists_embedding(g, s, deadline) for s in held[0])
+        except _Expired:
+            return False
+
     def _solve(self, g: Graph, cores, tag) -> ColorabilityResult:
         if not cores:
             # no pattern fits the host, so any proper coloring witnesses
@@ -219,7 +260,22 @@ class RainbowSolver:
         )
         if res.status is not Status.INDETERMINATE:
             self._cache[key] = (res.status, res.witness)
+        if res.status is Status.UNCOLORABLE and self.node_limit is None:
+            _add_refuted(tuple(core.graph for core in cores), g, res.stats.refuted)
         return res
+
+
+def _add_refuted(key: tuple, g: Graph, prefix) -> None:
+    """Store the subgraph of g on the edges ``prefix`` (edge indices), its
+    vertices renumbered in order, as refuted for the cores ``key``, unless
+    the store holds it already."""
+    edges = [g.edges[i] for i in prefix]
+    index = {v: i for i, v in enumerate(sorted({x for e in edges for x in e}))}
+    s = Graph(len(index), [(index[u], index[v]) for u, v in edges])
+    graphs, seen = _REFUTED.setdefault(key, ([], set()))
+    if s not in seen:
+        seen.add(s)
+        insort(graphs, s, key=lambda h: h.edge_count)
 
 
 # -- saturation checks --------------------------------------------------------
@@ -239,7 +295,9 @@ def is_rainbow_saturated(g: Graph, family, *, node_limit=None, time_limit=None) 
     (``graphs.automorphism_generators``), each checked to preserve edges;
     that search stops at ``time_limit``, and the generators found by then
     merge fewer orbits, which costs searches, not soundness.
-    The solver splits each g+e into components and reads the untouched ones
+    Each g+e that a graph of the store of refuted graphs embeds in
+    (``RainbowSolver.contains_refuted``) is refuted with no search; the
+    solver splits any other into components and reads the untouched ones
     back from its cache.  Only a NOT_SATURATED verdict has a
     ``failing_edge``; an INDETERMINATE one names the non-edge whose search
     ran out of budget in its ``reason``.
@@ -255,8 +313,12 @@ def is_rainbow_saturated(g: Graph, family, *, node_limit=None, time_limit=None) 
 
     checked = refuted = 0
     for u, v in _orbit_representatives(g, time_limit):
-        res = solver.colorability(g.with_edge(u, v))
+        h = g.with_edge(u, v)
         checked += 1
+        if solver.contains_refuted(h):
+            refuted += 1
+            continue
+        res = solver.colorability(h)
         if res.status is Status.INDETERMINATE:
             return SaturationVerdict(
                 Verdict.INDETERMINATE,
@@ -679,14 +741,15 @@ def _add_greedily(g: Graph, pairs, solver: RainbowSolver, classes=None):
     caller of a ladder re-verifies the graph built), and stays so.
 
     ``classes`` is a witness of g, in its edge order, when one is known.
-    Two kinds of pair are settled unsearched.  A pair uv for which the rule
-    of ``_saturated_levels`` (``EdgeClasses.extension``) finds a class over
-    the current witness is added, and the witness gains that class on uv.
-    Any other pair is searched, and if it is added the solver's witness of
-    the grown graph becomes the current one; until a witness is known,
-    every pair is searched.  A rejected uv settles every pair from u's and
-    v's twin classes under the current g: isomorphic graphs, kept rejected
-    by downward closure."""
+    Three kinds of pair are settled unsearched.  A pair uv for which the
+    rule of ``_saturated_levels`` (``EdgeClasses.extension``) finds a class
+    over the current witness is added, and the witness gains that class on
+    uv; until a witness is known, no pair is.  A pair whose g + uv holds a
+    graph of the store of refuted graphs (``RainbowSolver.contains_refuted``)
+    is rejected.  Any other pair is searched, and if it is added the
+    solver's witness of the grown graph becomes the current one.  A rejected
+    uv settles every pair from u's and v's twin classes under the current g:
+    isomorphic graphs, kept rejected by downward closure."""
     cores = solver.fitting_cores(g.n)
     table = None if classes is None else EdgeClasses(g, classes)
     added, rejected = [], set()
@@ -698,7 +761,7 @@ def _add_greedily(g: Graph, pairs, solver: RainbowSolver, classes=None):
         if c is not None:
             table.add(u, v, c)
         else:
-            found = solver.witness(g2)
+            found = None if solver.contains_refuted(g2) else solver.witness(g2)
             if found is None:
                 twins = g.twin_classes()
                 rejected.update((a, b) if a < b else (b, a)

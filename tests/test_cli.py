@@ -141,6 +141,13 @@ def test_check_json_matches_golden(graph, pattern, golden, capsys):
     assert code == 0 and out == (GOLDEN / golden).read_text()
 
 
+def test_construct_ladder_json_matches_golden(capsys):
+    # the K4 ladder's patching rejects pairs through the store of refuted
+    # graphs; the graph and its trace stay byte for byte as they were
+    code, out = run(capsys, "construct", "ladder", "--pattern", "K4", "--n", "14", "--json")
+    assert code == 0 and out == (GOLDEN / "ladder-K4-14.json").read_text()
+
+
 def test_indeterminate_check_names_no_failing_edge(capsys):
     host = graph6_encode(ladder_construction(complete_graph(4), 12).graph)
     code, out = run(capsys, "check", host, "K4", "--nodes", "0")

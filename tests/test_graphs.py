@@ -331,6 +331,98 @@ def test_pruned_search_matches_reference(monkeypatch):
     assert pruned > 500
 
 
+def sibling_loop_canonical_search(g):
+    """The pruned canonical search before cells of twins were individualized
+    without branching: every cell goes through the sibling loop and
+    ``_refine``."""
+    n, adj = g.n, g.adj
+    if n <= 1:
+        return 0, tuple(range(n)), []
+    twins = g.twin_classes()
+    first = best = None
+    leaves = {}
+    gens = []
+    fixes = []
+    path = []
+
+    def descend(cells) -> int:
+        nonlocal first, best
+        if len(cells) == n:
+            order = [c[0] for c in cells]
+            code = graphs_module._leaf_code(adj, order)
+            if first is None:
+                first = best = code
+            elif code == first or code == best:
+                known, known_path = leaves[code]
+                perm = [0] * n
+                fix = 0
+                for a, b in zip(known, order):
+                    perm[a] = b
+                    if a == b:
+                        fix |= 1 << a
+                gens.append(perm)
+                fixes.append(fix)
+                common = 0
+                for a, b in zip(known_path, path):
+                    if a != b:
+                        break
+                    common += 1
+                return common
+            elif code < best:
+                best = code
+            else:
+                return len(path)
+            leaves[code] = order, path[:]
+            return len(path)
+        for target, cell in enumerate(cells):
+            if len(cell) > 1:
+                break
+        tried = 0
+        explored = []
+        orbit = None
+        used = 0
+        for i, v in enumerate(cell):
+            if tried >> v & 1:
+                continue
+            if used < len(gens):
+                orbit = graphs_module._join_orbits(orbit, gens[used:], fixes[used:], path)
+                used = len(gens)
+            if orbit is not None and graphs_module._find(orbit, v) in {
+                    graphs_module._find(orbit, u) for u in explored}:
+                continue
+            tried |= twins[v]
+            rest = cell[:i] + cell[i + 1 :]
+            dirty = [False] * (len(cells) + 1)
+            dirty[target] = dirty[target + 1] = True
+            path.append(v)
+            back = descend(graphs_module._refine(
+                adj, cells[:target] + [[v], rest] + cells[target + 1 :], dirty))
+            path.pop()
+            if back < len(path):
+                return back
+            explored.append(v)
+        return len(path)
+
+    descend(graphs_module._refine(adj, [list(range(n))], [True]))
+    return best, tuple(leaves[best][0]), gens
+
+
+def test_twin_cells_search_as_the_sibling_loop():
+    # same code, ordering and generators, so canonical forms, the level
+    # table and the orbits of every check stay as they were
+    rng = random.Random(61)
+    hosts = []
+    for h in nx.graph_atlas_g():
+        g = Graph(h.number_of_nodes(), h.edges())
+        hosts += [g] + [g.relabel(rng.sample(range(g.n), g.n)) for _ in range(2)]
+    hosts += [random_graph(rng, rng.randint(1, 14)) for _ in range(300)]
+    hosts += [make(n) for n in range(2, 30) for make in (complete_graph, empty_graph)]
+    hosts += [wheel(n) for n in range(4, 30)]
+    hosts += list(symmetric_hosts())
+    for g in hosts:
+        assert graphs_module._canonical_search(g) == sibling_loop_canonical_search(g), g
+
+
 def test_generators_and_twins_give_every_non_edge_orbit():
     rng = random.Random(59)
     for h in nx.graph_atlas_g():

@@ -1029,12 +1029,27 @@ def witness_calls(monkeypatch, build):
 
 def test_greedy_adds_an_edge_no_copy_uses_unsearched(monkeypatch):
     # the witness rule finds a class for 21 of the 31 candidates that
-    # searching each would try, 12 of them with no C4 copy through uv
+    # searching each would try, 12 of them with no C4 copy through uv; of
+    # the other 10, one is searched and 9 contain a subgraph that the
+    # reference loop's searches refuted
     def build():
         return greedy_saturate(empty_graph(12), [cycle(4)])
 
+    monkeypatch.setattr(saturation, "_REFUTED", {})
     want = with_every_pair_greedy(monkeypatch, build)
-    assert witness_calls(monkeypatch, build) == 1 + 10  # the seed check, then the loop
+    hits = []
+    contains = RainbowSolver.contains_refuted
+
+    def counting(solver, g):
+        found = contains(solver, g)
+        if found:
+            hits.append(g)
+        return found
+
+    with monkeypatch.context() as patch:
+        patch.setattr(RainbowSolver, "contains_refuted", counting)
+        calls = witness_calls(monkeypatch, build)
+    assert (calls, len(hits)) == (1 + 1, 9)  # the seed check, then the loop
     assert build() == want
 
 
@@ -1042,6 +1057,92 @@ def test_greedy_adds_an_edge_no_copy_uses_unsearched(monkeypatch):
 def test_ladder_searches_once_per_rejected_twin_orbit(r, n, monkeypatch):
     # each lift joins a set of twins, so one rejected pair settles the set
     assert witness_calls(monkeypatch, lambda: ladder_construction(complete_graph(r), n)) <= 3
+
+
+# -- the store of refuted graphs -----------------------------------------------------
+
+
+def store_snapshot() -> dict:
+    return {key: list(graphs) for key, (graphs, _) in saturation._REFUTED.items()}
+
+
+def test_stored_graphs_are_uncolorable(monkeypatch):
+    # the refuted prefixes of every unbudgeted search that certify-families,
+    # satstar-n7 and the small sat* walks make, each checked on its own
+    monkeypatch.setattr(saturation, "_REFUTED", {})
+    for g, pattern in [(wheel_construction(16).graph, cycle(4))] + [
+            (ladder_construction(complete_graph(r), n).graph, complete_graph(r))
+            for r, n in ((3, 33), (4, 13), (4, 14))]:
+        assert is_rainbow_saturated(g, [pattern]).status is Verdict.SATURATED
+    sat_star_exact(7, [cycle(4)])
+    sat_star_exact(7, [complete_graph(4)])
+    for pattern in (path(4), cycle(4), complete_graph(3), star(3), path(5), cycle(5)):
+        for n in range(pattern.n, 8):
+            sat_star_exact(n, [pattern])
+    held = store_snapshot()
+    assert sum(map(len, held.values())) > 20
+    for cores, graphs in held.items():
+        assert [g.edge_count for g in graphs] == sorted(g.edge_count for g in graphs)
+        assert len(set(graphs)) == len(graphs)
+        for g in graphs:
+            assert all(g.degrees())  # renumbered onto the prefix's vertices
+            if g.edge_count <= 11:
+                assert not naive_rainbow_free_colorable(g, list(cores)), g
+            else:
+                assert rainbow_free_colorable(g, cores).status is Status.UNCOLORABLE, g
+
+
+def store_hosts():
+    yield from ((wheel_construction(n).graph, [cycle(4)]) for n in range(6, 25))
+    yield from ((p4_construction(n).graph, [path(4)]) for n in (16, 17, 18))
+    yield from ((ladder_construction(complete_graph(3), n).graph, [complete_graph(3)])
+                for n in (8, 9, 10, 33))
+    yield from ((ladder_construction(complete_graph(4), n).graph, [complete_graph(4)])
+                for n in (9, 13, 14))
+
+
+def store_verdict(v):
+    return v.status, v.nonedges_checked, v.nonedges_refuted, v.failing_edge, v.witness_coloring
+
+
+def test_warm_store_gives_the_verdicts_of_an_empty_one(monkeypatch):
+    # each host and each host less its last edge, whose check fails at or
+    # before that edge, checked with an empty store, then again with the
+    # store that all those checks filled
+    hosts = []
+    for g, fam in store_hosts():
+        hosts += [(g, fam), (Graph(g.n, g.edges[:-1]), fam)]
+    empty = []
+    for g, fam in hosts:
+        monkeypatch.setattr(saturation, "_REFUTED", {})
+        empty.append(store_verdict(is_rainbow_saturated(g, fam)))
+    monkeypatch.setattr(saturation, "_REFUTED", {})
+    for g, fam in hosts:
+        is_rainbow_saturated(g, fam)
+    assert sum(len(graphs) for graphs, _ in saturation._REFUTED.values()) > 5
+    assert [store_verdict(is_rainbow_saturated(g, fam)) for g, fam in hosts] == empty
+    assert Counter(v[0] for v in empty) == {Verdict.SATURATED: 29, Verdict.NOT_SATURATED: 29}
+
+
+def test_budgeted_check_neither_reads_nor_fills_the_store(monkeypatch):
+    # with a warm store, the first non-edge of the 14-vertex K4 ladder needs
+    # a search of 3,741 nodes, past the budget
+    monkeypatch.setattr(saturation, "_REFUTED", {})
+    g = ladder_construction(complete_graph(4), 14).graph
+    assert is_rainbow_saturated(g, [complete_graph(4)]).status is Verdict.SATURATED
+    held = store_snapshot()
+    assert held
+    got = is_rainbow_saturated(g, [complete_graph(4)], node_limit=1000)
+    assert got.status is Verdict.INDETERMINATE
+    assert (got.nonedges_checked, got.nonedges_refuted) == (1, 0)
+    assert store_snapshot() == held
+    # nor does a budgeted search that refutes add to it
+    assert is_rainbow_saturated(g, [complete_graph(4)], node_limit=10**6).status \
+        is Verdict.SATURATED
+    h = ladder_construction(complete_graph(4), 13).graph
+    assert is_rainbow_saturated(h, [complete_graph(4)], node_limit=10**6).status \
+        is Verdict.SATURATED
+    assert store_snapshot() == held
 
 
 # -- formulas and audits ---------------------------------------------------------------
