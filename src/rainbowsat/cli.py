@@ -58,10 +58,10 @@ def _load_graph(token: str) -> Graph:
         if not lines:
             raise ValueError(f"{token[1:]} holds no graph")
         token = lines[0]
-    try:
+    if token[:1] in ("K", "P", "C", "E", "W") and token[1:2].isdigit():
+        # a name: no graph6 body character is a digit, so the generator's
+        # error, a bad size say, is the one to show
         return named_graph(token)
-    except ValueError:
-        pass
     return graph6_decode(token)
 
 
@@ -119,18 +119,21 @@ def cmd_check(args) -> int:
     return EXIT_CODES[verdict.status]
 
 
+def _value(res) -> str:
+    return "none (no saturated graph exists)" if res.value is None else str(res.value)
+
+
 def cmd_sat(args) -> int:
     h = _load_graph(args.pattern)
     res = sat_exact(args.n, h)
-    _emit(args, res.to_json(), f"sat({args.n}) = {res.value}\nwitnesses: {' '.join(res.witnesses)}")
+    _emit(args, res.to_json(), f"sat({args.n}) = {_value(res)}\nwitnesses: {' '.join(res.witnesses)}")
     return 0
 
 
 def cmd_satstar(args) -> int:
     patterns = _load_graphs(args.patterns)
     res = sat_star_exact(args.n, patterns, **_limits(args))
-    value = "none (no saturated graph exists)" if res.value is None else res.value
-    _emit(args, res.to_json(), f"sat*({args.n}) = {value}\nwitnesses: {' '.join(res.witnesses)}")
+    _emit(args, res.to_json(), f"sat*({args.n}) = {_value(res)}\nwitnesses: {' '.join(res.witnesses)}")
     return 0
 
 

@@ -26,6 +26,10 @@ positions and on the copies that lie wholly among them, so the subgraph on
 the prefix's edges was swept exhaustively and is UNCOLORABLE by itself; by
 downward closure, so is every graph it embeds in.
 
+Copies are found by one depth-first placement search, ``_place``: from no
+vertex to collect every copy (``_matches``), or from the two ends of one
+host edge to meet each copy through it (``_maps_through``).
+
 ``rainbow_free_colorable`` searches the host whole.  Splitting a host into
 components, sound when every pattern core is connected, is the job of
 ``saturation.RainbowSolver``, which then spends one budget per component.
@@ -149,57 +153,42 @@ def _plan(pat: Graph, head=()) -> tuple:
 _match_order = lru_cache(maxsize=256)(_plan)
 
 
-def _matches(host: Graph, pat: Graph, above=None, deadline=None):
-    """Injective maps sending pattern edges onto host edges.
+def _place(hadj, order, anchors, fits, above, head=(), deadline=None):
+    """Injective maps of a pattern into the host with rows ``hadj`` that send
+    pattern edges onto host edges, as the host vertex per pattern vertex.
 
-    From a graph onto itself these are its automorphisms: a bijection that
-    sends edges into edges sends them onto edges.  Pattern vertices are
-    placed in ``_match_order``; ``above[j]`` lists earlier steps whose host
-    vertex the one placed at step j must exceed.  With a ``deadline`` the
-    clock is read every 4,096 placements, and ``_Expired`` is raised once it
-    has passed.
+    One depth-first search along a plan of k >= 1 steps: step j places
+    order[j] on an unused host vertex of ``fits[j]``, adjacent to the images
+    of the steps ``anchors[j]`` and above those of the steps ``above[j]``,
+    lowest first.  The first ``len(head)`` steps sit on the host vertices
+    ``head``, taken as given, and the search extends that partial map (as
+    in VF2: Cordella et al., IEEE TPAMI 26, 2004).  A ``deadline`` is read
+    every 4,096 placements; once it has passed, ``_Expired`` is raised.
     """
-    if pat.n > host.n:
-        return
-    if pat.n == 0:
-        yield ()
-        return
-    order, anchors = _match_order(pat)
-    k = pat.n
-    hadj = host.adj
-    by_degree = {}  # pattern degree -> the host vertices of at least that degree
-    fits = []  # per step, the host vertices of a suitable degree
-    for v in order:
-        want = pat.adj[v].bit_count()
-        mask = by_degree.get(want)
-        if mask is None:
-            mask = 0
-            for hv, row in enumerate(hadj):
-                if row.bit_count() >= want:
-                    mask |= 1 << hv
-            by_degree[want] = mask
-        fits.append(mask)
-    if above is None:
-        above = [()] * k
+    k = len(order)
     assigned = [0] * k  # host vertex per pattern vertex
-    image = [0] * k  # host vertex per step
-    cand = [0] * k
-    cand[0] = fits[0]
+    image = [*head] + [0] * (k - len(head))  # host vertex per step
     used = 0
+    for j, hv in enumerate(head):
+        assigned[order[j]] = hv
+        used |= 1 << hv
+    # the search starts at the last head step, whose one candidate is its
+    # head vertex, or else at step 0, which has no anchor and no above step
+    top = j = len(head) - 1 if head else 0
+    cand = [0] * k  # the untried host vertices of each step
+    cand[j] = 1 << head[-1] if head else fits[0]
     placed = 0
-    j = 0
     while True:
         c = cand[j]
         if not c:
             j -= 1
-            if j < 0:
+            if j < top:
                 return
             used ^= 1 << image[j]
             continue
         bit = c & -c
         cand[j] = c ^ bit
-        hv = bit.bit_length() - 1
-        image[j] = hv
+        image[j] = hv = bit.bit_length() - 1
         assigned[order[j]] = hv
         if deadline is not None:
             placed += 1
@@ -216,6 +205,39 @@ def _matches(host: Graph, pat: Graph, above=None, deadline=None):
         for i in above[j]:
             c &= -(2 << image[i])  # host vertices above image[i]
         cand[j] = c
+
+
+def _matches(host: Graph, pat: Graph, above=None, deadline=None):
+    """Injective maps sending pattern edges onto host edges.
+
+    From a graph onto itself these are its automorphisms: a bijection that
+    sends edges into edges sends them onto edges.  These are ``_place``'s
+    maps along ``_match_order``, each step kept to the host vertices of at
+    least its pattern vertex's degree; ``above[j]`` lists earlier steps whose
+    host vertex the one placed at step j must exceed, and ``deadline`` is
+    read as ``_place`` reads it.
+    """
+    if pat.n > host.n:
+        return iter(())
+    if pat.n == 0:
+        return iter([()])
+    order, anchors = _match_order(pat)
+    hadj = host.adj
+    by_degree = {}  # pattern degree -> the host vertices of at least that degree
+    fits = []  # per step, the host vertices of a suitable degree
+    for v in order:
+        want = pat.adj[v].bit_count()
+        mask = by_degree.get(want)
+        if mask is None:
+            mask = 0
+            for hv, row in enumerate(hadj):
+                if row.bit_count() >= want:
+                    mask |= 1 << hv
+            by_degree[want] = mask
+        fits.append(mask)
+    if above is None:
+        above = [()] * pat.n
+    return _place(hadj, order, anchors, fits, above, deadline=deadline)
 
 
 @lru_cache(maxsize=256)
@@ -267,50 +289,16 @@ def _maps_through(g: Graph, cores, u: int, v: int):
 
     Such a copy is a map sending some arc (a, b) of the core onto (u, v).
     Composed with an automorphism of the core it sends every arc of (a, b)'s
-    orbit there, so one search per arc orbit (``_arc_orbits``), with a on u
-    and b on v, finds it.  The search places the other core vertices as
-    ``_matches`` does, on unused host vertices adjacent to the images of
-    their anchors.
+    orbit there, so one ``_place`` search per arc orbit (``_arc_orbits``),
+    started from a on u and b on v, finds it.  Every host vertex may take
+    every step, and no ``above`` condition applies.
     """
-    hadj = g.adj
-    rest = ((1 << g.n) - 1) & ~(1 << u | 1 << v)  # the host vertices not yet used
+    everywhere = (1 << g.n) - 1
     for core in cores:
         for order, anchors, others in _arc_orbits(core):
             k = len(order)
-            assigned = [0] * k  # host vertex per core vertex
-            assigned[order[0]] = u
-            assigned[order[1]] = v
-            if k == 2:
-                yield tuple(assigned), others
-                continue
-            image = [u, v] + [0] * (k - 2)  # host vertex per step
-            cand = [0] * k  # the untried host vertices of each step
-            unused = c = rest
-            for i in anchors[2]:
-                c &= hadj[image[i]]
-            cand[2] = c
-            j = 2
-            while True:
-                c = cand[j]
-                if not c:
-                    j -= 1
-                    if j < 2:
-                        break
-                    unused |= 1 << image[j]
-                    continue
-                bit = c & -c
-                cand[j] = c ^ bit
-                image[j] = hv = bit.bit_length() - 1
-                assigned[order[j]] = hv
-                if j + 1 == k:
-                    yield tuple(assigned), others
-                    continue
-                unused ^= bit
-                j += 1
-                c = unused
-                for i in anchors[j]:
-                    c &= hadj[image[i]]
-                cand[j] = c
+            for f in _place(g.adj, order, anchors, [everywhere] * k, [()] * k, (u, v)):
+                yield f, others
 
 
 def copy_through(g: Graph, cores, u: int, v: int) -> bool:

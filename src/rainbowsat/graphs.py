@@ -756,10 +756,10 @@ def named_graph(name: str) -> Graph:
     """Resolve K#, P#, C#, E#, W# and K#_# names to generator output."""
     if "_" in name and name.startswith("K"):
         a, _, b = name[1:].partition("_")
-        if a.isdigit() and b.isdigit():
+        if a.isdecimal() and b.isdecimal():
             return complete_bipartite(int(a), int(b))
     kind, num = name[:1], name[1:]
-    if num.isdigit():
+    if num.isdecimal():
         k = int(num)
         if kind == "K":
             return complete_graph(k)

@@ -148,6 +148,33 @@ def test_construct_ladder_json_matches_golden(capsys):
     assert code == 0 and out == (GOLDEN / "ladder-K4-14.json").read_text()
 
 
+@pytest.mark.parametrize("pattern", ["C4", "P4"])
+def test_sat_at_eight_matches_golden(pattern, capsys):
+    # sat decides each child by whether a copy goes through its new edge, one
+    # placement search per arc orbit: C4 has one orbit, P4 three
+    code, out = run(capsys, "sat", "8", pattern, "--json")
+    assert code == 0 and out == (GOLDEN / f"sat-8-{pattern}.json").read_text()
+
+
+@pytest.mark.parametrize(
+    "token, message",
+    [
+        ("C2", "cycle needs at least three vertices"),
+        ("K0", "complete graph order 0 outside 1..64"),
+        ("W3", "wheel needs at least four vertices"),
+        ("K65", "complete graph order 65 outside 1..64"),
+        ("P0", "path needs at least one vertex"),
+        ("E70", "vertex count 70 outside 0..64"),
+        ("K1_70", "vertex count 70 outside 0..64"),
+    ],
+    ids=["C2", "K0", "W3", "K65", "P0", "E70", "K1_70"],
+)
+def test_name_with_a_bad_size_shows_the_generator_error(token, message, capsys):
+    # a letter and a digit make a name: a graph6 body never holds a digit
+    assert main(["check", token, "C4"]) == 64
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 def test_indeterminate_check_names_no_failing_edge(capsys):
     host = graph6_encode(ladder_construction(complete_graph(4), 12).graph)
     code, out = run(capsys, "check", host, "K4", "--nodes", "0")
@@ -183,6 +210,12 @@ def test_sat_commands(capsys):
     assert code == 0
     payload = json.loads(out)
     assert payload["value"] == 4 and payload["witnesses"]
+
+    # no saturated graph: sat says so in satstar's words, and JSON gives null
+    code, out = run(capsys, "sat", "3", "E2")
+    assert code == 0 and out.startswith("sat(3) = none (no saturated graph exists)\n")
+    code, out = run(capsys, "--json", "sat", "3", "E2")
+    assert code == 0 and json.loads(out)["value"] is None
 
 
 def test_construct_commands(capsys):

@@ -30,6 +30,7 @@ from rainbowsat.engine import (
     _arc_orbits,
     _collect_embeddings,
     _copies,
+    _maps_through,
     _match_order,
     _matches,
     _search_component,
@@ -290,14 +291,17 @@ def test_time_budget_bounds_copy_collection():
 # -- copy collection and search order ----------------------------------------------
 
 
-def reference_matches(host, pat, exact=False):
-    """Reference: the recursive matcher, trying candidates in ascending order."""
+def reference_matches(host, pat, exact=False, plan=None, head=()):
+    """Reference: the recursive matcher, trying candidates in ascending order.
+
+    With a ``plan`` (order, anchors) it follows that plan instead, places its
+    first steps on the host vertices ``head`` and filters by no degree."""
     if pat.n > host.n:
         return
     if pat.n == 0:
         yield ()
         return
-    order, anchors = _match_order(pat)
+    order, anchors = _match_order(pat) if plan is None else plan
     nonanchors = [[i for i in range(j) if i not in anchors[j]] for j in range(len(order))]
     full = (1 << host.n) - 1
     hdeg = host.degrees()
@@ -310,13 +314,15 @@ def reference_matches(host, pat, exact=False):
             return
         v = order[j]
         cand = full & ~used
+        if j < len(head):
+            cand &= 1 << head[j]
         for i in anchors[j]:
             cand &= host.adj[assigned[order[i]]]
         if exact:
             for i in nonanchors[j]:
                 cand &= ~host.adj[assigned[order[i]]]
         for hv in iter_bits(cand):
-            if hdeg[hv] != pdeg[v] if exact else hdeg[hv] < pdeg[v]:
+            if plan is None and (hdeg[hv] != pdeg[v] if exact else hdeg[hv] < pdeg[v]):
                 continue
             assigned[v] = hv
             yield from place(j + 1, used | (1 << hv))
@@ -365,6 +371,33 @@ THROUGH_PATTERNS = {
     "paw": Graph(4, [(0, 1), (0, 2), (1, 2), (2, 3)]),
     "2K2": COPY_PATTERNS["2K2"], "K3+K1": COPY_PATTERNS["K3+K1"],
 }
+
+
+def reference_maps_through(g, cores, u, v):
+    """Reference: each arc orbit's plan, placed recursively from a on u and b
+    on v, with no degree filter."""
+    for core in cores:
+        for order, anchors, others in _arc_orbits(core):
+            for assigned in reference_matches(g, core, plan=(order, anchors), head=(u, v)):
+                yield assigned, others
+
+
+@pytest.mark.parametrize("name", THROUGH_PATTERNS)
+def test_maps_through_are_the_pinned_reference_maps(name):
+    # the placement search started from a partial map yields the reference's
+    # maps in the reference's order, whichever end of the edge comes first
+    core = Pattern(THROUGH_PATTERNS[name]).core
+    rng = random.Random(83)
+    hosts = [complete_graph(7), wheel(8)]
+    hosts += [random_graph(rng, rng.randint(3, 9)) for _ in range(40)]
+    for g in hosts:
+        # cores with one vertex more than the host have no map into it
+        bigger = [path(g.n + 1), star(g.n)]
+        for u, v in g.edges:
+            for a, b in ((u, v), (v, u)):
+                want = list(reference_maps_through(g, [core], a, b))
+                assert list(_maps_through(g, [core], a, b)) == want, (name, g, a, b)
+                assert list(_maps_through(g, bigger, a, b)) == []
 
 
 @settings(max_examples=150, deadline=None)

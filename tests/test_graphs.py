@@ -135,6 +135,20 @@ def test_relabel_matches_edge_list_reference():
                 complete_graph(n).relabel(perm)
 
 
+def test_structure_predicates_match_networkx():
+    # is_bipartite and is_forest decide where a family ladder stops
+    rng = random.Random(67)
+    for h in nx.graph_atlas_g():
+        perm = rng.sample(range(h.number_of_nodes()), h.number_of_nodes())
+        h = nx.relabel_nodes(h, dict(enumerate(perm)))
+        g = Graph(h.number_of_nodes(), h.edges())
+        assert g.is_bipartite() is nx.is_bipartite(h), g
+        # networkx refuses the null graph, a forest with no tree
+        assert g.is_forest() is (h.number_of_nodes() == 0 or nx.is_forest(h)), g
+        want = sorted(tuple(sorted(c)) for c in nx.connected_components(h))
+        assert g.components() == want, g
+
+
 # -- canonical forms ----------------------------------------------------------
 
 
@@ -618,3 +632,7 @@ def test_named_graph():
     assert are_isomorphic(named_graph("K2_3"), join(empty_graph(2), empty_graph(3)))
     with pytest.raises(ValueError):
         named_graph("Q3")
+    # a digit that int() cannot read is no size
+    for name in ("K\u00b2", "K1_\u00b2"):
+        with pytest.raises(ValueError, match="unknown graph name"):
+            named_graph(name)
