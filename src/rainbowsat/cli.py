@@ -31,7 +31,7 @@ from .constructions import (
     wheel_construction,
 )
 from .engine import Status
-from .graphs import Graph, graph6_decode, graph6_encode, graph_to_json, named_graph
+from .graphs import NAMES, Graph, graph6_decode, graph6_encode, graph_to_json, named_graph
 from .saturation import (
     RainbowSolver,
     SearchAborted,
@@ -58,7 +58,7 @@ def _load_graph(token: str) -> Graph:
         if not lines:
             raise ValueError(f"{token[1:]} holds no graph")
         token = lines[0]
-    if token[:1] in ("K", "P", "C", "E", "W") and token[1:2].isdigit():
+    if token[:1] in NAMES and token[1:2].isdigit():
         # a name: no graph6 body character is a digit, so the generator's
         # error, a bad size say, is the one to show
         return named_graph(token)
@@ -301,7 +301,7 @@ def main(argv=None) -> int:
             if args.command == "verify-paper":
                 hint = ": it is node-budgeted so that its report is reproducible; use --nodes"
             raise ValueError(f"{args.command} does not read --{unread[0]}{hint}")
-        if args.timeout < 0:
+        if not args.timeout >= 0:  # NaN too: it would mean no limit
             raise ValueError("timeout must be nonnegative")
         if args.nodes is not None and args.nodes < 0:
             raise ValueError("nodes must be nonnegative")

@@ -104,56 +104,38 @@ class Gadget:
     marked_edge: tuple
 
 
-def _wheel_chord_short() -> Gadget:
-    # five consecutive rim vertices 0..4 under hub 5, plus the chord (1,3)
-    rimpath = [(0, 1), (1, 2), (2, 3), (3, 4)]
-    spokes = [(i, 5) for i in range(5)]
-    return Gadget("GA", Graph(6, rimpath + spokes + [(1, 3)]), (1, 3))
-
-
-def _wheel_chord_long() -> Gadget:
-    # two rim windows 0-1-2 and 3-4-5 under hub 6, chord between the centers
-    rimpaths = [(0, 1), (1, 2), (3, 4), (4, 5)]
-    spokes = [(i, 6) for i in range(6)]
-    return Gadget("GB", Graph(7, rimpaths + spokes + [(1, 4)]), (1, 4))
-
-
-_GADGET_BUILDERS = {
-    # adding a chord between two rim vertices of a wheel creates one of these
-    "GA": _wheel_chord_short,
-    "GB": _wheel_chord_long,
+# name -> (vertex count, edges); the last edge is the marked one, the added
+# edge that defines the gadget
+_GADGETS = {
+    # adding a chord between two rim vertices of a wheel creates one of these.
+    # GA: five consecutive rim vertices 0..4 under hub 5, plus the chord (1,3)
+    "GA": (6, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 5), (1, 5), (2, 5), (3, 5), (4, 5),
+               (1, 3)]),
+    # GB: two rim windows 0-1-2 and 3-4-5 under hub 6, chord between the centers
+    "GB": (7, [(0, 1), (1, 2), (3, 4), (4, 5), (0, 6), (1, 6), (2, 6), (3, 6), (4, 6),
+               (5, 6), (1, 4)]),
     # K_{1,4} plus an edge between two leaves: forces a rainbow P4
-    "star_plus_chord": lambda: Gadget(
-        "star_plus_chord", Graph(5, [(0, 1), (0, 2), (0, 3), (0, 4), (1, 2)]), (1, 2)
-    ),
+    "star_plus_chord": (5, [(0, 1), (0, 2), (0, 3), (0, 4), (1, 2)]),
     # K_{1,4} plus a pendant on a leaf: forces a rainbow P4
-    "star_plus_tail": lambda: Gadget(
-        "star_plus_tail", Graph(6, [(0, 1), (0, 2), (0, 3), (0, 4), (1, 5)]), (1, 5)
-    ),
+    "star_plus_tail": (6, [(0, 1), (0, 2), (0, 3), (0, 4), (1, 5)]),
     # the three acyclic components on 2..3 edges whose closing edge does not
     # force a rainbow P4
-    "cherry_closed": lambda: Gadget(
-        "cherry_closed", Graph(3, [(0, 1), (0, 2), (1, 2)]), (1, 2)
-    ),
-    "claw_closed": lambda: Gadget(
-        "claw_closed", Graph(4, [(0, 1), (0, 2), (0, 3), (1, 2)]), (1, 2)
-    ),
-    "path_closed": lambda: Gadget(
-        "path_closed", Graph(4, [(0, 1), (1, 2), (2, 3), (0, 3)]), (0, 3)
-    ),
+    "cherry_closed": (3, [(0, 1), (0, 2), (1, 2)]),
+    "claw_closed": (4, [(0, 1), (0, 2), (0, 3), (1, 2)]),
+    "path_closed": (4, [(0, 1), (1, 2), (2, 3), (0, 3)]),
 }
 
 
 def gadget(kind: str) -> Gadget:
     """Fixed small graphs, each with the added edge that defines it marked."""
-    try:
-        return _GADGET_BUILDERS[kind]()
-    except KeyError:
-        raise ValueError(f"unknown gadget {kind!r}; known: {', '.join(sorted(_GADGET_BUILDERS))}") from None
+    if kind not in _GADGETS:
+        raise ValueError(f"unknown gadget {kind!r}; known: {', '.join(sorted(_GADGETS))}")
+    n, edges = _GADGETS[kind]
+    return Gadget(kind, Graph(n, edges), edges[-1])
 
 
 def gadget_names() -> list:
-    return sorted(_GADGET_BUILDERS)
+    return sorted(_GADGETS)
 
 
 # -- family ladder -------------------------------------------------------------

@@ -601,7 +601,9 @@ def _join_orbits(orbit, gens, fixes, path):
     return orbit
 
 
-@lru_cache(maxsize=1 << 17)
+# the level table calls it once per fresh child graph and never hits; the
+# hits come from re-asking about the same few graphs, which 256 entries hold
+@lru_cache(maxsize=256)
 def canonical_form(g: Graph) -> CanonicalForm:
     """Canonical form; encodings are equal iff the graphs are isomorphic."""
     code, order, _ = _canonical_search(g)
@@ -752,23 +754,16 @@ def graph_from_json(obj: dict) -> Graph:
 # -- names -------------------------------------------------------------------
 
 
+# the generator behind each name letter: K4 is complete_graph(4), and so on
+NAMES = {"K": complete_graph, "P": path, "C": cycle, "E": empty_graph, "W": wheel}
+
+
 def named_graph(name: str) -> Graph:
     """Resolve K#, P#, C#, E#, W# and K#_# names to generator output."""
-    if "_" in name and name.startswith("K"):
-        a, _, b = name[1:].partition("_")
-        if a.isdecimal() and b.isdecimal():
-            return complete_bipartite(int(a), int(b))
     kind, num = name[:1], name[1:]
-    if num.isdecimal():
-        k = int(num)
-        if kind == "K":
-            return complete_graph(k)
-        if kind == "P":
-            return path(k)
-        if kind == "C":
-            return cycle(k)
-        if kind == "E":
-            return empty_graph(k)
-        if kind == "W":
-            return wheel(k)
+    a, _, b = num.partition("_")
+    if kind == "K" and a.isdecimal() and b.isdecimal():
+        return complete_bipartite(int(a), int(b))
+    if kind in NAMES and num.isdecimal():
+        return NAMES[kind](int(num))
     raise ValueError(f"unknown graph name {name!r}")

@@ -425,6 +425,9 @@ def run_report(
     unknown = [name for name in selection if name not in CLAIMS]
     if unknown:
         raise ValueError(f"unknown claims: {', '.join(unknown)}; known: {', '.join(sorted(CLAIMS))}")
+    repeated = sorted({name for name in selection if selection.count(name) > 1})
+    if repeated:
+        raise ValueError(f"repeated claims: {', '.join(repeated)}")
     config = {"extended": extended, "node_limit": node_limit, "seed": seed}
     results = [CLAIMS[name](config) for name in selection]
     return {

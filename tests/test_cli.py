@@ -9,7 +9,7 @@ import pytest
 import rainbowsat
 from rainbowsat.cli import main
 from rainbowsat.constructions import gadget, ladder_construction, p4_construction
-from rainbowsat.graphs import complete_graph, graph6_decode, graph6_encode
+from rainbowsat.graphs import complete_graph, graph6_decode, graph6_encode, wheel
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -55,10 +55,14 @@ def test_parse_error_exit_code(capsys):
         ["--nodes", "0", "sat", "7", "C4"],
         ["gadget", "GA", "--nodes", "5"],
         ["satstar", "5", "P4", "--seed", "3"],
+        ["--timeout", "-1", "colorable", "K4", "P4"],
+        ["--timeout", "nan", "colorable", "K6", "C4"],
+        ["verify-paper", "--only", "ehm,ehm"],
     ],
     ids=["ehm-without-r", "ladder-without-pattern", "empty-graph-file", "negative-nodes",
          "verify-paper-timeout-after", "verify-paper-timeout-before", "sat-timeout",
-         "sat-nodes", "gadget-nodes", "satstar-seed"],
+         "sat-nodes", "gadget-nodes", "satstar-seed", "negative-timeout", "nan-timeout",
+         "repeated-claim"],
 )
 def test_bad_input_exits_64(argv, tmp_path, capsys):
     empty = tmp_path / "empty.g6"
@@ -175,6 +179,14 @@ def test_name_with_a_bad_size_shows_the_generator_error(token, message, capsys):
     assert capsys.readouterr().err == f"error: {message}\n"
 
 
+def test_graph_file_reads_its_first_line(tmp_path, capsys):
+    want = run(capsys, "check", "W8", "C4")
+    for first in (graph6_encode(wheel(8)), "W8"):
+        path = tmp_path / "host.g6"
+        path.write_text(f"{first}\n{graph6_encode(complete_graph(3))}\n")
+        assert run(capsys, "check", f"@{path}", "C4") == want
+
+
 def test_indeterminate_check_names_no_failing_edge(capsys):
     host = graph6_encode(ladder_construction(complete_graph(4), 12).graph)
     code, out = run(capsys, "check", host, "K4", "--nodes", "0")
@@ -237,6 +249,15 @@ def test_construct_commands(capsys):
     assert code == 0 and "SATURATED" in out
 
 
+def test_gadgets_match_golden(capsys):
+    # one line per gadget, in the order that gadget --list prints them
+    code, names = run(capsys, "gadget", "--list")
+    assert code == 0
+    lines = [run(capsys, "gadget", name, "--json") for name in names.split()]
+    assert all(code == 0 for code, _ in lines)
+    assert "".join(out for _, out in lines) == (GOLDEN / "gadgets.jsonl").read_text()
+
+
 def test_gadget_command(capsys):
     code, out = run(capsys, "gadget", "--list")
     assert code == 0 and "GA" in out
@@ -253,6 +274,15 @@ def test_verify_paper_subset(capsys):
     payload = json.loads(out)
     assert payload["status"] == "pass"
     assert payload["claims"][0]["claim"] == "p3-equality"
+
+
+def test_verify_paper_prints_a_table_by_default(capsys):
+    code, out = run(capsys, "verify-paper", "--only", "ehm")
+    _, report = run(capsys, "verify-paper", "--only", "ehm", "--json")
+    checks = json.loads(report)["claims"][0]["checks"]
+    lines = out.splitlines()
+    assert code == 0 and lines[0] == "[  PASS] ehm" and lines[-1] == "overall: pass"
+    assert [line.split()[0] for line in lines[1:-1]] == ["ok"] * len(checks)
 
 
 def test_verify_paper_uses_the_given_node_budget(capsys):

@@ -602,6 +602,23 @@ def test_graph6_malformed():
         graph6_decode("~~~~??")  # order beyond 64
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("~??", "truncated graph6 size field"),
+        ("~!!!", "bad graph6 size field"),
+        ("!", "bad graph6 size character"),
+        ("A!", "bad graph6 character"),
+        ("A`", "nonzero padding bits"),
+    ],
+    ids=["truncated-size", "bad-size-field", "bad-size-character", "bad-character",
+         "padding"],
+)
+def test_graph6_errors_name_the_fault(text, message):
+    with pytest.raises(ValueError, match=message):
+        graph6_decode(text)
+
+
 def test_json_roundtrip():
     g = wheel(6)
     assert graph_from_json(graph_to_json(g)) == g

@@ -39,6 +39,7 @@ from rainbowsat import (
 )
 from rainbowsat.constructions import (
     ehm_graph,
+    gadget,
     ladder_construction,
     p4_construction,
     wheel_construction,
@@ -52,7 +53,7 @@ from rainbowsat.oracle import (
 )
 from rainbowsat import constructions, saturation
 from rainbowsat.engine import EdgeClasses, EdgeColoring, as_pattern
-from rainbowsat.graphs import canonical_form, graph6_encode, induced_subgraph
+from rainbowsat.graphs import _Expired, canonical_form, graph6_encode, induced_subgraph
 from rainbowsat.saturation import (
     RainbowSolver,
     _pattern_free_rule,
@@ -528,6 +529,17 @@ def test_cold_build_puts_each_class_in_canonical_form_once(monkeypatch):
     after = canonical_form.cache_info()
     # 156 classes, of which the empty graph is built without a canonical form
     assert after.hits + after.misses - before.hits - before.misses == 155
+
+
+def test_level_table_leaves_the_canonical_cache_bounded(monkeypatch):
+    # the table asks once per fresh child and never hits, so a cache as large
+    # as its traffic would keep every child graph and its form
+    monkeypatch.setattr(saturation, "_DAG", {})
+    before = canonical_form.cache_info()
+    list(enumerate_levels(7))
+    after = canonical_form.cache_info()
+    assert after.hits + after.misses - before.hits - before.misses == 1043
+    assert after.currsize <= 256
 
 
 def canonical_keyed_levels(n):
@@ -1124,6 +1136,20 @@ def test_warm_store_gives_the_verdicts_of_an_empty_one(monkeypatch):
     assert Counter(v[0] for v in empty) == {Verdict.SATURATED: 29, Verdict.NOT_SATURATED: 29}
 
 
+def test_expired_embedding_test_finds_nothing_in_the_store(monkeypatch):
+    monkeypatch.setattr(saturation, "_REFUTED", {})
+    solver = RainbowSolver([cycle(4)])
+    g = gadget("GA").graph
+    saturation._add_refuted(tuple(solver.fitting_cores(g.n)), g, range(g.edge_count))
+    assert solver.contains_refuted(g)
+
+    def expired(*args):
+        raise _Expired
+
+    monkeypatch.setattr(saturation, "exists_embedding", expired)
+    assert not solver.contains_refuted(g)
+
+
 def test_budgeted_check_neither_reads_nor_fills_the_store(monkeypatch):
     # with a warm store, the first non-edge of the 14-vertex K4 ladder needs
     # a search of 3,741 nodes, past the budget
@@ -1177,3 +1203,8 @@ def test_structural_report_wheel():
     assert rep["min_degree"] == 3
     assert rep["degree_one_vertices"] == []
     assert rep["nonadjacent_low_degree_pairs"] == []
+
+
+def test_structural_report_lists_low_degree_pairs():
+    rep = structural_report(cycle(4), clique_order=4)
+    assert rep["nonadjacent_low_degree_pairs"] == [(0, 2), (1, 3)]

@@ -2,6 +2,7 @@
 import pytest
 
 from rainbowsat import verify
+from rainbowsat.constructions import gadget
 
 
 @pytest.mark.parametrize(
@@ -72,3 +73,20 @@ def test_exact_claims_record_a_budget_abort_as_indeterminate(node_limit):
         assert check["status"] == ("indeterminate" if aborted else "pass")
         assert aborted is None or aborted.startswith("budget exhausted")
     assert report["status"] == "indeterminate"
+
+
+def test_repeated_claim_is_refused():
+    with pytest.raises(ValueError, match="repeated claims: ehm$"):
+        verify.run_report(["ehm", "p3-equality", "ehm"])
+
+
+def test_engine_oracle_claim_fails_on_a_disagreement(monkeypatch):
+    # an oracle that says the opposite of the real one on every pattern
+    real = verify.naive_rainbow_free_colorable_multi
+    monkeypatch.setattr(verify, "naive_rainbow_free_colorable_multi",
+                        lambda g, fams: {k: not v for k, v in real(g, fams).items()})
+    monkeypatch.setattr(verify, "engine_oracle_cases", lambda seed: [("GA", gadget("GA").graph)])
+    report = verify.run_report(["engine-oracle"])
+    (check,) = report["claims"][0]["checks"]
+    assert report["status"] == check["status"] == "fail"
+    assert check["detail"]["mismatches"] == ["GA/C4", "GA/K3", "GA/K4", "GA/P3", "GA/P4"]
