@@ -260,8 +260,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_construct)
 
     p = sub.add_parser("gadget", help="emit a fixed gadget graph", parents=[common])
-    p.add_argument("name", nargs="?", default="")
-    p.add_argument("--list", action="store_true")
+    one = p.add_mutually_exclusive_group(required=True)
+    one.add_argument("name", nargs="?")
+    one.add_argument("--list", action="store_true", help="print every gadget name")
     p.set_defaults(func=cmd_gadget)
 
     p = sub.add_parser("verify-paper", help="run the verification suite", parents=[common])

@@ -601,8 +601,8 @@ def _join_orbits(orbit, gens, fixes, path):
     return orbit
 
 
-# the level table calls it once per fresh child graph and never hits; the
-# hits come from re-asking about the same few graphs, which 256 entries hold
+# the hits come from re-asking about the same few graphs, which 256
+# entries hold
 @lru_cache(maxsize=256)
 def canonical_form(g: Graph) -> CanonicalForm:
     """Canonical form; encodings are equal iff the graphs are isomorphic."""

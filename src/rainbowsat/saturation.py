@@ -40,19 +40,20 @@ twin-orbit children, built once per process, one level at a time as
 ``enumerate_levels`` first yields it; the walks of ``sat_exact``,
 ``sat_star_exact`` and ``all_rainbow_saturated`` read it through that generator.
 Children are told apart by a cheap vertex-invariant key (``_child_keys``),
-exact through n = 9 and checked against Pólya's count at every level, so
-canonical form runs once per class, on the first child to reach it, and the
-table keeps that relabeling.  The table holds no verdict; each walk keeps
-its own, with a witness coloring per free class for ``sat*``, and asks the
-solver at most once per isomorphism class: not at all for a child of a free
-class that one class more on the parent's witness colors rainbow-free (the
-witness rule, ``engine.EdgeClasses.extension``).
+exact through n = 9 and checked against Pólya's count at every level, and
+each class is represented by the first child to reach it, in its parent's
+labeling, so the table computes no canonical form; only the saturated
+classes a run reports are put in canonical form.  The table holds no
+verdict; each walk keeps its own, with a witness coloring per free class
+for ``sat*``, and asks the solver at most once per isomorphism class: not at
+all for a child of a free class that one class more on the parent's witness
+colors rainbow-free (the witness rule, ``engine.EdgeClasses.extension``).
 """
 from __future__ import annotations
 
 import time
 from array import array
-from bisect import insort
+from bisect import bisect, insort
 from dataclasses import dataclass
 from enum import Enum
 from itertools import combinations
@@ -371,19 +372,16 @@ class _Level(NamedTuple):
     Class i of the level below has its children at positions
     ``start[i]:start[i + 1]`` of ``pairs`` (its orbit non-edge uv, stored as
     u * n + v) and ``child`` (the index of g + uv's class in ``reps``).
-    Class j was put in canonical form on the first child to reach it, g + uv
-    for the first parent g and pair uv in that order, and n bytes of
-    ``relabel`` from j * n on keep that relabeling: vertex x of g + uv is
-    vertex relabel[j * n + x] of the rep.  Reps are bare adjacency tuples,
-    so no ``Graph`` built from them, nor anything cached on one, outlives
-    its caller.
+    Class j is represented by the first child to reach it, g + uv for the
+    first parent g and pair uv in that order, in g's labeling.  Reps are
+    bare adjacency tuples, so no ``Graph`` built from them, nor anything
+    cached on one, outlives its caller.
     """
 
-    reps: list     # canonical adjacency tuples, ascending canonical encoding
+    reps: list     # adjacency tuples, in order of first reach
     pairs: bytes
     child: array
     start: array
-    relabel: bytes
 
 
 # n -> (class count per edge level by oracle.graph_counts, the levels built
@@ -406,7 +404,7 @@ def _level(n: int, m: int) -> _Level:
     graph has no children."""
     entry = _DAG.get(n)
     if entry is None:
-        bottom = _Level([empty_graph(n).adj], b"", array("I"), array("I", [0]), bytes(range(n)))
+        bottom = _Level([empty_graph(n).adj], b"", array("I"), array("I", [0]))
         entry = _DAG[n] = (graph_counts(n), [bottom])
     counts, levels = entry
     while len(levels) <= m:
@@ -484,6 +482,43 @@ def _child_keys(n: int, rows, pairs) -> list:
     return keys
 
 
+def _class_key(adj) -> tuple:
+    """The class key of ``_child_keys`` for the graph with adjacency rows
+    ``adj``, from scratch.
+
+    Each pair of vertices adds its share of the label fields to both ends:
+    an edge the other end's degree, and its codegree c as triangles and
+    C(c, 2) as 4-cycles; a non-edge its 4-cycles alone.
+    """
+    quads = _QUADS
+    n = len(adj)
+    label = [row.bit_count() for row in adj]
+    shifted = [d << 4 for d in label]
+    edges = []
+    for v in range(n):
+        row = adj[v]
+        if not row:
+            continue
+        mine = 0
+        for w in range(v + 1, n):
+            c = (row & adj[w]).bit_count()
+            if row >> w & 1:
+                edges.append((v, w))
+                share = quads[c] + (c << 11)
+                mine += share + shifted[w]
+                label[w] += share + shifted[v]
+            elif c > 1:
+                mine += quads[c]
+                label[w] += quads[c]
+        label[v] += mine
+    key = [x << 28 for x in label]
+    for v, w in edges:
+        key[v] += label[w]
+        key[w] += label[v]
+    key.sort()
+    return tuple(key)
+
+
 def _grow(n: int, m: int, below: list, count: int) -> _Level:
     """Level m, the classes with m edges, from the classes ``below`` with
     m - 1 by single-edge extension, in one pass over the children.
@@ -492,65 +527,58 @@ def _grow(n: int, m: int, below: list, count: int) -> _Level:
     (``Graph.orbit_non_edges``): the other non-edges of an orbit give
     isomorphic children, so every child class is still reached.  Children
     are grouped by a vertex-invariant key, computed from their parent by
-    ``_child_keys``, and only the first child to reach a key is built and
-    put in canonical form, which gives the class's rep, its encoding and
-    the relabeling onto the rep.  The reps share one int object per row
-    value.
+    ``_child_keys``, and the first child to reach a key, in its parent's
+    labeling, is the class's rep; classes keep that order.  No canonical
+    form is computed.  The reps share one int object per row value.
 
     The key is an isomorphism invariant, so there are at most as many keys
     as classes reached, and at most as many of those as the Pólya count
     ``count``; equal counts mean one class per key.  A key count other than
-    ``count``, or two reps with one canonical encoding, raises RuntimeError.
+    ``count``, or two reps with one class key computed from scratch
+    (``_class_key``), so isomorphic, raises RuntimeError.
     """
     index = {}  # class key -> class index in order of first reach
     reps = []
-    codes = []
-    relabel = bytearray()  # n bytes per class, in order of first reach
     shared = {}  # row value -> the one int object the reps hold for it
     pairs = bytearray()
     child = array("I")
     start = array("I", [0])
     for rows in below:
-        g = Graph._from_adj(n, rows)
-        orbit = g.orbit_non_edges()
+        orbit = Graph._from_adj(n, rows).orbit_non_edges()
         for (u, v), key in zip(orbit, _child_keys(n, rows, orbit)):
             i = index.get(key)
             if i is None:
                 i = index[key] = len(reps)
-                h = g.with_edge(u, v)
-                cf = canonical_form(h)
-                reps.append(tuple(shared.setdefault(r, r) for r in h.relabel(cf.relabeling).adj))
-                codes.append(cf.encoding)
-                relabel += bytes(cf.relabeling)
+                rep = list(rows)
+                rep[u] |= 1 << v
+                rep[v] |= 1 << u
+                reps.append(tuple([shared.setdefault(r, r) for r in rep]))
             pairs.append(u * n + v)
             child.append(i)
         start.append(len(child))
-    distinct = len(set(codes))
+    distinct = len({_class_key(rep) for rep in reps})
     if len(reps) != count or distinct != count:
         raise RuntimeError(
             f"enumeration found {distinct} classes under {len(reps)} keys at n={n} "
             f"with {m} edges; Pólya's count is {count}"
         )
-    order = sorted(range(count), key=codes.__getitem__)
-    rank = [0] * count
-    for r, i in enumerate(order):
-        rank[i] = r
-    return _Level([reps[i] for i in order], bytes(pairs), array("I", [rank[i] for i in child]),
-                  start, b"".join(relabel[i * n:i * n + n] for i in order))
+    return _Level(reps, bytes(pairs), child, start)
 
 
 def enumerate_levels(n: int, max_edges: int | None = None):
-    """Yield (edge count, canonical representatives) in ascending edge order.
+    """Yield (edge count, representatives) in ascending edge order.
 
     Level m+1 is generated from level m by single-edge extension, so every
-    isomorphism class appears exactly once, at its own edge count.  Each
-    level lists its classes in ascending order of canonical encoding.  A
-    class is extended only by the first non-edge of each twin orbit
+    isomorphism class appears exactly once, at its own edge count.  A class
+    is extended only by the first non-edge of each twin orbit
     (``Graph.orbit_non_edges``): the other non-edges of an orbit give
     isomorphic children, so every child class is still reached.  Children
-    are told apart by a vertex-invariant key and each class is put in
-    canonical form once; each finished level's key count is checked against
-    ``oracle.graph_counts``.
+    are told apart by a vertex-invariant key, and each class is represented
+    by the first child to reach it, in its parent's labeling; a level lists
+    its classes in that order, which is deterministic.  No canonical form
+    is computed.  Each finished level's key count is checked against
+    ``oracle.graph_counts``, and its reps against each other by a class key
+    computed from scratch.
 
     The levels of each n are built once per process, each in the ``next()``
     that first yields it, and every walk reads them through this generator;
@@ -566,17 +594,16 @@ def enumerate_levels(n: int, max_edges: int | None = None):
 
 def _saturated_levels(n: int, root, rule, max_edges=None):
     """Yield (edge count, classes, saturated classes) in ascending edge order,
-    up to ``max_edges`` edges; classes are canonical representatives in
-    ascending order of canonical encoding, as fresh lists of fresh graphs.
+    up to ``max_edges`` edges; classes are the reps of ``enumerate_levels``
+    in its order, as fresh lists of fresh graphs.
 
     The walk decides a property of graphs on n vertices, "free", that
     survives edge deletion.  It keeps a state for each free class of the
     current and the next level, in the labeling of the class's rep, and
     False for a class that is not free; ``root`` is the state of the empty
     graph.  ``rule(g, state)`` gives the function that decides the children
-    of a free class g: called with a non-edge (u, v) of g and the relabeling
-    perm of g + uv onto its class's rep (vertex x to perm[x]), it returns
-    the child's state in the rep's labeling, or False.
+    of a free class g: called with a non-edge (u, v) of g, it returns the
+    state of g + uv in g's labeling, or False.
 
     The walk reads ``enumerate_levels`` one level ahead, so each level is
     built in that generator, and keeps its states to itself.  A child of a
@@ -584,11 +611,10 @@ def _saturated_levels(n: int, root, rule, max_edges=None):
     the first child to reach it: all its parents are free, so that child
     comes from the first parent in class order, by the first non-edge of
     each twin orbit, and is the labeled graph that trying every non-edge
-    would reach it by and that the level put in canonical form.  So the
-    relabeling the level stored moves the child onto the rep, with no
-    canonical form computed.  A free class is saturated iff none of its
-    children is free; children past ``max_edges`` are decided too, so the
-    last level within the budget is judged in full.
+    would reach it by and that the level took as the class's rep.  So the
+    child's state is the rep's, with no relabeling.  A free class is
+    saturated iff none of its children is free; children past ``max_edges``
+    are decided too, so the last level within the budget is judged in full.
     """
     cap = _edge_cap(n, max_edges)
     levels = enumerate_levels(n, cap + 1)
@@ -596,7 +622,7 @@ def _saturated_levels(n: int, root, rule, max_edges=None):
     states = [root]
     for m in range(cap + 1):
         _, ahead = next(levels, (None, []))
-        _, pairs, child, start, relabel = _level(n, m + 1)
+        _, pairs, child, start = _level(n, m + 1)
         above = [None] * len(ahead)  # None until decided
         for i, state in enumerate(states):
             if state is False:
@@ -614,8 +640,7 @@ def _saturated_levels(n: int, root, rule, max_edges=None):
                     if above[j] is None:
                         if decide is None:
                             decide = rule(g, state)
-                        u, v = divmod(pairs[k], n)
-                        above[j] = decide(u, v, relabel[j * n:j * n + n])
+                        above[j] = decide(*divmod(pairs[k], n))
                 if all(above[child[k]] is False for k in kids):
                     hits.append(g)
         yield m, classes, hits
@@ -629,7 +654,7 @@ def _pattern_free_rule(pat: Pattern, n: int):
     cores = [pat.core] if pat.order <= n else []
 
     def rule(g, _):
-        return lambda u, v, _: not copy_through(g.with_edge(u, v), cores, u, v)
+        return lambda u, v: not copy_through(g.with_edge(u, v), cores, u, v)
     return not exists_embedding(empty_graph(n), pat), rule
 
 
@@ -638,11 +663,12 @@ def _witness_rule(solver: RainbowSolver, n: int):
     on n vertices.  A free class's state is a witness coloring, its classes
     as one bytes in the edge order of the class's rep.
 
-    A child g + uv of a free class g takes g's witness plus the class that
-    ``EdgeClasses.extension`` finds for uv over it, with no search; only
-    when there is none does the solver decide g + uv.  The witnesses stay
-    out of the solver's cache: they depend on which parent reached a class
-    first.
+    A child g + uv of a free class g takes g's witness with the class that
+    ``EdgeClasses.extension`` finds for uv over it inserted at uv's position
+    in the child's edge order, with no search; only when there is none does
+    the solver decide g + uv, and its witness is the state as it comes.  The
+    witnesses stay out of the solver's cache: they depend on which parent
+    reached a class first.
     """
     cores = solver.fitting_cores(n)
 
@@ -650,44 +676,44 @@ def _witness_rule(solver: RainbowSolver, n: int):
         table = EdgeClasses(g, witness)
         edges = g.edges
 
-        def decide(u, v, perm):
+        def decide(u, v):
             h = g.with_edge(u, v)
             c = table.extension(h, cores, u, v)
             if c is not None:
-                return _moved(edges + ((u, v),), witness + bytes((c,)), perm)
+                i = bisect(edges, (u, v))
+                return witness[:i] + bytes((c,)) + witness[i:]
             found = solver.witness(h)
-            return False if found is None else _moved(h.edges, found.classes, perm)
+            return False if found is None else bytes(found.classes)
         return decide
 
     root = solver.witness(empty_graph(n))
     return (False if root is None else bytes(root.classes)), rule
 
 
-def _moved(edges, classes, perm) -> bytes:
-    """``classes``, one per edge of ``edges``, in the edge order of the graph
-    relabeled by perm."""
-    n = len(perm)
-    keyed = []  # per edge, its position among the pairs of the new labeling << 8 | its class
-    for (a, b), c in zip(edges, classes):
-        x, y = perm[a], perm[b]
-        keyed.append((x * n + y if x < y else y * n + x) << 8 | c)
-    keyed.sort()
-    return bytes([k & 255 for k in keyed])
+def _in_canonical_form(graphs) -> list:
+    """Each of ``graphs`` in canonical form, in ascending canonical encoding:
+    one canonical form per graph."""
+    forms = sorted(((canonical_form(g), g) for g in graphs), key=lambda f: f[0].encoding)
+    return [g.relabel(cf.relabeling) for cf, g in forms]
 
 
 def _sat_number(n: int, famkey: tuple, root, rule, edge_budget=None,
                 found=None) -> SatNumberResult:
     """The first level of _saturated_levels with a saturated class.  Given a
-    list ``found``, every level is scanned and its saturated classes appended."""
+    list ``found``, every level is scanned and its saturated classes appended.
+    Only the saturated classes reported are put in canonical form: the
+    witnesses are their graph6, and ``found`` gets the canonical graphs,
+    each level's in ascending canonical encoding."""
     res = SatNumberResult(n, famkey, None, (), 0, 0)
     for m, graphs, hits in _saturated_levels(n, root, rule, edge_budget):
         res.graphs_checked += len(graphs)
         res.levels_searched = m
-        if hits and res.value is None:
-            res.value, res.witnesses = m, tuple(graph6_encode(g) for g in hits)
+        if hits:
+            hits = _in_canonical_form(hits)
+            if res.value is None:
+                res.value, res.witnesses = m, tuple(graph6_encode(g) for g in hits)
             if found is None:
                 break
-        if found is not None:
             found.extend(hits)
     return res
 

@@ -73,8 +73,10 @@ def test_bad_input_exits_64(argv, tmp_path, capsys):
 
 @pytest.mark.parametrize(
     "argv",
-    [["check", "K4"], ["satstar", "x", "C4"], ["colorable", "K4", "P4", "--bogus"]],
-    ids=["missing-patterns", "non-integer-n", "unknown-flag"],
+    [["check", "K4"], ["satstar", "x", "C4"], ["colorable", "K4", "P4", "--bogus"],
+     ["gadget"], ["gadget", "GA", "--list"]],
+    ids=["missing-patterns", "non-integer-n", "unknown-flag", "gadget-without-name",
+         "gadget-name-and-list"],
 )
 def test_usage_error_exits_64_not_2(argv, capsys):
     # exit 2 means INDETERMINATE, so argparse's own usage exit would read as one

@@ -326,8 +326,8 @@ def symmetric_hosts():
 
 
 def test_pruned_search_matches_reference(monkeypatch):
-    # same encoding and same relabeling, so the level table, the goldens
-    # and every witness in graph6 stay as they were
+    # same encoding and same relabeling, so the goldens and every witness
+    # in graph6 stay as they were
     rng = random.Random(53)
     hosts = [Graph(h.number_of_nodes(), h.edges()) for h in nx.graph_atlas_g()]
     hosts += [random_graph(rng, rng.randint(1, 14)) for _ in range(2000)]

@@ -56,6 +56,7 @@ from rainbowsat.engine import EdgeClasses, EdgeColoring, as_pattern
 from rainbowsat.graphs import _Expired, canonical_form, graph6_encode, induced_subgraph
 from rainbowsat.saturation import (
     RainbowSolver,
+    _class_key as class_key,
     _pattern_free_rule,
     _saturated_levels,
     _witness_rule,
@@ -275,49 +276,9 @@ def test_classical_matches_brute_force():
 
 
 def enumerate_nonisomorphic_graphs(n, edge_budget=None):
-    """One canonical representative per isomorphism class, ascending edge count."""
+    """One representative per isomorphism class, ascending edge count."""
     for _, graphs in enumerate_levels(n, edge_budget):
         yield from graphs
-
-
-def class_key(adj) -> tuple:
-    """Reference for ``saturation._child_keys``: the class key of the graph
-    with adjacency rows ``adj``, from scratch.
-
-    Each vertex v gets a label from its degree, the sum of its neighbors'
-    degrees, twice its triangle count and its 4-cycle count (the sum over
-    w != v of C(codeg(v, w), 2)); the key is the sorted tuple of the pairs
-    (label of v, sum of v's neighbors' labels), each packed into one int.
-    """
-    quads = saturation._QUADS
-    n = len(adj)
-    # a label packs degree | neighbors' degrees << 4 | twice the triangles
-    # << 11 | 4-cycles << 17; each pair of vertices adds its share to both
-    label = [row.bit_count() for row in adj]
-    shifted = [d << 4 for d in label]
-    edges = []
-    for v in range(n):
-        row = adj[v]
-        if not row:
-            continue
-        mine = 0
-        for w in range(v + 1, n):
-            c = (row & adj[w]).bit_count()
-            if row >> w & 1:
-                edges.append((v, w))
-                share = quads[c] + (c << 11)
-                mine += share + shifted[w]
-                label[w] += share + shifted[v]
-            elif c > 1:
-                mine += quads[c]
-                label[w] += quads[c]
-        label[v] += mine
-    key = [x << 28 for x in label]
-    for v, w in edges:
-        key[v] += label[w]
-        key[w] += label[v]
-    key.sort()
-    return tuple(key)
 
 
 def test_enumeration_counts():
@@ -334,6 +295,19 @@ def test_enumeration_counts_match_graph_atlas():
         levels = {m: len(level) for m, level in enumerate_levels(n)}
         assert levels == {m: k for (order, m), k in atlas.items() if order == n}
         assert levels == dict(enumerate(graph_counts(n)))
+
+
+def test_level_reps_are_the_atlas_classes():
+    # an oracle independent of the table: the canonical encodings of each
+    # level's reps are those of the atlas graphs with n vertices and m edges
+    atlas = {}
+    for h in nx.graph_atlas_g():
+        g = Graph(h.number_of_nodes(), h.edges())
+        atlas.setdefault((g.n, g.edge_count), []).append(canonical_form(g).encoding)
+    for n in range(8):
+        for m, level in enumerate_levels(n):
+            codes = sorted(canonical_form(g).encoding for g in level)
+            assert codes == sorted(atlas[n, m]), (n, m)
 
 
 def test_polya_totals():
@@ -450,7 +424,7 @@ def test_inexact_class_key_raises(key, monkeypatch):
 
 def test_class_key_splitting_one_class_and_merging_two_raises(monkeypatch):
     # as many keys as classes, but one class under two keys and two classes
-    # under one: only the check on canonical encodings catches it
+    # under one: only the check on class keys computed from scratch catches it
     n, m = 6, 4
     exact = class_key
     labeled = {}  # key -> the labeled children under it
@@ -480,10 +454,11 @@ def test_class_key_splitting_one_class_and_merging_two_raises(monkeypatch):
 ], ids=["sat_star_exact", "sat_exact", "all_rainbow_saturated"])
 def test_walks_read_the_table_through_enumerate_levels(walk, monkeypatch):
     # a wrapper of enumerate_levels sees every level a walk judges, and the
-    # whole table build: every canonical form runs inside one of its next()
+    # whole table build, which puts no graph in canonical form: only the
+    # reported witnesses are, outside every next()
     levels = saturation.enumerate_levels
     walk_levels = saturation._saturated_levels
-    yielded, judged, outside = [], [], []
+    yielded, judged, within, outside = [], [], [], []
     inside = False
 
     def spy(*args):
@@ -501,8 +476,7 @@ def test_walks_read_the_table_through_enumerate_levels(walk, monkeypatch):
             yield item
 
     def counted(g):
-        if not inside:
-            outside.append(g)
+        (within if inside else outside).append(g)
         return canonical_form(g)
 
     def judging(*args):
@@ -518,33 +492,32 @@ def test_walks_read_the_table_through_enumerate_levels(walk, monkeypatch):
     walk()
     after = canonical_form.cache_info()
     assert judged and all(any(c is level for level in yielded) for c in judged)
-    assert after.hits + after.misses > before.hits + before.misses
-    assert outside == []
+    assert within == []
+    assert outside and after.hits + after.misses == before.hits + before.misses + len(outside)
 
 
-def test_cold_build_puts_each_class_in_canonical_form_once(monkeypatch):
+def test_cold_build_computes_no_canonical_form(monkeypatch):
     monkeypatch.setattr(saturation, "_DAG", {})
     before = canonical_form.cache_info()
     list(enumerate_levels(6))
     after = canonical_form.cache_info()
-    # 156 classes, of which the empty graph is built without a canonical form
-    assert after.hits + after.misses - before.hits - before.misses == 155
+    assert after.hits + after.misses == before.hits + before.misses
 
 
 def test_level_table_leaves_the_canonical_cache_bounded(monkeypatch):
-    # the table asks once per fresh child and never hits, so a cache as large
-    # as its traffic would keep every child graph and its form
+    # the table puts no child in canonical form, so a cold build of 1,044
+    # classes leaves the cache as it found it
     monkeypatch.setattr(saturation, "_DAG", {})
     before = canonical_form.cache_info()
     list(enumerate_levels(7))
     after = canonical_form.cache_info()
-    assert after.hits + after.misses - before.hits - before.misses == 1043
-    assert after.currsize <= 256
+    assert after.hits + after.misses == before.hits + before.misses
+    assert after.currsize == before.currsize <= 256
 
 
 def canonical_keyed_levels(n):
     """Reference for the level table: children deduplicated by canonical
-    encoding, every child put in canonical form."""
+    encoding, each class represented by the first child to reach it."""
     below = [empty_graph(n).adj]
     yield below, b"", [], [0]
     while below:
@@ -554,19 +527,20 @@ def canonical_keyed_levels(n):
             g = Graph._from_adj(n, rows)
             for u, v in g.orbit_non_edges():
                 h = g.with_edge(u, v)
-                cf = canonical_form(h)
-                if cf.encoding not in index:
-                    index[cf.encoding] = (len(index), h.relabel(cf.relabeling).adj)
+                code = canonical_form(h).encoding
+                if code not in index:
+                    index[code] = (len(index), h.adj)
                 pairs.append(u * n + v)
-                child.append(index[cf.encoding][0])
+                child.append(index[code][0])
             start.append(len(child))
-        rank = {index[code][0]: r for r, code in enumerate(sorted(index))}
-        below = [index[code][1] for code in sorted(index)]
-        yield below, bytes(pairs), [rank[i] for i in child], start
+        below = [rep for _, rep in index.values()]
+        yield below, bytes(pairs), child, start
 
 
 @pytest.mark.extended
 def test_level_table_matches_canonical_keyed_build_at_eight():
+    # the reference keeps one rep per canonical encoding, so equal reps also
+    # audit that each level's reps are pairwise non-isomorphic
     reference = list(canonical_keyed_levels(8))
     assert len(reference) == comb(8, 2) + 2
     for m, (reps, pairs, child, start) in enumerate(reference):
@@ -681,29 +655,24 @@ def test_saturated_levels_match_per_graph_filter(name):
 
 
 def reference_levels(n):
-    """Reference: enumerate_levels extending each class by every non-edge."""
-    level = {canonical_form(empty_graph(n)).encoding: empty_graph(n)}
-    yield 0, [empty_graph(n)]
+    """Reference: enumerate_levels extending each class by every non-edge,
+    each class represented by the first child to reach it."""
+    level = [empty_graph(n)]
     m = 0
-    while True:
-        nxt = {}
-        for key in sorted(level):
-            for u, v in level[key].non_edges():
-                h = level[key].with_edge(u, v)
-                cf = canonical_form(h)
-                if cf.encoding not in nxt:
-                    nxt[cf.encoding] = h.relabel(cf.relabeling)
-        if not nxt:
-            return
+    while level:
+        yield m, level
+        nxt = {}  # canonical encoding -> the first child to reach it
+        for g in level:
+            for u, v in g.non_edges():
+                h = g.with_edge(u, v)
+                nxt.setdefault(canonical_form(h).encoding, h)
         m += 1
-        yield m, [nxt[k] for k in sorted(nxt)]
-        level = nxt
+        level = list(nxt.values())
 
 
 def reference_saturated_levels(n, root, rule, max_edges=None):
     """Reference: the level table, trying every non-edge of every class; a
-    class is decided by ``rule`` on the first child to reach it, moved onto
-    the rep by that child's canonical relabeling."""
+    class is decided by ``rule`` on the first child to reach it."""
     assert max_edges is None
     levels = reference_levels(n)
     m, graphs = next(levels)
@@ -720,10 +689,10 @@ def reference_saturated_levels(n, root, rule, max_edges=None):
                 decide = rule(g, state)
                 saturated = True
                 for u, v in g.non_edges():
-                    cf = canonical_form(g.with_edge(u, v))
-                    if cf.encoding not in children:
-                        children[cf.encoding] = decide(u, v, cf.relabeling)
-                    saturated = saturated and children[cf.encoding] is False
+                    code = canonical_form(g.with_edge(u, v)).encoding
+                    if code not in children:
+                        children[code] = decide(u, v)
+                    saturated = saturated and children[code] is False
                 if saturated:
                     hits.append(g)
         yield m, graphs, hits
@@ -731,7 +700,7 @@ def reference_saturated_levels(n, root, rule, max_edges=None):
         if upper is None:
             return
         m, graphs = upper
-        states = [children[key] for key in sorted(children)]
+        states = [children[canonical_form(g).encoding] for g in graphs]
 
 
 def free_calls(levels, monkeypatch):
@@ -769,23 +738,23 @@ def test_twin_orbit_children_reach_the_same_graphs(monkeypatch):
     want = free_calls(reference_saturated_levels, monkeypatch)
     assert free_calls(_saturated_levels, monkeypatch) == want
     assert len(want[0]) > 100
-    assert Counter(kind for kind, _, _ in want[0]) == {"free": 14, "settled": 237}
+    assert Counter(kind for kind, _, _ in want[0]) == {"free": 36, "settled": 215}
 
 
-def test_stored_relabeling_moves_each_decided_child_onto_its_rep():
+def test_walk_decides_each_class_on_its_rep():
     # with every class free, the walk decides every class above the empty
-    # graph, each on the labeled child that its level put in canonical form
+    # graph, in the level's order, each on the labeled child that is its rep
     for n in range(8):
         decided = []
 
         def rule(g, _):
-            def decide(u, v, perm):
-                decided.append(g.with_edge(u, v).relabel(perm).adj)
+            def decide(u, v):
+                decided.append(g.with_edge(u, v).adj)
                 return True
             return decide
 
         for m, _, _ in _saturated_levels(n, True, rule):
-            assert sorted(decided) == sorted(saturation._level(n, m + 1).reps), (n, m)
+            assert decided == saturation._level(n, m + 1).reps, (n, m)
             decided.clear()
 
 
@@ -800,7 +769,7 @@ class CountingSolver(RainbowSolver):
 def settled_children(n, fam) -> list:
     """Each child that the sat* walk on n vertices settles from its parent's
     witness, up to the first level with a saturated class, as the child in
-    its rep's labeling and the witness it carries."""
+    its parent's labeling, which is its rep's, and the witness it carries."""
     solver = CountingSolver(fam)
     root, rule = _witness_rule(solver, n)
     settled = []
@@ -808,11 +777,11 @@ def settled_children(n, fam) -> list:
     def recording(g, state):
         decide = rule(g, state)
 
-        def recorded(u, v, perm):
+        def recorded(u, v):
             before = solver.searched
-            out = decide(u, v, perm)
+            out = decide(u, v)
             if solver.searched == before:
-                settled.append((g.with_edge(u, v).relabel(perm), out))
+                settled.append((g.with_edge(u, v), out))
             return out
         return recorded
 
@@ -848,11 +817,13 @@ def test_witness_rule_settles_colorable_children_at_seven_and_eight(pattern, n):
 
 
 def test_second_run_reuses_the_levels():
+    # the levels are not built again: the only canonical forms are the
+    # reported witnesses'
     first = sat_exact(7, complete_graph(4))
     before = canonical_form.cache_info()
     second = sat_exact(7, complete_graph(4))
     after = canonical_form.cache_info()
-    assert after.hits + after.misses == before.hits + before.misses
+    assert after.hits + after.misses == before.hits + before.misses + len(second.witnesses)
     assert second == first
 
 
@@ -875,7 +846,7 @@ def test_aborted_run_shares_no_verdicts():
 def below_nine_edges(g, _):
     """A rule for walks that only need one: graphs with fewer than 9 edges
     are free."""
-    return lambda u, v, _: g.edge_count < 8
+    return lambda u, v: g.edge_count < 8
 
 
 def test_yielded_levels_are_fresh_lists():
