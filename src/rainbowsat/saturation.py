@@ -39,11 +39,13 @@ The level table holds the isomorphism classes of each n and their
 twin-orbit children, built once per process, one level at a time as
 ``enumerate_levels`` first yields it; the walks of ``sat_exact``,
 ``sat_star_exact`` and ``all_rainbow_saturated`` read it through that generator.
-Children are told apart by a cheap vertex-invariant key (``_child_keys``),
-exact through n = 9 and checked against Pólya's count at every level, and
-each class is represented by the first child to reach it, in its parent's
-labeling, so the table computes no canonical form; only the saturated
-classes a run reports are put in canonical form.  The table holds no
+Children are told apart by a cheap vertex-invariant key (``_child_keys``)
+checked against Pólya's count at every level: the sorted vertex labels
+until a level of that n comes up short, each vertex's label with its
+neighbors' label sum from that level on.  Each class is represented by the
+first child to reach it, in its parent's labeling, so the table computes
+no canonical form; only the saturated classes a run reports are put in
+canonical form.  The table holds no
 verdict; each walk keeps its own, with a witness coloring per free class
 for ``sat*``, and asks the solver at most once per isomorphism class: not at
 all for a child of a free class that one class more on the parent's witness
@@ -384,8 +386,9 @@ class _Level(NamedTuple):
     start: array
 
 
-# n -> (class count per edge level by oracle.graph_counts, the levels built
-# so far).  Levels are built on first use and only complete ones are kept.
+# n -> [class count per edge level by oracle.graph_counts, the levels built
+# so far, whether they are keyed by the fine key].  Levels are built on first
+# use and only complete ones are kept.
 _DAG: dict = {}
 
 
@@ -405,32 +408,36 @@ def _level(n: int, m: int) -> _Level:
     entry = _DAG.get(n)
     if entry is None:
         bottom = _Level([empty_graph(n).adj], b"", array("I"), array("I", [0]))
-        entry = _DAG[n] = (graph_counts(n), [bottom])
-    counts, levels = entry
+        entry = _DAG[n] = [graph_counts(n), [bottom], False]
+    levels = entry[1]
     while len(levels) <= m:
-        k = len(levels)
-        levels.append(_grow(n, k, levels[-1].reps, counts[k] if k < len(counts) else 0))
+        levels.append(_grow(n, entry))
     return levels[m]
 
 
 # C(c, 2) for a codegree c (at most n - 2), shifted into a label's 4-cycle field
 _QUADS = tuple((c * (c - 1) >> 1) << 17 for c in range(ENUMERATION_LIMIT - 1))
+# the neighbors of a vertex by its row: the set bit positions of each row
+# value, as bytes, which hold the 512 of them in 23 KB
+_BITS = tuple(bytes(iter_bits(row)) for row in range(1 << ENUMERATION_LIMIT))
 
 
-def _child_keys(n: int, rows, pairs) -> list:
+def _child_keys(n: int, rows, pairs, fine: bool) -> list:
     """The class key of rows + uv for each non-edge (u, v) of ``pairs``,
     each from the parent's degrees, codegrees and labels.
 
-    The key is an isomorphism invariant.  Each vertex v gets a label from
-    its degree, the sum of its neighbors' degrees, twice its triangle count
-    and its 4-cycle count (the sum over w != v of C(codeg(v, w), 2)),
-    packed as degree | neighbors' degrees << 4 | twice the triangles << 11
-    | 4-cycles << 17; the key is the sorted tuple of the pairs (label of v,
-    sum of v's neighbors' labels), each packed into one int as label << 28
-    | sum.  The fields fit their bits for n <= 9; an overflow could only
-    merge keys.  The key tells apart every two classes with equal edge
-    counts on at most 9 vertices: ``_grow`` checks that at every level it
-    builds.
+    The key is an isomorphism invariant, in one of two rounds of color
+    refinement.  Each vertex v gets a label from its degree, the sum of its
+    neighbors' degrees, twice its triangle count and its 4-cycle count (the
+    sum over w != v of C(codeg(v, w), 2)), packed as degree | neighbors'
+    degrees << 4 | twice the triangles << 11 | 4-cycles << 17.  The coarse
+    key is the sorted tuple of the labels.  The fine key is the sorted
+    tuple of the pairs (label of v, sum of v's neighbors' labels), each
+    packed into one int as label << 28 | sum.  The fields fit their bits
+    for n <= 9; an overflow could only merge keys.  The coarse key tells
+    apart every two classes with equal edge counts on at most 8 vertices,
+    and on 9 below 8 edges; the fine key on at most 9 vertices.  ``_grow``
+    checks the key it uses at every level it builds.
 
     Adding uv changes the label fields of few vertices: u and v gain a
     degree, the other's new degree in their neighbors' degrees and twice
@@ -438,13 +445,13 @@ def _child_keys(n: int, rows, pairs) -> list:
     neighbors' degrees, and each common neighbor one triangle.  The only
     codegrees that change are codeg(u, b) for b in N(v) and codeg(v, a) for
     a in N(u), each by one, and C(c + 1, 2) - C(c, 2) = c, so each adds its
-    old value to the 4-cycle fields of both ends.  One pass over the child's
-    edges then sums the neighbors' labels.
+    old value to the 4-cycle fields of both ends.  For the fine key, one
+    pass over the child's edges then sums the neighbors' labels.
     """
     deg = [row.bit_count() for row in rows]
     codeg = [[(row & other).bit_count() for other in rows] for row in rows]
-    nbrs = [[b for b in range(n) if row >> b & 1] for row in rows]
-    edges = [(a, b) for a in range(n) for b in nbrs[a] if a < b]
+    nbrs = list(map(_BITS.__getitem__, rows))
+    edges = [(a, b) for a in range(n) for b in nbrs[a] if a < b] if fine else ()
     quad = _QUADS.__getitem__
     base = []  # the parent's labels, packed as above
     for a in range(n):
@@ -468,23 +475,24 @@ def _child_keys(n: int, rows, pairs) -> list:
             label[b] += 16 + (cu[b] << 17)
         for a in nbrs[u]:
             label[a] += 16 + (cv[a] << 17)
-        if c:
-            for w in iter_bits(rows[u] & rows[v]):
-                label[w] += 2 << 11
-        key = [x << 28 for x in label]
-        for a, b in edges:
-            key[a] += label[b]
-            key[b] += label[a]
-        key[u] += label[v]
-        key[v] += label[u]
-        key.sort()
-        keys.append(tuple(key))
+        for w in _BITS[rows[u] & rows[v]]:
+            label[w] += 2 << 11
+        if fine:
+            key = [x << 28 for x in label]
+            for a, b in edges:
+                key[a] += label[b]
+                key[b] += label[a]
+            key[u] += label[v]
+            key[v] += label[u]
+            label = key
+        label.sort()
+        keys.append(tuple(label))
     return keys
 
 
-def _class_key(adj) -> tuple:
+def _class_key(adj, fine: bool) -> tuple:
     """The class key of ``_child_keys`` for the graph with adjacency rows
-    ``adj``, from scratch.
+    ``adj``, from scratch, coarse or fine.
 
     Each pair of vertices adds its share of the label fields to both ends:
     an edge the other end's degree, and its codegree c as triangles and
@@ -494,7 +502,6 @@ def _class_key(adj) -> tuple:
     n = len(adj)
     label = [row.bit_count() for row in adj]
     shifted = [d << 4 for d in label]
-    edges = []
     for v in range(n):
         row = adj[v]
         if not row:
@@ -503,7 +510,6 @@ def _class_key(adj) -> tuple:
         for w in range(v + 1, n):
             c = (row & adj[w]).bit_count()
             if row >> w & 1:
-                edges.append((v, w))
                 share = quads[c] + (c << 11)
                 mine += share + shifted[w]
                 label[w] += share + shifted[v]
@@ -511,17 +517,17 @@ def _class_key(adj) -> tuple:
                 mine += quads[c]
                 label[w] += quads[c]
         label[v] += mine
-    key = [x << 28 for x in label]
-    for v, w in edges:
-        key[v] += label[w]
-        key[w] += label[v]
-    key.sort()
-    return tuple(key)
+    if fine:
+        label = [(x << 28) + sum(map(label.__getitem__, _BITS[row]))
+                 for x, row in zip(label, adj)]
+    label.sort()
+    return tuple(label)
 
 
-def _grow(n: int, m: int, below: list, count: int) -> _Level:
-    """Level m, the classes with m edges, from the classes ``below`` with
-    m - 1 by single-edge extension, in one pass over the children.
+def _grow(n: int, entry: list) -> _Level:
+    """The next level of ``entry``, the ``_DAG`` entry of n: the classes
+    with m edges, m the number of levels built, from the classes with m - 1
+    by single-edge extension.
 
     Each class is extended by the first non-edge of each twin orbit
     (``Graph.orbit_non_edges``): the other non-edges of an orbit give
@@ -531,32 +537,43 @@ def _grow(n: int, m: int, below: list, count: int) -> _Level:
     labeling, is the class's rep; classes keep that order.  No canonical
     form is computed.  The reps share one int object per row value.
 
-    The key is an isomorphism invariant, so there are at most as many keys
-    as classes reached, and at most as many of those as the Pólya count
-    ``count``; equal counts mean one class per key.  A key count other than
-    ``count``, or two reps with one class key computed from scratch
-    (``_class_key``), so isomorphic, raises RuntimeError.
+    Both keys are isomorphism invariants, so there are at most as many keys
+    as classes reached, and at most as many of those as the Pólya count;
+    equal counts mean one class per key.  The levels of n are keyed by the
+    coarse key until one has fewer keys than the Pólya count: the entry is
+    then marked fine, and that level and every later one at n are keyed by
+    the fine key.  Any other key count than the Pólya count, or two reps
+    with one class key computed from scratch (``_class_key``) in the round
+    that built the level, so isomorphic, raises RuntimeError.
     """
-    index = {}  # class key -> class index in order of first reach
-    reps = []
-    shared = {}  # row value -> the one int object the reps hold for it
-    pairs = bytearray()
-    child = array("I")
-    start = array("I", [0])
-    for rows in below:
-        orbit = Graph._from_adj(n, rows).orbit_non_edges()
-        for (u, v), key in zip(orbit, _child_keys(n, rows, orbit)):
-            i = index.get(key)
-            if i is None:
-                i = index[key] = len(reps)
-                rep = list(rows)
-                rep[u] |= 1 << v
-                rep[v] |= 1 << u
-                reps.append(tuple([shared.setdefault(r, r) for r in rep]))
-            pairs.append(u * n + v)
-            child.append(i)
-        start.append(len(child))
-    distinct = len({_class_key(rep) for rep in reps})
+    counts, levels, fine = entry
+    m = len(levels)
+    count = counts[m] if m < len(counts) else 0
+    while True:
+        index = {}  # class key -> class index in order of first reach
+        reps = []
+        shared = {}  # row value -> the one int object the reps hold for it
+        pairs = bytearray()
+        child = array("I")
+        start = array("I", [0])
+        for rows in levels[-1].reps:
+            orbit = Graph._from_adj(n, rows).orbit_non_edges()
+            for (u, v), key in zip(orbit, _child_keys(n, rows, orbit, fine)):
+                i = index.get(key)
+                if i is None:
+                    i = index[key] = len(reps)
+                    rep = list(rows)
+                    rep[u] |= 1 << v
+                    rep[v] |= 1 << u
+                    reps.append(tuple([shared.setdefault(r, r) for r in rep]))
+                pairs.append(u * n + v)
+                child.append(i)
+            start.append(len(child))
+        if fine or len(reps) >= count:
+            break
+        # the coarse key merged classes: refine this level and the later ones
+        entry[2] = fine = True
+    distinct = len({_class_key(rep, fine) for rep in reps})
     if len(reps) != count or distinct != count:
         raise RuntimeError(
             f"enumeration found {distinct} classes under {len(reps)} keys at n={n} "
@@ -578,7 +595,10 @@ def enumerate_levels(n: int, max_edges: int | None = None):
     its classes in that order, which is deterministic.  No canonical form
     is computed.  Each finished level's key count is checked against
     ``oracle.graph_counts``, and its reps against each other by a class key
-    computed from scratch.
+    computed from scratch.  The levels of each n are keyed by the sorted
+    vertex labels until one comes up short of that count; it and every
+    later level of that n are keyed by the finer key that adds neighbors'
+    label sums (``_grow``).
 
     The levels of each n are built once per process, each in the ``next()``
     that first yields it, and every walk reads them through this generator;

@@ -162,6 +162,14 @@ def test_sat_at_eight_matches_golden(pattern, capsys):
     assert code == 0 and out == (GOLDEN / f"sat-8-{pattern}.json").read_text()
 
 
+def test_satstar_at_nine_matches_golden(capsys):
+    # sat*(9, P4) = 7 reads the level with 8 edges, the first on 9 vertices
+    # that the coarse class key comes up short on and that is built again
+    # with the fine key
+    code, out = run(capsys, "satstar", "9", "P4", "--json")
+    assert code == 0 and out == (GOLDEN / "satstar-9-P4.json").read_text()
+
+
 @pytest.mark.parametrize(
     "token, message",
     [

@@ -343,19 +343,20 @@ def test_level_count_other_than_polya_raises(monkeypatch):
 
 
 @settings(max_examples=200, deadline=None)
-@given(graphs(max_n=9), st.data())
-def test_class_key_is_relabel_invariant(g, data):
+@given(graphs(max_n=9), st.data(), st.booleans())
+def test_class_key_is_relabel_invariant(g, data, fine):
     perm = data.draw(st.permutations(range(g.n)))
-    assert class_key(g.relabel(perm).adj) == class_key(g.adj)
+    assert class_key(g.relabel(perm).adj, fine) == class_key(g.adj, fine)
 
 
 def test_class_key_separates_the_atlas():
-    # the atlas lists one graph per class on at most 7 vertices
+    # the atlas lists one graph per class on at most 7 vertices; the coarse
+    # key tells them apart, so the fine key, which refines it, does too
     count, keys = Counter(), {}
     for h in nx.graph_atlas_g():
         g = Graph(h.number_of_nodes(), h.edges())
         count[g.n, g.edge_count] += 1
-        keys.setdefault((g.n, g.edge_count), set()).add(class_key(g.adj))
+        keys.setdefault((g.n, g.edge_count), set()).add(class_key(g.adj, False))
     assert sum(count.values()) == 1253
     assert {nm: len(k) for nm, k in keys.items()} == count
 
@@ -365,19 +366,21 @@ def child_rows(n, rows, u, v):
 
 
 def child_keys_by(key):
-    """A ``_child_keys`` that applies ``key`` to each child's rows."""
-    return lambda n, rows, pairs: [key(child_rows(n, rows, u, v)) for u, v in pairs]
+    """A ``_child_keys`` that applies ``key`` to each child's rows in either
+    round."""
+    return lambda n, rows, pairs, fine: [key(child_rows(n, rows, u, v)) for u, v in pairs]
 
 
 def check_child_keys(n):
     """``_child_keys`` against ``class_key`` on every twin-orbit child on n
-    vertices; returns the number of children."""
+    vertices, in both rounds; returns the number of children."""
     children = 0
     for m in range(comb(n, 2)):
         for rows in saturation._level(n, m).reps:
             pairs = Graph._from_adj(n, rows).orbit_non_edges()
-            want = [class_key(child_rows(n, rows, u, v)) for u, v in pairs]
-            assert saturation._child_keys(n, rows, pairs) == want, (n, rows)
+            for fine in (False, True):
+                want = [class_key(child_rows(n, rows, u, v), fine) for u, v in pairs]
+                assert saturation._child_keys(n, rows, pairs, fine) == want, (n, rows, fine)
             children += len(pairs)
     return children
 
@@ -392,11 +395,55 @@ def test_child_keys_match_class_key_at_eight():
 
 
 @settings(max_examples=100, deadline=None)
-@given(graphs(max_n=9))
-def test_child_keys_match_class_key_on_every_non_edge(g):
+@given(graphs(max_n=9), st.booleans())
+def test_child_keys_match_class_key_on_every_non_edge(g, fine):
     pairs = g.non_edges()
-    want = [class_key(g.with_edge(u, v).adj) for u, v in pairs]
-    assert saturation._child_keys(g.n, g.adj, pairs) == want
+    want = [class_key(g.with_edge(u, v).adj, fine) for u, v in pairs]
+    assert saturation._child_keys(g.n, g.adj, pairs, fine) == want
+
+
+def test_coarse_key_builds_every_level_through_seven():
+    for n in range(8):
+        saturation._level(n, comb(n, 2) + 1)
+        assert saturation._DAG[n][2] is False, n
+
+
+@pytest.mark.extended
+def test_coarse_key_builds_every_level_at_eight():
+    saturation._level(8, comb(8, 2) + 1)
+    assert saturation._DAG[8][2] is False
+
+
+def fine_keyed_reps(n, top):
+    """Reference: the reps of levels 0..top on n vertices, with children
+    told apart by the fine key at every level."""
+    below = [empty_graph(n).adj]
+    yield below
+    for _ in range(top):
+        index = {}  # fine key -> the first child to reach it
+        for rows in below:
+            pairs = Graph._from_adj(n, rows).orbit_non_edges()
+            for (u, v), key in zip(pairs, saturation._child_keys(n, rows, pairs, True)):
+                index.setdefault(key, child_rows(n, rows, u, v))
+        below = list(index.values())
+        yield below
+
+
+def test_first_short_coarse_level_refines_the_rest(monkeypatch):
+    # on 9 vertices the coarse key merges classes first at 8 edges (C5 + P4
+    # with P9): that level is built again with the fine key, as is every
+    # later one, and the reps are those of a build keyed fine throughout
+    assert class_key(path(9).adj, False) == class_key(
+        disjoint_union([cycle(5), path(4)]).adj, False)
+    monkeypatch.setattr(saturation, "_DAG", {})
+    saturation._level(9, 7)
+    assert saturation._DAG[9][2] is False
+    saturation._level(9, 8)
+    assert saturation._DAG[9][2] is True
+    saturation._level(9, 9)
+    levels = saturation._DAG[9][1]
+    assert [level.reps for level in levels] == list(fine_keyed_reps(9, 9))
+    assert [len(level.reps) for level in levels] == list(graph_counts(9)[:10])
 
 
 def test_level_reps_share_one_int_per_row_value():
@@ -406,16 +453,19 @@ def test_level_reps_share_one_int_per_row_value():
     assert max(shared) > 256  # past CPython's cached small ints
 
 
-@pytest.mark.parametrize("key", [
-    lambda adj: tuple(sorted(row.bit_count() for row in adj)),  # merges classes
-    lambda adj: adj,  # splits classes
+@pytest.mark.parametrize("key, refined", [
+    # merges classes in both rounds: the short coarse level is built again
+    # with the fine key, which comes up short too
+    (lambda adj: tuple(sorted(row.bit_count() for row in adj)), True),
+    (lambda adj: adj, False),  # splits classes
 ], ids=["degree-sequence", "labeled"])
-def test_inexact_class_key_raises(key, monkeypatch):
+def test_inexact_class_key_raises(key, refined, monkeypatch):
     whole = [level for _, level in enumerate_levels(6)]
     monkeypatch.setattr(saturation, "_DAG", {})
     monkeypatch.setattr(saturation, "_child_keys", child_keys_by(key))
     with pytest.raises(RuntimeError, match="Pólya"):
         list(enumerate_levels(6))
+    assert saturation._DAG[6][2] is refined
     # no failed level is left behind: every kept level is whole
     kept = saturation._DAG[6][1]
     assert 0 < len(kept) < len(whole)
@@ -426,7 +476,10 @@ def test_class_key_splitting_one_class_and_merging_two_raises(monkeypatch):
     # as many keys as classes, but one class under two keys and two classes
     # under one: only the check on class keys computed from scratch catches it
     n, m = 6, 4
-    exact = class_key
+
+    def exact(adj):
+        return class_key(adj, False)
+
     labeled = {}  # key -> the labeled children under it
     for rows in saturation._level(n, m - 1).reps:
         g = Graph._from_adj(n, rows)
@@ -445,6 +498,7 @@ def test_class_key_splitting_one_class_and_merging_two_raises(monkeypatch):
     list(enumerate_levels(n, m - 1))
     with pytest.raises(RuntimeError, match="Pólya"):
         list(enumerate_levels(n, m))
+    assert saturation._DAG[n][2] is False  # the level was not short
 
 
 @pytest.mark.parametrize("walk", [
