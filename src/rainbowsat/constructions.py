@@ -12,8 +12,6 @@ from itertools import combinations
 from .engine import EdgeColoring, as_pattern
 from .graphs import (
     Graph,
-    canonical_form,
-    canonical_graph,
     complete_graph,
     disjoint_union,
     empty_graph,
@@ -25,7 +23,7 @@ from .graphs import (
     star,
     wheel,
 )
-from .saturation import RainbowSolver, _add_greedily, greedy_saturate
+from .saturation import RainbowSolver, _add_greedily, _in_canonical_form, greedy_saturate
 
 
 @dataclass(frozen=True)
@@ -159,6 +157,12 @@ class FamilyLadder:
     def depth(self) -> int:
         return len(self.levels) - 1
 
+    @property
+    def guaranteed_sizes(self) -> list:
+        """The independent-set size that suffices for the lift into each
+        level but the last: h^3 + h, h the order of the level's patterns."""
+        return [order**3 + order for order in self.orders[:-1]]
+
 
 def build_family_ladder(h) -> FamilyLadder:
     """Ladder of pattern families for an even-cycle-free pattern.
@@ -170,7 +174,7 @@ def build_family_ladder(h) -> FamilyLadder:
     pat = as_pattern(h)
     if not is_even_cycle_free(pat.graph):
         raise ValueError("pattern has an induced even cycle")
-    levels = [[canonical_graph(pat.graph)]]
+    levels = [_in_canonical_form([pat.graph])]
     alphas = []
     while not any(f.is_bipartite() for f in levels[-1]):
         current = levels[-1]
@@ -178,14 +182,9 @@ def build_family_ladder(h) -> FamilyLadder:
         # largest k at which some member has one
         alpha = max(k for f in current for k in range(f.n + 1)
                     if next(independent_sets_of_size(f, k), None) is not None)
-        nxt = {}
-        for f in current:
-            for X in independent_sets_of_size(f, alpha):
-                sub, _ = induced_subgraph(f, set(range(f.n)).difference(X))
-                cf = canonical_form(sub)
-                if cf.encoding not in nxt:
-                    nxt[cf.encoding] = sub.relabel(cf.relabeling)
-        levels.append([nxt[k] for k in sorted(nxt)])
+        levels.append(_in_canonical_form(
+            induced_subgraph(f, set(range(f.n)).difference(X))[0]
+            for f in current for X in independent_sets_of_size(f, alpha)))
         alphas.append(alpha)
     for f in levels[-1]:
         if f.is_bipartite():
@@ -207,7 +206,7 @@ def lift_sizes(ladder: FamilyLadder, n: int) -> list:
     """Independent-set size per lift, largest first by level index.
 
     The guaranteed-sufficient size for the lift into level i is h_i^3 + h_i
-    (h_i the level's pattern order); that counting bound is what makes the
+    (``FamilyLadder.guaranteed_sizes``); that counting bound is what makes the
     construction work unconditionally, but it needs far more vertices than
     desk scale allows.  When n is too small the sizes are clamped: the
     largest one above its floor of alpha(level i) is decremented until the
@@ -215,7 +214,7 @@ def lift_sizes(ladder: FamilyLadder, n: int) -> list:
     by the engine, so a clamped construction never smuggles in an unchecked
     claim.
     """
-    sizes = [order**3 + order for order in ladder.orders[:-1]]
+    sizes = ladder.guaranteed_sizes
     floors = list(ladder.alphas)
     budget = n - 1
     while sum(sizes) > budget:
@@ -252,7 +251,7 @@ def ladder_construction(h, n: int, *, node_limit=None, time_limit=None) -> Ladde
         "levels": [[graph6_encode(f) for f in level] for level in ladder.levels],
         "alphas": list(ladder.alphas),
         "orders": list(ladder.orders),
-        "guaranteed_sizes": [order**3 + order for order in ladder.orders[:-1]],
+        "guaranteed_sizes": ladder.guaranteed_sizes,
         "lift_sizes": list(sizes),
         "base_order": base_order,
         "base": graph6_encode(g),

@@ -1,9 +1,9 @@
 """Brute-force reference implementations.
 
 Everything here is deliberately naive and shares no pruned code paths with
-the engine: set partitions are enumerated in full and filtered, copies are
-found by raw permutation search, and isomorphism is decided by trying every
-bijection.  These are the oracles the fast implementations are checked
+the engine: set partitions are enumerated in full and filtered, and copies,
+isomorphisms and automorphisms all come from one raw permutation search
+(``_edge_maps``).  These are the oracles the fast implementations are checked
 against.  ``graph_counts`` counts isomorphism classes by Pólya's theorem,
 without generating a single graph.
 
@@ -58,24 +58,30 @@ def _restricted_growth(m: int):
             top[j] = nxt
 
 
-def brute_embeddings(g: Graph, h: Graph):
-    """Edge-index sets of all copies of h in g, by raw permutation search."""
-    if h.n > g.n:
-        return set()
-    hedges = h.edges
+def _edge_maps(g: Graph, h: Graph):
+    """Every injective map of h's vertices into g's that sends each edge of h
+    onto an edge of g, as a tuple of images, trying every permutation."""
     adj = g.adj
-    index = g.edge_index
-    found = set()
+    hedges = h.edges
     for perm in permutations(range(g.n), h.n):
         for u, v in hedges:
             if not adj[perm[u]] >> perm[v] & 1:
                 break
         else:
-            ids = []
-            for u, v in hedges:
-                a, b = perm[u], perm[v]
-                ids.append(index[(a, b) if a < b else (b, a)])
-            found.add(tuple(sorted(ids)))
+            yield perm
+
+
+def brute_embeddings(g: Graph, h: Graph):
+    """Edge-index sets of all copies of h in g, by raw permutation search."""
+    hedges = h.edges
+    index = g.edge_index
+    found = set()
+    for perm in _edge_maps(g, h):
+        ids = []
+        for u, v in hedges:
+            a, b = perm[u], perm[v]
+            ids.append(index[(a, b) if a < b else (b, a)])
+        found.add(tuple(sorted(ids)))
     return found
 
 
@@ -123,31 +129,17 @@ def naive_rainbow_free_colorable_multi(g: Graph, families: dict) -> dict:
 def brute_isomorphic(g: Graph, h: Graph) -> bool:
     if g.n != h.n or g.edge_count != h.edge_count:
         return False
-    adj = g.adj
-    hedges = h.edges
-    for perm in permutations(range(g.n)):
-        for u, v in hedges:
-            if not adj[perm[u]] >> perm[v] & 1:
-                break
-        else:
-            return True
-    return False
+    return next(_edge_maps(g, h), None) is not None
 
 
 def brute_non_edge_orbits(g: Graph) -> list:
     """The first non-edge of each orbit of g's automorphism group on its
     non-edges, in lexicographic order, trying every bijection."""
-    edges = g.edges
-    adj = g.adj
     first = {e: e for e in g.non_edges()}  # non-edge -> least image so far
-    for perm in permutations(range(g.n)):
-        for u, v in edges:
-            if not adj[perm[u]] >> perm[v] & 1:
-                break
-        else:
-            for u, v in first:
-                a, b = perm[u], perm[v]
-                first[u, v] = min(first[u, v], (a, b) if a < b else (b, a))
+    for perm in _edge_maps(g, g):
+        for u, v in first:
+            a, b = perm[u], perm[v]
+            first[u, v] = min(first[u, v], (a, b) if a < b else (b, a))
     return sorted(set(first.values()))
 
 

@@ -134,10 +134,10 @@ class SatNumberResult:
 # -- cached colorability -----------------------------------------------------
 
 
-# the tuple of pattern cores searched -> (the graphs that an unbudgeted search
+# the tuple of pattern cores searched -> the graphs that an unbudgeted search
 # for those cores refuted, each its refuted prefix renumbered onto 0..k-1,
-# fewest edges first; the same graphs as a set).  Every graph that one of
-# them embeds in is UNCOLORABLE for the same cores.
+# fewest edges first, no two equal.  Every graph that one of them embeds in
+# is UNCOLORABLE for the same cores.
 _REFUTED: dict = {}
 
 
@@ -237,12 +237,10 @@ class RainbowSolver:
         for a solver with a ``node_limit``."""
         if self.node_limit is not None:
             return False
-        held = _REFUTED.get(tuple(self.fitting_cores(g.n)))
-        if held is None:
-            return False
+        held = _REFUTED.get(tuple(self.fitting_cores(g.n)), ())
         deadline = None if self.time_limit is None else time.monotonic() + self.time_limit
         try:
-            return any(exists_embedding(g, s, deadline) for s in held[0])
+            return any(exists_embedding(g, s, deadline) for s in held)
         except _Expired:
             return False
 
@@ -275,10 +273,9 @@ def _add_refuted(key: tuple, g: Graph, prefix) -> None:
     edges = [g.edges[i] for i in prefix]
     index = {v: i for i, v in enumerate(sorted({x for e in edges for x in e}))}
     s = Graph(len(index), [(index[u], index[v]) for u, v in edges])
-    graphs, seen = _REFUTED.setdefault(key, ([], set()))
-    if s not in seen:
-        seen.add(s)
-        insort(graphs, s, key=lambda h: h.edge_count)
+    held = _REFUTED.setdefault(key, [])
+    if s not in held:
+        insort(held, s, key=lambda h: h.edge_count)
 
 
 # -- saturation checks --------------------------------------------------------
@@ -711,20 +708,24 @@ def _witness_rule(solver: RainbowSolver, n: int):
 
 
 def _in_canonical_form(graphs) -> list:
-    """Each of ``graphs`` in canonical form, in ascending canonical encoding:
-    one canonical form per graph."""
-    forms = sorted(((canonical_form(g), g) for g in graphs), key=lambda f: f[0].encoding)
-    return [g.relabel(cf.relabeling) for cf, g in forms]
+    """The canonical graphs of ``graphs``, one per isomorphism class, in
+    ascending canonical encoding: one canonical form per graph."""
+    forms = {}
+    for g in graphs:
+        cf = canonical_form(g)
+        if cf.encoding not in forms:
+            forms[cf.encoding] = g.relabel(cf.relabeling)
+    return [forms[k] for k in sorted(forms)]
 
 
-def _sat_number(n: int, famkey: tuple, root, rule, edge_budget=None,
+def _sat_number(n: int, patterns, root, rule, edge_budget=None,
                 found=None) -> SatNumberResult:
-    """The first level of _saturated_levels with a saturated class.  Given a
-    list ``found``, every level is scanned and its saturated classes appended.
-    Only the saturated classes reported are put in canonical form: the
-    witnesses are their graph6, and ``found`` gets the canonical graphs,
-    each level's in ascending canonical encoding."""
-    res = SatNumberResult(n, famkey, None, (), 0, 0)
+    """The first level of _saturated_levels with a saturated class, for the
+    family of ``patterns``.  Given a list ``found``, every level is scanned
+    and its saturated classes appended.  Only the saturated classes reported
+    are put in canonical form: the witnesses are their graph6, and ``found``
+    gets the canonical graphs, each level's in ascending canonical encoding."""
+    res = SatNumberResult(n, tuple(graph6_encode(p.graph) for p in patterns), None, (), 0, 0)
     for m, graphs, hits in _saturated_levels(n, root, rule, edge_budget):
         res.graphs_checked += len(graphs)
         res.levels_searched = m
@@ -741,7 +742,7 @@ def _sat_number(n: int, famkey: tuple, root, rule, edge_budget=None,
 def sat_exact(n: int, h, *, edge_budget=None) -> SatNumberResult:
     """Classical saturation number by ascending exhaustive enumeration."""
     pat = as_pattern(h)
-    return _sat_number(n, (graph6_encode(pat.graph),), *_pattern_free_rule(pat, n), edge_budget)
+    return _sat_number(n, [pat], *_pattern_free_rule(pat, n), edge_budget)
 
 
 def sat_star_exact(
@@ -760,8 +761,7 @@ def sat_star_exact(
     Budget exhaustion raises SearchAborted rather than reporting a guess.
     """
     solver = RainbowSolver(family, node_limit=node_limit, time_limit=time_limit)
-    famkey = tuple(graph6_encode(p.graph) for p in solver.patterns)
-    return _sat_number(n, famkey, *_witness_rule(solver, n), edge_budget)
+    return _sat_number(n, solver.patterns, *_witness_rule(solver, n), edge_budget)
 
 
 def all_rainbow_saturated(n: int, family, *, node_limit=None, time_limit=None):
@@ -771,10 +771,8 @@ def all_rainbow_saturated(n: int, family, *, node_limit=None, time_limit=None):
     returns (saturated graphs ascending, SatNumberResult).
     """
     solver = RainbowSolver(family, node_limit=node_limit, time_limit=time_limit)
-    famkey = tuple(graph6_encode(p.graph) for p in solver.patterns)
     found = []
-    res = _sat_number(n, famkey, *_witness_rule(solver, n), found=found)
-    return found, res
+    return found, _sat_number(n, solver.patterns, *_witness_rule(solver, n), found=found)
 
 
 # -- greedy saturation ----------------------------------------------------------

@@ -300,11 +300,12 @@ def claim_ladder(config):
     recursive construction verifies rainbow saturated over its feasible range
     with |E|/n bounded by a fixed constant per pattern.
 
-    The guaranteed independent-set size h^3+h needs 99 vertices for K4 (past
-    the 64-vertex graph type) and 31 for K3, so small n run with clamped
-    sizes and every result is engine-verified.
+    The guaranteed independent-set sizes h^3+h (``guaranteed_sizes``) need
+    99 vertices for K4 (past the 64-vertex graph type) and 31 for K3, so
+    small n run with clamped sizes and every result is engine-verified.
     """
     checks = []
+    bounds = {}  # sum of guaranteed set sizes plus one
     for r in (4, 3):
         # K_r, K_{r-1}, ..., K2: each level one clique, one vertex smaller
         lad = build_family_ladder(complete_graph(r))
@@ -312,8 +313,8 @@ def claim_ladder(config):
             len(level) == 1 and are_isomorphic(level[0], complete_graph(r - i))
             for i, level in enumerate(lad.levels))
         checks.append(_check(f"ladder levels K{r}", ok, {"orders": list(lad.orders)}))
+        bounds[f"K{r}"] = sum(lad.guaranteed_sizes) + 1
 
-    bounds = {"K3": 31, "K4": 99}  # sum of guaranteed set sizes plus one
     ranges = {
         "K3": list(range(8, 15)) + [31, 32, 33],
         "K4": list(range(9, 13)),
@@ -420,8 +421,12 @@ def run_report(
     node_limit: int = DEFAULT_NODE_LIMIT,
     seed: int = DEFAULT_SEED,
 ) -> dict:
-    """Run the selected claims and assemble the machine-readable report."""
+    """Run the selected claims, every claim when ``only`` is None, and
+    assemble the machine-readable report.  A selection that is empty, names
+    an unknown claim or repeats one raises ValueError."""
     selection = sorted(CLAIMS) if only is None else list(only)
+    if only is not None and not selection:
+        raise ValueError("no claims selected")
     unknown = [name for name in selection if name not in CLAIMS]
     if unknown:
         raise ValueError(f"unknown claims: {', '.join(unknown)}; known: {', '.join(sorted(CLAIMS))}")

@@ -147,11 +147,13 @@ def test_check_json_matches_golden(graph, pattern, golden, capsys):
     assert code == 0 and out == (GOLDEN / golden).read_text()
 
 
-def test_construct_ladder_json_matches_golden(capsys):
+@pytest.mark.parametrize("pattern, n", [("K4", "14"), ("K3", "33")], ids=["K4-14", "K3-33"])
+def test_construct_ladder_json_matches_golden(pattern, n, capsys):
     # the K4 ladder's patching rejects pairs through the store of refuted
-    # graphs; the graph and its trace stay byte for byte as they were
-    code, out = run(capsys, "construct", "ladder", "--pattern", "K4", "--n", "14", "--json")
-    assert code == 0 and out == (GOLDEN / "ladder-K4-14.json").read_text()
+    # graphs; the K3 ladder's one lift takes its guaranteed size, h^3 + h =
+    # 30, unclamped.  Each graph and its trace stay byte for byte as they were
+    code, out = run(capsys, "construct", "ladder", "--pattern", pattern, "--n", n, "--json")
+    assert code == 0 and out == (GOLDEN / f"ladder-{pattern}-{n}.json").read_text()
 
 
 @pytest.mark.parametrize("pattern", ["C4", "P4"])

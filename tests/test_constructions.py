@@ -250,10 +250,13 @@ def test_ladder_level_dedup_is_canonical():
 
 def test_lift_sizes_clamping():
     lad3 = build_family_ladder(complete_graph(3))
+    assert lad3.guaranteed_sizes == [30]
     assert lift_sizes(lad3, 9) == [8]
     assert lift_sizes(lad3, 31) == [30]
     assert lift_sizes(lad3, 40) == [30]
     lad4 = build_family_ladder(complete_graph(4))
+    assert lad4.guaranteed_sizes == [68, 30]
+    assert lift_sizes(lad4, 100) == [68, 30]
     assert sum(lift_sizes(lad4, 9)) == 8
     # two lifts with floor 1 each need at least three vertices overall
     assert lift_sizes(lad4, 3) == [1, 1]

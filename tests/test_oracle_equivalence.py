@@ -6,9 +6,11 @@ from itertools import combinations, permutations
 from math import comb
 from pathlib import Path
 
+import networkx as nx
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from networkx.algorithms.isomorphism import GraphMatcher
 
 from rainbowsat import (
     Graph,
@@ -204,6 +206,42 @@ def test_oracle_imports_only_graph_from_the_package():
 def test_brute_embedding_count():
     assert len(brute_embeddings(complete_graph(4), path(4))) == 12
     assert len(brute_embeddings(complete_graph(5), complete_graph(3))) == comb(5, 3)
+
+
+def networkx_maps(host, pattern, matches):
+    """The pattern-to-host maps that networkx's matcher finds, as tuples of
+    images; ``matches`` names the GraphMatcher method."""
+    def nx_graph(g):
+        x = nx.Graph()
+        x.add_nodes_from(range(g.n))
+        x.add_edges_from(g.edges)
+        return x
+
+    found = getattr(GraphMatcher(nx_graph(host), nx_graph(pattern)), matches)()
+    return [tuple(sorted(m, key=m.get)) for m in found]
+
+
+def test_edge_maps_meet_each_map_once():
+    # the one map loop behind brute_embeddings, brute_isomorphic and
+    # brute_non_edge_orbits yields each edge-preserving map exactly once:
+    # every automorphism of each atlas graph on at most 6 vertices, and
+    # every copy map of the report's patterns in seeded hosts
+    for h in nx.graph_atlas_g():
+        if h.number_of_nodes() <= 6:
+            g = Graph(h.number_of_nodes(), h.edges())
+            maps = list(oracle._edge_maps(g, g))
+            assert len(maps) == len(set(maps)), g
+            assert sorted(maps) == sorted(networkx_maps(g, g, "isomorphisms_iter")), g
+    rng = random.Random(73)
+    for _ in range(6):
+        n = rng.randint(5, 7)
+        pairs = list(combinations(range(n), 2))
+        host = Graph(n, rng.sample(pairs, rng.randint(n, len(pairs))))
+        for name, pattern in PATTERNS.items():
+            maps = list(oracle._edge_maps(host, pattern))
+            assert len(maps) == len(set(maps)), (host, name)
+            want = networkx_maps(host, pattern, "subgraph_monomorphisms_iter")
+            assert sorted(maps) == sorted(want), (host, name)
 
 
 def test_engine_agrees_on_random_instances():

@@ -80,6 +80,13 @@ def test_repeated_claim_is_refused():
         verify.run_report(["ehm", "p3-equality", "ehm"])
 
 
+def test_empty_selection_is_refused():
+    # the CLI reads an empty --only as every claim; a report that checked
+    # no claim must not pass
+    with pytest.raises(ValueError, match="^no claims selected$"):
+        verify.run_report([])
+
+
 def test_engine_oracle_claim_fails_on_a_disagreement(monkeypatch):
     # an oracle that says the opposite of the real one on every pattern
     real = verify.naive_rainbow_free_colorable_multi
