@@ -6,7 +6,6 @@ from .graphs import (
     are_isomorphic,
     automorphism_generators,
     canonical_form,
-    canonical_graph,
     complete_bipartite,
     complete_graph,
     cycle,

@@ -626,11 +626,6 @@ def automorphism_generators(g: Graph, deadline=None) -> list:
     return [tuple(perm) for perm in _canonical_search(g, deadline)[2] if g.relabel(perm) == g]
 
 
-def canonical_graph(g: Graph) -> Graph:
-    """The canonical representative of g's isomorphism class."""
-    return g.relabel(canonical_form(g).relabeling)
-
-
 def are_isomorphic(g: Graph, h: Graph) -> bool:
     if g.n != h.n or g.edge_count != h.edge_count:
         return False
@@ -677,26 +672,18 @@ _G6_HEADER = ">>graph6<<"
 
 
 def graph6_encode(g: Graph) -> str:
-    """Standard graph6 encoding (ASCII), supporting n up to 64."""
+    """Standard graph6 encoding (ASCII), supporting n up to 64: the upper
+    triangle column by column, the canonical code's bit order
+    (``_leaf_code``), padded to whole characters of six bits."""
     n = g.n
     if n <= 62:
         head = chr(63 + n)
     else:
         head = "~" + chr(63 + ((n >> 12) & 63)) + chr(63 + ((n >> 6) & 63)) + chr(63 + (n & 63))
-    chunks = [head]
-    acc = 0
-    nb = 0
-    for v in range(1, n):
-        for u in range(v):
-            acc = (acc << 1) | ((g.adj[u] >> v) & 1)
-            nb += 1
-            if nb == 6:
-                chunks.append(chr(63 + acc))
-                acc = 0
-                nb = 0
-    if nb:
-        chunks.append(chr(63 + (acc << (6 - nb))))
-    return "".join(chunks)
+    nbits = comb(n, 2)
+    size = (nbits + 5) // 6
+    code = _leaf_code(g.adj, range(n)) << (6 * size - nbits)
+    return head + "".join(chr(63 + (code >> 6 * k & 63)) for k in reversed(range(size)))
 
 
 def graph6_decode(text: str) -> Graph:

@@ -4,7 +4,8 @@ A graph is rainbow family-saturated when (a) it admits a proper edge coloring
 with no rainbow copy of any family member and (b) adding any non-edge makes
 every proper coloring contain one.  The exact numbers minimize edge count
 over an ascending, isomorphism-free enumeration of all candidate graphs, so
-the first edge level with a saturated graph is the answer.
+the first edge level with a saturated graph is the answer; a walk that finds
+none reads every level up to the complete graph.
 
 Two structural facts carry the heavy lifting:
 
@@ -45,11 +46,11 @@ until a level of that n comes up short, each vertex's label with its
 neighbors' label sum from that level on.  Each class is represented by the
 first child to reach it, in its parent's labeling, so the table computes
 no canonical form; only the saturated classes a run reports are put in
-canonical form.  The table holds no
-verdict; each walk keeps its own, with a witness coloring per free class
-for ``sat*``, and asks the solver at most once per isomorphism class: not at
-all for a child of a free class that one class more on the parent's witness
-colors rainbow-free (the witness rule, ``engine.EdgeClasses.extension``).
+canonical form.  The table holds no verdict; each walk keeps its own, with
+a witness coloring per free class for ``sat*``, and asks the solver at most
+once per isomorphism class: not at all for a child of a free class that one
+class more on the parent's witness colors rainbow-free (the witness rule,
+``engine.EdgeClasses.extension``).
 """
 from __future__ import annotations
 
@@ -267,12 +268,11 @@ class RainbowSolver:
 
 
 def _add_refuted(key: tuple, g: Graph, prefix) -> None:
-    """Store the subgraph of g on the edges ``prefix`` (edge indices), its
-    vertices renumbered in order, as refuted for the cores ``key``, unless
-    the store holds it already."""
+    """Store the subgraph of g on the edges ``prefix`` (edge indices), on
+    the vertices they touch renumbered in ascending order, as refuted for
+    the cores ``key``, unless the store holds it already."""
     edges = [g.edges[i] for i in prefix]
-    index = {v: i for i, v in enumerate(sorted({x for e in edges for x in e}))}
-    s = Graph(len(index), [(index[u], index[v]) for u, v in edges])
+    s = induced_subgraph(Graph(g.n, edges), {x for e in edges for x in e})[0]
     held = _REFUTED.setdefault(key, [])
     if s not in held:
         insort(held, s, key=lambda h: h.edge_count)
@@ -387,15 +387,6 @@ class _Level(NamedTuple):
 # so far, whether they are keyed by the fine key].  Levels are built on first
 # use and only complete ones are kept.
 _DAG: dict = {}
-
-
-def _edge_cap(n: int, max_edges) -> int:
-    if not 0 <= n <= ENUMERATION_LIMIT:
-        raise ValueError(f"exhaustive enumeration supports 0..{ENUMERATION_LIMIT} vertices")
-    cap = comb(n, 2) if max_edges is None else min(max_edges, comb(n, 2))
-    if cap < 0:
-        raise ValueError("negative edge budget")
-    return cap
 
 
 def _level(n: int, m: int) -> _Level:
@@ -579,8 +570,9 @@ def _grow(n: int, entry: list) -> _Level:
     return _Level(reps, bytes(pairs), child, start)
 
 
-def enumerate_levels(n: int, max_edges: int | None = None):
-    """Yield (edge count, representatives) in ascending edge order.
+def enumerate_levels(n: int):
+    """Yield (edge count, representatives) in ascending edge order, from
+    the empty graph to the complete one.
 
     Level m+1 is generated from level m by single-edge extension, so every
     isomorphism class appears exactly once, at its own edge count.  A class
@@ -599,20 +591,22 @@ def enumerate_levels(n: int, max_edges: int | None = None):
 
     The levels of each n are built once per process, each in the ``next()``
     that first yields it, and every walk reads them through this generator;
-    each level is yielded as a fresh list of fresh graphs.
+    each level is yielded as a fresh list of fresh graphs.  So
+    ``islice(enumerate_levels(n), k + 1)`` builds levels 0 to k and no more.
     """
-    cap = _edge_cap(n, max_edges)
-    for m in range(cap + 1):
+    if not 0 <= n <= ENUMERATION_LIMIT:
+        raise ValueError(f"exhaustive enumeration supports 0..{ENUMERATION_LIMIT} vertices")
+    for m in range(comb(n, 2) + 1):
         yield m, [Graph._from_adj(n, adj) for adj in _level(n, m).reps]
 
 
 # -- exact saturation numbers ---------------------------------------------------
 
 
-def _saturated_levels(n: int, root, rule, max_edges=None):
+def _saturated_levels(n: int, root, rule):
     """Yield (edge count, classes, saturated classes) in ascending edge order,
-    up to ``max_edges`` edges; classes are the reps of ``enumerate_levels``
-    in its order, as fresh lists of fresh graphs.
+    from the empty graph to the complete one; classes are the reps of
+    ``enumerate_levels`` in its order, as fresh lists of fresh graphs.
 
     The walk decides a property of graphs on n vertices, "free", that
     survives edge deletion.  It keeps a state for each free class of the
@@ -630,14 +624,12 @@ def _saturated_levels(n: int, root, rule, max_edges=None):
     each twin orbit, and is the labeled graph that trying every non-edge
     would reach it by and that the level took as the class's rep.  So the
     child's state is the rep's, with no relabeling.  A free class is
-    saturated iff none of its children is free; children past ``max_edges``
-    are decided too, so the last level within the budget is judged in full.
+    saturated iff none of its children is free.
     """
-    cap = _edge_cap(n, max_edges)
-    levels = enumerate_levels(n, cap + 1)
+    levels = enumerate_levels(n)
     _, classes = next(levels)
     states = [root]
-    for m in range(cap + 1):
+    for m in range(comb(n, 2) + 1):
         _, ahead = next(levels, (None, []))
         _, pairs, child, start = _level(n, m + 1)
         above = [None] * len(ahead)  # None until decided
@@ -718,15 +710,14 @@ def _in_canonical_form(graphs) -> list:
     return [forms[k] for k in sorted(forms)]
 
 
-def _sat_number(n: int, patterns, root, rule, edge_budget=None,
-                found=None) -> SatNumberResult:
+def _sat_number(n: int, patterns, root, rule, found=None) -> SatNumberResult:
     """The first level of _saturated_levels with a saturated class, for the
     family of ``patterns``.  Given a list ``found``, every level is scanned
     and its saturated classes appended.  Only the saturated classes reported
     are put in canonical form: the witnesses are their graph6, and ``found``
     gets the canonical graphs, each level's in ascending canonical encoding."""
     res = SatNumberResult(n, tuple(graph6_encode(p.graph) for p in patterns), None, (), 0, 0)
-    for m, graphs, hits in _saturated_levels(n, root, rule, edge_budget):
+    for m, graphs, hits in _saturated_levels(n, root, rule):
         res.graphs_checked += len(graphs)
         res.levels_searched = m
         if hits:
@@ -739,20 +730,13 @@ def _sat_number(n: int, patterns, root, rule, edge_budget=None,
     return res
 
 
-def sat_exact(n: int, h, *, edge_budget=None) -> SatNumberResult:
+def sat_exact(n: int, h) -> SatNumberResult:
     """Classical saturation number by ascending exhaustive enumeration."""
     pat = as_pattern(h)
-    return _sat_number(n, [pat], *_pattern_free_rule(pat, n), edge_budget)
+    return _sat_number(n, [pat], *_pattern_free_rule(pat, n))
 
 
-def sat_star_exact(
-    n: int,
-    family,
-    *,
-    node_limit=None,
-    time_limit=None,
-    edge_budget=None,
-) -> SatNumberResult:
+def sat_star_exact(n: int, family, *, node_limit=None, time_limit=None) -> SatNumberResult:
     """Rainbow saturation number by ascending exhaustive enumeration.
 
     A level's graphs are all checked so every minimal witness is collected.
@@ -761,16 +745,16 @@ def sat_star_exact(
     Budget exhaustion raises SearchAborted rather than reporting a guess.
     """
     solver = RainbowSolver(family, node_limit=node_limit, time_limit=time_limit)
-    return _sat_number(n, solver.patterns, *_witness_rule(solver, n), edge_budget)
+    return _sat_number(n, solver.patterns, *_witness_rule(solver, n))
 
 
-def all_rainbow_saturated(n: int, family, *, node_limit=None, time_limit=None):
+def all_rainbow_saturated(n: int, family, *, node_limit=None):
     """Every rainbow family-saturated graph on n vertices, plus the minimum.
 
     Scans all isomorphism classes (not just the first successful level);
     returns (saturated graphs ascending, SatNumberResult).
     """
-    solver = RainbowSolver(family, node_limit=node_limit, time_limit=time_limit)
+    solver = RainbowSolver(family, node_limit=node_limit)
     found = []
     return found, _sat_number(n, solver.patterns, *_witness_rule(solver, n), found=found)
 

@@ -425,7 +425,7 @@ def run_report(
     assemble the machine-readable report.  A selection that is empty, names
     an unknown claim or repeats one raises ValueError."""
     selection = sorted(CLAIMS) if only is None else list(only)
-    if only is not None and not selection:
+    if not selection:
         raise ValueError("no claims selected")
     unknown = [name for name in selection if name not in CLAIMS]
     if unknown:

@@ -164,6 +164,15 @@ def test_sat_at_eight_matches_golden(pattern, capsys):
     assert code == 0 and out == (GOLDEN / f"sat-8-{pattern}.json").read_text()
 
 
+@pytest.mark.extended
+@pytest.mark.parametrize("pattern", ["C4", "K4", "P4"])
+def test_satstar_at_eight_matches_golden(pattern, capsys):
+    # sat* walks every level of the n = 8 table with one witness coloring
+    # per free class, so its witnesses and class counts stay byte for byte
+    code, out = run(capsys, "satstar", "8", pattern, "--json")
+    assert code == 0 and out == (GOLDEN / f"satstar-8-{pattern}.json").read_text()
+
+
 def test_satstar_at_nine_matches_golden(capsys):
     # sat*(9, P4) = 7 reads the level with 8 edges, the first on 9 vertices
     # that the coarse class key comes up short on and that is built again

@@ -2,7 +2,7 @@ import random
 import subprocess
 import sys
 from collections import Counter
-from itertools import combinations
+from itertools import combinations, islice
 from math import comb
 
 import networkx as nx
@@ -56,7 +56,6 @@ from rainbowsat.engine import EdgeClasses, EdgeColoring, as_pattern
 from rainbowsat.graphs import (
     _Expired,
     canonical_form,
-    canonical_graph,
     graph6_encode,
     induced_subgraph,
 )
@@ -122,7 +121,7 @@ def test_failing_coloring_merges_across_components():
 def test_saturated_verdicts_match_naive_oracle():
     # independent re-verification on hosts with few edges
     pats = [path(4)]
-    for m, level in enumerate_levels(5, 5):
+    for m, level in islice(enumerate_levels(5), 6):
         for g in level:
             fast = is_rainbow_saturated(g, pats).status is Verdict.SATURATED
             assert fast == naive_is_rainbow_saturated(g, pats)
@@ -281,9 +280,9 @@ def test_classical_matches_brute_force():
 # -- enumeration -------------------------------------------------------------------
 
 
-def enumerate_nonisomorphic_graphs(n, edge_budget=None):
+def enumerate_nonisomorphic_graphs(n):
     """One representative per isomorphism class, ascending edge count."""
-    for _, graphs in enumerate_levels(n, edge_budget):
+    for _, graphs in enumerate_levels(n):
         yield from graphs
 
 
@@ -339,7 +338,7 @@ def test_level_count_other_than_polya_raises(monkeypatch):
 
     monkeypatch.setattr(saturation, "_DAG", {})
     monkeypatch.setattr(saturation, "graph_counts", off_by_one)
-    assert [len(level) for _, level in enumerate_levels(5, 2)] == [1, 1, 2]
+    assert [len(level) for _, level in islice(enumerate_levels(5), 3)] == [1, 1, 2]
     with pytest.raises(RuntimeError, match="Pólya"):
         list(enumerate_levels(5))
     # the failed level is not kept: the next run builds it again, and fails again
@@ -501,9 +500,9 @@ def test_class_key_splitting_one_class_and_merging_two_raises(monkeypatch):
 
     monkeypatch.setattr(saturation, "_DAG", {})
     monkeypatch.setattr(saturation, "_child_keys", child_keys_by(key))
-    list(enumerate_levels(n, m - 1))
+    list(islice(enumerate_levels(n), m))
     with pytest.raises(RuntimeError, match="Pólya"):
-        list(enumerate_levels(n, m))
+        list(islice(enumerate_levels(n), m + 1))
     assert saturation._DAG[n][2] is False  # the level was not short
 
 
@@ -569,7 +568,7 @@ def test_canonical_sort_keeps_one_graph_per_class():
         got = saturation._in_canonical_form(copies)
         codes = [canonical_form(g).encoding for g in got]
         assert codes == sorted(canonical_form(g).encoding for g in picked)
-        assert all(canonical_graph(c) in got for c in copies)
+        assert all(c.relabel(canonical_form(c).relabeling) in got for c in copies)
     # the atlas is pairwise non-isomorphic, so nothing is dropped
     assert len(saturation._in_canonical_form(atlas)) == len(atlas)
 
@@ -653,8 +652,12 @@ def test_enumeration_complete_against_brute_force():
 
 
 def test_enumeration_budget_and_range():
-    assert all(g.edge_count <= 2 for g in enumerate_nonisomorphic_graphs(5, 2))
-    for n in (10, 11):
+    # the generator builds each level in the next() that yields it, so
+    # islice takes the first levels alone
+    first = [(m, {g.edge_count for g in level}) for m, level in islice(enumerate_levels(5), 3)]
+    assert first == [(0, {0}), (1, {1}), (2, {2})]
+    assert [m for m, _ in enumerate_levels(5)] == list(range(11))
+    for n in (-1, 10, 11):
         with pytest.raises(ValueError):
             list(enumerate_nonisomorphic_graphs(n))
 
@@ -681,7 +684,7 @@ def test_sat_star_p4_cross_checked():
     for code in res.witnesses:
         assert naive_is_rainbow_saturated(graph6_decode(code), pats)
     # and no graph with fewer edges is
-    for m, level in enumerate_levels(5, res.value - 1):
+    for m, level in islice(enumerate_levels(5), res.value):
         for g in level:
             assert not naive_is_rainbow_saturated(g, pats)
 
@@ -748,10 +751,9 @@ def reference_levels(n):
         level = list(nxt.values())
 
 
-def reference_saturated_levels(n, root, rule, max_edges=None):
+def reference_saturated_levels(n, root, rule):
     """Reference: the level table, trying every non-edge of every class; a
     class is decided by ``rule`` on the first child to reach it."""
-    assert max_edges is None
     levels = reference_levels(n)
     m, graphs = next(levels)
     states = [root]
@@ -905,14 +907,6 @@ def test_second_run_reuses_the_levels():
     assert second == first
 
 
-def test_budgeted_run_leaves_the_levels_whole(monkeypatch):
-    monkeypatch.setattr(saturation, "_DAG", {})
-    sat_star_exact(5, [path(4)], edge_budget=3)
-    grown = sat_star_exact(5, [path(4)])
-    monkeypatch.setattr(saturation, "_DAG", {})
-    assert grown == sat_star_exact(5, [path(4)])
-
-
 def test_aborted_run_shares_no_verdicts():
     with pytest.raises(SearchAborted):
         sat_star_exact(7, [complete_graph(4)], node_limit=1)
@@ -956,24 +950,11 @@ def test_import_builds_no_levels():
     subprocess.run([sys.executable, "-c", code], check=True)
 
 
-def test_edge_budget_boundary():
-    # the last judged level reads its children one level above the budget
-    full = sat_star_exact(5, [path(4)])
-    assert full.value == 4
-    assert sat_star_exact(5, [path(4)], edge_budget=4).witnesses == full.witnesses
-    short = sat_star_exact(5, [path(4)], edge_budget=3)
-    assert (short.value, short.witnesses, short.levels_searched) == (None, (), 3)
-
-    full = sat_exact(5, complete_graph(3))
-    assert full.value == 4
-    assert sat_exact(5, complete_graph(3), edge_budget=4).witnesses == full.witnesses
-    short = sat_exact(5, complete_graph(3), edge_budget=3)
-    assert (short.value, short.witnesses, short.levels_searched) == (None, (), 3)
-
-    # the complete graph has no children: its level is judged when the budget reaches it
-    assert sat_star_exact(3, [complete_graph(4)], edge_budget=3).value == 3
-    with pytest.raises(ValueError):
-        sat_star_exact(5, [path(4)], edge_budget=-1)
+def test_complete_graph_is_judged():
+    # the complete graph has no children, so its level is judged with none:
+    # K4 fits in no graph on 3 vertices, and only K3 is saturated
+    res = sat_star_exact(3, [complete_graph(4)])
+    assert (res.value, res.witnesses, res.levels_searched) == (3, ("Bw",), 3)
 
 
 # -- downward closure and greedy -------------------------------------------------------
@@ -1151,6 +1132,29 @@ def test_stored_graphs_are_uncolorable(monkeypatch):
                 assert not naive_rainbow_free_colorable(g, list(cores)), g
             else:
                 assert rainbow_free_colorable(g, cores).status is Status.UNCOLORABLE, g
+
+
+@pytest.mark.parametrize("host, pattern, untouched", [
+    (gadget("GA").graph, cycle(4), []),
+    (gadget("GB").graph, cycle(4), []),
+    (gadget("star_plus_chord").graph, path(4), []),
+    (complete_graph(9), cycle(5), []),  # a search of 1,135 nodes
+    # GA with a pendant vertex 2 on vertex 0, which the prefix leaves out
+    (Graph(7, gadget("GA").graph.edges + ((0, 6),)).relabel([0, 1, 3, 4, 5, 6, 2]), cycle(4), [2]),
+], ids=["GA-C4", "GB-C4", "star_plus_chord-P4", "K9-C5", "GA-pendant-C4"])
+def test_stored_graph_is_the_prefix_renumbered(host, pattern, untouched, monkeypatch):
+    # the stored graph has the prefix's edges and no other vertex; its
+    # vertex i is the i-th least host vertex the prefix touches
+    monkeypatch.setattr(saturation, "_REFUTED", {})
+    res = RainbowSolver([pattern]).colorability(host)
+    assert res.status is Status.UNCOLORABLE
+    [stored] = [g for graphs in saturation._REFUTED.values() for g in graphs]
+    prefix = [host.edges[i] for i in res.stats.refuted]
+    touched = sorted({v for e in prefix for v in e})
+    assert sorted(set(range(host.n)) - set(touched)) == untouched
+    assert stored.edge_count == len(prefix) and all(stored.degrees())
+    assert stored.n == len(touched)
+    assert Graph(host.n, [(touched[u], touched[v]) for u, v in stored.edges]) == Graph(host.n, prefix)
 
 
 def store_hosts():

@@ -25,6 +25,11 @@ def test_status_precedence(statuses, want, monkeypatch):
 
     fakes = {f"claim-{i}": fake(f"claim-{i}", s) for i, s in enumerate(statuses)}
     monkeypatch.setattr(verify, "CLAIMS", fakes)
+    if not statuses:
+        # a report that checked no claim must not pass, registry empty or not
+        with pytest.raises(ValueError, match="^no claims selected$"):
+            verify.run_report()
+        return
     report = verify.run_report()
     assert [c["status"] for c in report["claims"]] == [
         "pass" if s == "xfail" else s for s in statuses
