@@ -191,7 +191,7 @@ def cmd_gadget(args) -> int:
 
 
 def cmd_verify_paper(args) -> int:
-    only = args.only.split(",") if args.only else None
+    only = None if args.only is None else args.only.split(",")
     report = verify.run_report(
         only,
         extended=args.extended,

@@ -104,9 +104,9 @@ def is_proper(g: Graph, coloring: EdgeColoring) -> bool:
 class Pattern:
     """A forbidden subgraph with its embedding machinery.
 
-    Isolated vertices contribute nothing to edge sets; they are stripped into
-    a separate count, and a copy of the pattern exists in a host iff the core
-    embeds and the host has at least ``order`` vertices overall.
+    Isolated vertices contribute nothing to edge sets; they are stripped off
+    the core, and a copy of the pattern exists in a host iff the core embeds
+    and the host has at least ``order`` vertices overall.
     """
 
     def __init__(self, graph: Graph, name: str | None = None):
@@ -115,7 +115,6 @@ class Pattern:
         self.order = graph.n
         keep = [v for v in range(graph.n) if graph.degree(v) > 0]
         self.core, _ = induced_subgraph(graph, keep)
-        self.isolated = graph.n - self.core.n
         self.core_connected = self.core.is_connected()
 
     def __repr__(self):
@@ -123,7 +122,9 @@ class Pattern:
         return f"Pattern({tag})"
 
 
+@lru_cache(maxsize=256)
 def as_pattern(obj) -> Pattern:
+    """One Pattern per graph, the last 256 kept; a Pattern passes as itself."""
     return obj if isinstance(obj, Pattern) else Pattern(obj)
 
 

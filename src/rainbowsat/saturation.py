@@ -26,10 +26,11 @@ Two structural facts carry the heavy lifting:
   found within the check's ``time_limit``; fewer of them only means more
   searches.
 
-``RainbowSolver`` memoizes its verdicts by labeled host, so a witness
-depends on the host alone.  Every unbudgeted UNCOLORABLE search also adds
-its refuted prefix (``engine._search_component``) to one store shared by
-all solvers, keyed by the pattern cores searched.  A graph that a stored
+``RainbowSolver`` memoizes its verdicts by labeled host and the pattern
+cores searched, so a witness depends on those alone.  Every unbudgeted
+UNCOLORABLE search also adds its refuted prefix
+(``engine._search_component``) to one store shared by all solvers, keyed
+by the same cores.  A graph that a stored
 graph embeds in is UNCOLORABLE, so the saturation check and greedy addition
 test each g + e for such an embedding before they search it; a hit counts
 as refuted.  The walks add to the store but never read it: a class whose
@@ -142,31 +143,14 @@ class SatNumberResult:
 _REFUTED: dict = {}
 
 
-def merge_colorings(g: Graph, parts) -> EdgeColoring:
-    """One coloring of g from colorings of the induced subgraphs on its
-    components.
-
-    ``parts`` holds (subgraph, vertex map, classes) triples, the first two as
-    ``induced_subgraph`` returns them.  Each part gets classes of its own, so
-    a copy inside one part keeps its colors and no class is shared across
-    parts.
-    """
-    merged = {}
-    offset = 0
-    for sub, vmap, classes in parts:
-        for (u, v), c in zip(sub.edges, classes):
-            merged[vmap[u], vmap[v]] = c + offset
-        offset += max(classes, default=-1) + 1
-    return EdgeColoring(tuple(merged[e] for e in g.edges)).normalized()
-
-
 class RainbowSolver:
     """Colorability decisions for one pattern family, memoized across calls.
 
-    Results are cached by the labeled host: a host asked again, in the same
-    labeling, gets the first answer back without a search.  So a witness
-    depends on the host alone, not on which hosts the solver answered
-    before.  Isomorphic hosts in other labelings are searched apart;
+    Results are cached by what a verdict depends on, the labeled host and
+    the cores searched in it: a host asked again, in the same labeling, for
+    the same cores, gets the first answer back without a search.  So a
+    witness does not depend on which hosts the solver answered before.
+    Isomorphic hosts in other labelings are searched apart;
     ``_saturated_levels`` asks once per isomorphism class anyway.
 
     Each UNCOLORABLE search adds its refuted prefix to the store of refuted
@@ -182,43 +166,42 @@ class RainbowSolver:
             raise ValueError("empty pattern family")
         self.node_limit = node_limit
         self.time_limit = time_limit
-        # the pattern minus its isolated vertices, which find room anywhere
-        # in a host the pattern fits
-        self._cores = tuple(Pattern(p.core) for p in self.patterns)
         self._cache: dict = {}
 
-    def fitting_cores(self, n: int) -> list:
+    def fitting_cores(self, n: int) -> tuple:
         """The cores of the patterns with at most n vertices: a copy of a
         pattern in a host on n vertices is a copy of its core there."""
-        return [p.core for p in self.patterns if p.order <= n]
+        return tuple(p.core for p in self.patterns if p.order <= n)
 
     def colorability(self, g: Graph) -> ColorabilityResult:
         """Rainbow-free colorability of g, one search per component when sound.
 
         Patterns are gated by g's order once; then only the cores of those
-        that fit are searched.  A copy of a connected core lies inside one
-        component, so when every such core is connected, g is colorable iff
-        every component is, and the component witnesses merge into one for
-        g.  Otherwise g is searched whole.
+        that fit are searched, each search cached under its labeled host and
+        those cores.  A copy of a connected core lies inside one component,
+        so when every such core is connected, g is colorable iff every
+        component is, and the component witnesses, each with classes of its
+        own, merge into one for g.  Otherwise g is searched whole.
         """
-        fit = [(p, core) for p, core in zip(self.patterns, self._cores) if p.order <= g.n]
-        cores = [core for _, core in fit]
-        # a component's verdict depends on g's order only when a fitting
-        # pattern has isolated vertices; the tag keeps such verdicts apart
-        tag = g.n if any(p.isolated for p, _ in fit) else 0
-        if not all(core.core_connected for core in cores) or g.is_connected():
-            return self._solve(g, cores, tag)
+        cores = self.fitting_cores(g.n)
+        if not all(as_pattern(core).core_connected for core in cores) or g.is_connected():
+            return self._solve(g, cores)
         total = SearchStats(searches=0)
-        parts = []
+        merged = {}
+        offset = 0
         for comp in g.components():
             sub, vmap = induced_subgraph(g, comp)
-            res = self._solve(sub, cores, tag)
+            res = self._solve(sub, cores)
             total.nodes += res.stats.nodes
             total.searches += res.stats.searches
             if res.status is not Status.COLORABLE:
                 return ColorabilityResult(res.status, None, total)
-            parts.append((sub, vmap, res.witness.classes))
-        return ColorabilityResult(Status.COLORABLE, merge_colorings(g, parts), total)
+            classes = res.witness.classes
+            for (u, v), c in zip(sub.edges, classes):
+                merged[vmap[u], vmap[v]] = c + offset
+            offset += max(classes, default=-1) + 1
+        witness = EdgeColoring(tuple(merged[e] for e in g.edges)).normalized()
+        return ColorabilityResult(Status.COLORABLE, witness, total)
 
     def witness(self, g: Graph) -> EdgeColoring | None:
         """The verdict of ``colorability``: its witness for COLORABLE, None
@@ -238,20 +221,20 @@ class RainbowSolver:
         for a solver with a ``node_limit``."""
         if self.node_limit is not None:
             return False
-        held = _REFUTED.get(tuple(self.fitting_cores(g.n)), ())
+        held = _REFUTED.get(self.fitting_cores(g.n), ())
         deadline = None if self.time_limit is None else time.monotonic() + self.time_limit
         try:
             return any(exists_embedding(g, s, deadline) for s in held)
         except _Expired:
             return False
 
-    def _solve(self, g: Graph, cores, tag) -> ColorabilityResult:
+    def _solve(self, g: Graph, cores: tuple) -> ColorabilityResult:
         if not cores:
             # no pattern fits the host, so any proper coloring witnesses
             witness = EdgeColoring(tuple(first_fit_classes(g, {})))
             return ColorabilityResult(Status.COLORABLE, witness, SearchStats(searches=0))
 
-        key = (g.adj, tag)
+        key = (g.adj, cores)
         hit = self._cache.get(key)
         if hit is not None:
             status, witness = hit
@@ -263,7 +246,7 @@ class RainbowSolver:
         if res.status is not Status.INDETERMINATE:
             self._cache[key] = (res.status, res.witness)
         if res.status is Status.UNCOLORABLE and self.node_limit is None:
-            _add_refuted(tuple(core.graph for core in cores), g, res.stats.refuted)
+            _add_refuted(cores, g, res.stats.refuted)
         return res
 
 

@@ -58,11 +58,12 @@ def test_parse_error_exit_code(capsys):
         ["--timeout", "-1", "colorable", "K4", "P4"],
         ["--timeout", "nan", "colorable", "K6", "C4"],
         ["verify-paper", "--only", "ehm,ehm"],
+        ["verify-paper", "--only", ""],
     ],
     ids=["ehm-without-r", "ladder-without-pattern", "empty-graph-file", "negative-nodes",
          "verify-paper-timeout-after", "verify-paper-timeout-before", "sat-timeout",
          "sat-nodes", "gadget-nodes", "satstar-seed", "negative-timeout", "nan-timeout",
-         "repeated-claim"],
+         "repeated-claim", "empty-selection"],
 )
 def test_bad_input_exits_64(argv, tmp_path, capsys):
     empty = tmp_path / "empty.g6"
@@ -156,10 +157,12 @@ def test_construct_ladder_json_matches_golden(pattern, n, capsys):
     assert code == 0 and out == (GOLDEN / f"ladder-{pattern}-{n}.json").read_text()
 
 
-@pytest.mark.parametrize("pattern", ["C4", "P4"])
+@pytest.mark.parametrize(
+    "pattern", ["C4", pytest.param("K4", marks=pytest.mark.extended), "P4"])
 def test_sat_at_eight_matches_golden(pattern, capsys):
     # sat decides each child by whether a copy goes through its new edge, one
-    # placement search per arc orbit: C4 has one orbit, P4 three
+    # placement search per arc orbit: C4 has one orbit, P4 three; K4 walks
+    # the n = 8 levels to 13 edges
     code, out = run(capsys, "sat", "8", pattern, "--json")
     assert code == 0 and out == (GOLDEN / f"sat-8-{pattern}.json").read_text()
 

@@ -36,6 +36,7 @@ from rainbowsat.engine import (
     _search_component,
     _search_order,
     EdgeClasses,
+    as_pattern,
     copy_through,
 )
 from rainbowsat.graphs import complete_bipartite, induced_subgraph, iter_bits
@@ -174,6 +175,9 @@ def test_pattern_with_isolated_vertex_needs_host_room():
     solver = RainbowSolver([pat])
     res = solver.colorability(host)
     assert (res.status, res.stats.searches) == (Status.UNCOLORABLE, 1)
+    # K3 + E2 searches the same triangle for the same core: a cache hit
+    res = solver.colorability(disjoint_union([complete_graph(3), empty_graph(2)]))
+    assert (res.status, res.stats.searches) == (Status.UNCOLORABLE, 0)
     assert solver.colorability(complete_graph(3)).status is Status.COLORABLE
 
 
@@ -462,6 +466,13 @@ def test_match_order_is_computed_once_per_pattern():
         enumerate_embeddings(g, Pattern(cycle(5)))
         rainbow_free_colorable(g, [cycle(5)])
     assert _match_order.cache_info().misses == 1
+
+
+def test_one_pattern_per_graph():
+    # equal graphs built apart share one Pattern; a Pattern passes as itself
+    assert as_pattern(cycle(4)) is as_pattern(cycle(4))
+    pat = Pattern(cycle(4), "C4")
+    assert as_pattern(pat) is pat
 
 
 

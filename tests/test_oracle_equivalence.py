@@ -8,7 +8,7 @@ from pathlib import Path
 
 import networkx as nx
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from networkx.algorithms.isomorphism import GraphMatcher
 
@@ -267,14 +267,18 @@ def test_engine_agrees_on_gadgets():
             assert eng == naive[pname], (name, pname)
 
 
-# connected patterns, one whose copies need room for an isolated vertex, and
-# a family with a disconnected member, which keeps the host whole
+# connected patterns, one whose copies need room for an isolated vertex, a
+# family with a disconnected member, which keeps the host whole, and one
+# whose fitting cores grow with the host's order: C4 from 4 vertices, K3
+# from 5, so a triangle component is searched for other cores in K3 + K1
+# than in K3 + E2
 MERGE_FAMILIES = {
     "P4": [path(4)],
     "K3": [complete_graph(3)],
     "C4": [cycle(4)],
     "K3+K1": [disjoint_union([complete_graph(3), empty_graph(1)])],
     "P3,2K2": [path(3), Graph(4, [(0, 1), (2, 3)])],
+    "C4,K3+2K1": [cycle(4), disjoint_union([complete_graph(3), empty_graph(2)])],
 }
 
 
@@ -294,6 +298,7 @@ def _rainbow_free(g, coloring, family):
 
 @settings(max_examples=100, deadline=None)
 @given(disjoint_unions(), st.sampled_from(sorted(MERGE_FAMILIES)))
+@example(disjoint_union([complete_graph(3), empty_graph(1)]), "C4,K3+2K1")
 def test_merged_witnesses_recheck_on_disjoint_unions(g, name):
     family = MERGE_FAMILIES[name]
     want = naive_rainbow_free_colorable(g, family)
@@ -305,6 +310,13 @@ def test_merged_witnesses_recheck_on_disjoint_unions(g, name):
         assert (res.status is Status.COLORABLE) == want
         if want:
             assert _rainbow_free(g, res.witness, family)
+    # one vertex more may fit more patterns, so the same components are
+    # searched for other cores
+    wider = disjoint_union([g, empty_graph(1)])
+    res = solver.colorability(wider)
+    assert (res.status is Status.COLORABLE) == naive_rainbow_free_colorable(wider, family)
+    if res.status is Status.COLORABLE:
+        assert _rainbow_free(wider, res.witness, family)
 
     verdict = is_rainbow_saturated(g, family)
     assert verdict.status is not Verdict.INDETERMINATE

@@ -1193,7 +1193,7 @@ def test_expired_embedding_test_finds_nothing_in_the_store(monkeypatch):
     monkeypatch.setattr(saturation, "_REFUTED", {})
     solver = RainbowSolver([cycle(4)])
     g = gadget("GA").graph
-    saturation._add_refuted(tuple(solver.fitting_cores(g.n)), g, range(g.edge_count))
+    saturation._add_refuted(solver.fitting_cores(g.n), g, range(g.edge_count))
     assert solver.contains_refuted(g)
 
     def expired(*args):
