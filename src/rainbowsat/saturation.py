@@ -4,8 +4,10 @@ A graph is rainbow family-saturated when (a) it admits a proper edge coloring
 with no rainbow copy of any family member and (b) adding any non-edge makes
 every proper coloring contain one.  The exact numbers minimize edge count
 over an ascending, isomorphism-free enumeration of all candidate graphs, so
-the first edge level with a saturated graph is the answer; a walk that finds
-none reads every level up to the complete graph.
+the first edge level with a saturated graph is the answer.  A walk that
+finds none stops at the first level with no free class (rainbow-free
+colorable for ``sat*``, free of the pattern for ``sat``), at the latest at
+the complete graph: no graph with more edges is free.
 
 Two structural facts carry the heavy lifting:
 
@@ -44,14 +46,16 @@ twin-orbit children, built once per process, one level at a time as
 Children are told apart by a cheap vertex-invariant key (``_child_keys``)
 checked against Pólya's count at every level: the sorted vertex labels
 until a level of that n comes up short, each vertex's label with its
-neighbors' label sum from that level on.  Each class is represented by the
-first child to reach it, in its parent's labeling, so the table computes
-no canonical form; only the saturated classes a run reports are put in
-canonical form.  The table holds no verdict; each walk keeps its own, with
-a witness coloring per free class for ``sat*``, and asks the solver at most
-once per isomorphism class: not at all for a child of a free class that one
-class more on the parent's witness colors rainbow-free (the witness rule,
-``engine.EdgeClasses.extension``).
+neighbors' label sum from that level on.  A child's key comes from its
+parent's labels, which the check of the parent's level computed from
+scratch, so each class's labels are computed once.  Each class is
+represented by the first child to reach it, in its parent's labeling, so
+the table computes no canonical form; only the saturated classes a run
+reports are put in canonical form.  The table holds no verdict; each walk
+keeps its own, with a witness coloring per free class for ``sat*``, and
+asks the solver at most once per isomorphism class: not at all for a child
+of a free class that one class more on the parent's witness colors
+rainbow-free (the witness rule, ``engine.EdgeClasses.extension``).
 """
 from __future__ import annotations
 
@@ -367,8 +371,9 @@ class _Level(NamedTuple):
 
 
 # n -> [class count per edge level by oracle.graph_counts, the levels built
-# so far, whether they are keyed by the fine key].  Levels are built on first
-# use and only complete ones are kept.
+# so far, whether they are keyed by the fine key, the ``_labels`` of the
+# newest level's reps, rep after rep, in one array].  Levels are built on
+# first use and only complete ones are kept.
 _DAG: dict = {}
 
 
@@ -379,10 +384,11 @@ def _level(n: int, m: int) -> _Level:
     entry = _DAG.get(n)
     if entry is None:
         bottom = _Level([empty_graph(n).adj], b"", array("I"), array("I", [0]))
-        entry = _DAG[n] = [graph_counts(n), [bottom], False]
+        entry = _DAG[n] = [graph_counts(n), [bottom], False, array("I", [0] * n)]
     levels = entry[1]
     while len(levels) <= m:
-        levels.append(_grow(n, entry))
+        level, entry[3] = _grow(n, entry)
+        levels.append(level)
     return levels[m]
 
 
@@ -393,9 +399,9 @@ _QUADS = tuple((c * (c - 1) >> 1) << 17 for c in range(ENUMERATION_LIMIT - 1))
 _BITS = tuple(bytes(iter_bits(row)) for row in range(1 << ENUMERATION_LIMIT))
 
 
-def _child_keys(n: int, rows, pairs, fine: bool) -> list:
+def _child_keys(rows, base, pairs, fine: bool) -> list:
     """The class key of rows + uv for each non-edge (u, v) of ``pairs``,
-    each from the parent's degrees, codegrees and labels.
+    each from the parent's rows and its labels ``base`` (``_labels(rows)``).
 
     The key is an isomorphism invariant, in one of two rounds of color
     refinement.  Each vertex v gets a label from its degree, the sum of its
@@ -419,34 +425,28 @@ def _child_keys(n: int, rows, pairs, fine: bool) -> list:
     old value to the 4-cycle fields of both ends.  For the fine key, one
     pass over the child's edges then sums the neighbors' labels.
     """
+    n = len(rows)
     deg = [row.bit_count() for row in rows]
-    codeg = [[(row & other).bit_count() for other in rows] for row in rows]
     nbrs = list(map(_BITS.__getitem__, rows))
     edges = [(a, b) for a in range(n) for b in nbrs[a] if a < b] if fine else ()
-    quad = _QUADS.__getitem__
-    base = []  # the parent's labels, packed as above
-    for a in range(n):
-        ca = codeg[a]
-        ca[a] = 0  # a vertex is no pair with itself
-        label = deg[a] + sum(map(quad, ca))
-        for b in nbrs[a]:
-            label += (deg[b] << 4) + (ca[b] << 11)
-        base.append(label)
     keys = []
     for u, v in pairs:
         label = base[:]
-        cu, cv = codeg[u], codeg[v]
-        c = cu[v]
+        ru, rv = rows[u], rows[v]
         # the 4-cycle gain of u: paths u-a-b-v, as many as that of v
-        quads = sum(map(cu.__getitem__, nbrs[v])) << 17
+        quads = 0
+        for b in nbrs[v]:
+            x = (ru & rows[b]).bit_count()
+            quads += x
+            label[b] += 16 + (x << 17)
+        for a in nbrs[u]:
+            label[a] += 16 + ((rv & rows[a]).bit_count() << 17)
+        quads <<= 17
+        c = (ru & rv).bit_count()
         # a degree, the other end's new degree, 2c triangles << 11 = c << 12
         label[u] += 1 + ((deg[v] + 1) << 4) + (c << 12) + quads
         label[v] += 1 + ((deg[u] + 1) << 4) + (c << 12) + quads
-        for b in nbrs[v]:
-            label[b] += 16 + (cu[b] << 17)
-        for a in nbrs[u]:
-            label[a] += 16 + (cv[a] << 17)
-        for w in _BITS[rows[u] & rows[v]]:
+        for w in _BITS[ru & rv]:
             label[w] += 2 << 11
         if fine:
             key = [x << 28 for x in label]
@@ -461,9 +461,9 @@ def _child_keys(n: int, rows, pairs, fine: bool) -> list:
     return keys
 
 
-def _class_key(adj, fine: bool) -> tuple:
-    """The class key of ``_child_keys`` for the graph with adjacency rows
-    ``adj``, from scratch, coarse or fine.
+def _labels(adj) -> list:
+    """The labels of ``_child_keys`` of the vertices of the graph with
+    adjacency rows ``adj``, from scratch, in vertex order.
 
     Each pair of vertices adds its share of the label fields to both ends:
     an edge the other end's degree, and its codegree c as triangles and
@@ -488,23 +488,32 @@ def _class_key(adj, fine: bool) -> tuple:
                 mine += quads[c]
                 label[w] += quads[c]
         label[v] += mine
+    return label
+
+
+def _class_key(adj, fine: bool, label=None) -> tuple:
+    """The class key of ``_child_keys`` for the graph with adjacency rows
+    ``adj``, coarse or fine, from its ``label`` (``_labels(adj)`` when not
+    given), which it leaves as it is."""
+    if label is None:
+        label = _labels(adj)
     if fine:
         label = [(x << 28) + sum(map(label.__getitem__, _BITS[row]))
                  for x, row in zip(label, adj)]
-    label.sort()
-    return tuple(label)
+    return tuple(sorted(label))
 
 
-def _grow(n: int, entry: list) -> _Level:
-    """The next level of ``entry``, the ``_DAG`` entry of n: the classes
-    with m edges, m the number of levels built, from the classes with m - 1
-    by single-edge extension.
+def _grow(n: int, entry: list) -> tuple:
+    """The next level of ``entry``, the ``_DAG`` entry of n, and the
+    ``_labels`` of its reps: the classes with m edges, m the number of
+    levels built, from the classes with m - 1 by single-edge extension.
 
     Each class is extended by the first non-edge of each twin orbit
     (``Graph.orbit_non_edges``): the other non-edges of an orbit give
     isomorphic children, so every child class is still reached.  Children
-    are grouped by a vertex-invariant key, computed from their parent by
-    ``_child_keys``, and the first child to reach a key, in its parent's
+    are grouped by a vertex-invariant key, computed by ``_child_keys`` from
+    their parent's labels, which the check of the parent's level computed
+    from scratch, and the first child to reach a key, in its parent's
     labeling, is the class's rep; classes keep that order.  No canonical
     form is computed.  The reps share one int object per row value.
 
@@ -515,9 +524,10 @@ def _grow(n: int, entry: list) -> _Level:
     then marked fine, and that level and every later one at n are keyed by
     the fine key.  Any other key count than the Pólya count, or two reps
     with one class key computed from scratch (``_class_key``) in the round
-    that built the level, so isomorphic, raises RuntimeError.
+    that built the level, so isomorphic, raises RuntimeError; the labels
+    of that check are the ones returned.
     """
-    counts, levels, fine = entry
+    counts, levels, fine, below = entry
     m = len(levels)
     count = counts[m] if m < len(counts) else 0
     while True:
@@ -527,9 +537,10 @@ def _grow(n: int, entry: list) -> _Level:
         pairs = bytearray()
         child = array("I")
         start = array("I", [0])
-        for rows in levels[-1].reps:
+        for p, rows in enumerate(levels[-1].reps):
+            base = below[p * n:(p + 1) * n].tolist()
             orbit = Graph._from_adj(n, rows).orbit_non_edges()
-            for (u, v), key in zip(orbit, _child_keys(n, rows, orbit, fine)):
+            for (u, v), key in zip(orbit, _child_keys(rows, base, orbit, fine)):
                 i = index.get(key)
                 if i is None:
                     i = index[key] = len(reps)
@@ -544,13 +555,19 @@ def _grow(n: int, entry: list) -> _Level:
             break
         # the coarse key merged classes: refine this level and the later ones
         entry[2] = fine = True
-    distinct = len({_class_key(rep, fine) for rep in reps})
+    # the labels of each rep, kept as flat ints for the next level's keys
+    labels, keys = array("I"), set()
+    for rep in reps:
+        label = _labels(rep)
+        keys.add(_class_key(rep, fine, label))
+        labels.extend(label)
+    distinct = len(keys)
     if len(reps) != count or distinct != count:
         raise RuntimeError(
             f"enumeration found {distinct} classes under {len(reps)} keys at n={n} "
             f"with {m} edges; Pólya's count is {count}"
         )
-    return _Level(reps, bytes(pairs), child, start)
+    return _Level(reps, bytes(pairs), child, start), labels
 
 
 def enumerate_levels(n: int):
@@ -588,8 +605,9 @@ def enumerate_levels(n: int):
 
 def _saturated_levels(n: int, root, rule):
     """Yield (edge count, classes, saturated classes) in ascending edge order,
-    from the empty graph to the complete one; classes are the reps of
-    ``enumerate_levels`` in its order, as fresh lists of fresh graphs.
+    from the empty graph up to the first level with no free class, or the
+    complete graph; classes are the reps of ``enumerate_levels`` in its
+    order, as fresh lists of fresh graphs.
 
     The walk decides a property of graphs on n vertices, "free", that
     survives edge deletion.  It keeps a state for each free class of the
@@ -607,12 +625,18 @@ def _saturated_levels(n: int, root, rule):
     each twin orbit, and is the labeled graph that trying every non-edge
     would reach it by and that the level took as the class's rep.  So the
     child's state is the rep's, with no relabeling.  A free class is
-    saturated iff none of its children is free.
+    saturated iff none of its children is free.  A level with no free class
+    is yielded with no saturated class, and the walk ends there without
+    reading the next level: no class above it is free.
     """
     levels = enumerate_levels(n)
     _, classes = next(levels)
     states = [root]
     for m in range(comb(n, 2) + 1):
+        if all(state is False for state in states):
+            # no class is free, so no child of one is: no later level holds one
+            yield m, classes, []
+            return
         _, ahead = next(levels, (None, []))
         _, pairs, child, start = _level(n, m + 1)
         above = [None] * len(ahead)  # None until decided
@@ -695,10 +719,11 @@ def _in_canonical_form(graphs) -> list:
 
 def _sat_number(n: int, patterns, root, rule, found=None) -> SatNumberResult:
     """The first level of _saturated_levels with a saturated class, for the
-    family of ``patterns``.  Given a list ``found``, every level is scanned
-    and its saturated classes appended.  Only the saturated classes reported
-    are put in canonical form: the witnesses are their graph6, and ``found``
-    gets the canonical graphs, each level's in ascending canonical encoding."""
+    family of ``patterns``.  Given a list ``found``, every level the walk
+    yields is scanned and its saturated classes appended.  Only the
+    saturated classes reported are put in canonical form: the witnesses are
+    their graph6, and ``found`` gets the canonical graphs, each level's in
+    ascending canonical encoding."""
     res = SatNumberResult(n, tuple(graph6_encode(p.graph) for p in patterns), None, (), 0, 0)
     for m, graphs, hits in _saturated_levels(n, root, rule):
         res.graphs_checked += len(graphs)
@@ -734,8 +759,9 @@ def sat_star_exact(n: int, family, *, node_limit=None, time_limit=None) -> SatNu
 def all_rainbow_saturated(n: int, family, *, node_limit=None):
     """Every rainbow family-saturated graph on n vertices, plus the minimum.
 
-    Scans all isomorphism classes (not just the first successful level);
-    returns (saturated graphs ascending, SatNumberResult).
+    Scans every level (not just the first successful one) up to the first
+    with no rainbow-free colorable class, above which no graph is
+    saturated; returns (saturated graphs ascending, SatNumberResult).
     """
     solver = RainbowSolver(family, node_limit=node_limit)
     found = []

@@ -343,6 +343,7 @@ def test_level_count_other_than_polya_raises(monkeypatch):
         list(enumerate_levels(5))
     # the failed level is not kept: the next run builds it again, and fails again
     assert len(saturation._DAG[5][1]) == 3
+    assert_carried_labels_are_fresh(5)
     with pytest.raises(RuntimeError):
         sat_star_exact(5, [path(4)])
 
@@ -373,7 +374,8 @@ def child_rows(n, rows, u, v):
 def child_keys_by(key):
     """A ``_child_keys`` that applies ``key`` to each child's rows in either
     round."""
-    return lambda n, rows, pairs, fine: [key(child_rows(n, rows, u, v)) for u, v in pairs]
+    return lambda rows, base, pairs, fine: [key(child_rows(len(rows), rows, u, v))
+                                            for u, v in pairs]
 
 
 def check_child_keys(n):
@@ -385,7 +387,8 @@ def check_child_keys(n):
             pairs = Graph._from_adj(n, rows).orbit_non_edges()
             for fine in (False, True):
                 want = [class_key(child_rows(n, rows, u, v), fine) for u, v in pairs]
-                assert saturation._child_keys(n, rows, pairs, fine) == want, (n, rows, fine)
+                got = saturation._child_keys(rows, saturation._labels(rows), pairs, fine)
+                assert got == want, (n, rows, fine)
             children += len(pairs)
     return children
 
@@ -404,7 +407,23 @@ def test_child_keys_match_class_key_at_eight():
 def test_child_keys_match_class_key_on_every_non_edge(g, fine):
     pairs = g.non_edges()
     want = [class_key(g.with_edge(u, v).adj, fine) for u, v in pairs]
-    assert saturation._child_keys(g.n, g.adj, pairs, fine) == want
+    assert saturation._child_keys(g.adj, saturation._labels(g.adj), pairs, fine) == want
+
+
+def assert_carried_labels_are_fresh(n):
+    # the _DAG entry keeps the labels of the newest level's reps, as a
+    # from-scratch ``_labels`` gives them, in vertex order, rep after rep
+    _, levels, _, labels = saturation._DAG[n]
+    fresh = [x for rep in levels[-1].reps for x in saturation._labels(rep)]
+    assert labels.tolist() == fresh, (n, len(levels))
+
+
+def test_carried_labels_are_the_newest_levels(monkeypatch):
+    monkeypatch.setattr(saturation, "_DAG", {})
+    for n in range(8):
+        for m in range(comb(n, 2) + 2):
+            saturation._level(n, m)
+            assert_carried_labels_are_fresh(n)
 
 
 def test_coarse_key_builds_every_level_through_seven():
@@ -428,7 +447,8 @@ def fine_keyed_reps(n, top):
         index = {}  # fine key -> the first child to reach it
         for rows in below:
             pairs = Graph._from_adj(n, rows).orbit_non_edges()
-            for (u, v), key in zip(pairs, saturation._child_keys(n, rows, pairs, True)):
+            keys = saturation._child_keys(rows, saturation._labels(rows), pairs, True)
+            for (u, v), key in zip(pairs, keys):
                 index.setdefault(key, child_rows(n, rows, u, v))
         below = list(index.values())
         yield below
@@ -441,11 +461,11 @@ def test_first_short_coarse_level_refines_the_rest(monkeypatch):
     assert class_key(path(9).adj, False) == class_key(
         disjoint_union([cycle(5), path(4)]).adj, False)
     monkeypatch.setattr(saturation, "_DAG", {})
-    saturation._level(9, 7)
-    assert saturation._DAG[9][2] is False
-    saturation._level(9, 8)
-    assert saturation._DAG[9][2] is True
-    saturation._level(9, 9)
+    for m in range(10):
+        saturation._level(9, m)
+        assert saturation._DAG[9][2] is (m >= 8)
+        # the labels the next level is keyed from cross the switch unchanged
+        assert_carried_labels_are_fresh(9)
     levels = saturation._DAG[9][1]
     assert [level.reps for level in levels] == list(fine_keyed_reps(9, 9))
     assert [len(level.reps) for level in levels] == list(graph_counts(9)[:10])
@@ -697,6 +717,27 @@ def test_sat_star_no_saturated_graph_outcome():
     assert res.witnesses == ()
 
 
+@pytest.mark.parametrize("walk", [
+    lambda: sat_exact(9, complete_graph(1)),
+    lambda: sat_star_exact(9, [complete_graph(1)]),
+], ids=["sat_exact", "sat_star_exact"])
+def test_walk_stops_at_the_first_level_with_no_free_class(walk, monkeypatch):
+    # no graph on 9 vertices is free of K1, the empty one included, so the
+    # walk judges level 0 and builds no level above it
+    monkeypatch.setattr(saturation, "_DAG", {})
+    res = walk()
+    assert (res.value, res.witnesses, res.levels_searched, res.graphs_checked) == (None, (), 0, 1)
+    assert len(saturation._DAG[9][1]) == 1
+
+
+def test_all_rainbow_saturated_stops_at_the_first_level_with_no_free_class():
+    # every graph on 7 vertices with 14 edges or more holds a rainbow C4
+    # under every proper coloring, so levels 15 to 21 are not read
+    found, res = all_rainbow_saturated(7, [cycle(4)])
+    assert (len(found), res.value, res.levels_searched) == (22, 11, 14)
+    assert res.graphs_checked == sum(graph_counts(7)[:15])
+
+
 def test_sat_star_budget_aborts():
     with pytest.raises(SearchAborted):
         sat_star_exact(6, [cycle(4)], node_limit=2)
@@ -717,22 +758,31 @@ LEVEL_TABLE_FAMILIES = {
 
 @pytest.mark.parametrize("name", sorted(LEVEL_TABLE_FAMILIES))
 def test_saturated_levels_match_per_graph_filter(name):
-    # the parent/child table against a saturation check of every class alone
+    # the parent/child table against a saturation check of every class alone,
+    # on every level, yielded or not: a walk stops after the first level
+    # with no free class, so the levels it does not yield hold no saturated
+    # class either
+    def check(walk, saturated):
+        yielded = list(walk)
+        assert [m for m, _, _ in yielded] == list(range(len(yielded)))
+        for m, level in levels.items():
+            want = [g for g in level if saturated(g)]
+            if m < len(yielded):
+                assert yielded[m][1] == level
+                assert yielded[m][2] == want, (name, n, m)
+            else:
+                assert want == [], (name, n, m)
+
     fam = LEVEL_TABLE_FAMILIES[name]
     table = RainbowSolver(fam)
     for n in range(7):
         levels = dict(enumerate_levels(n))
-        rainbow = list(_saturated_levels(n, *_witness_rule(table, n)))
-        assert [m for m, _, _ in rainbow] == sorted(levels)
-        for m, classes, hits in rainbow:
-            assert classes == levels[m]
-            want = [g for g in levels[m]
-                    if is_rainbow_saturated(g, fam).status is Verdict.SATURATED]
-            assert hits == want, (name, n, m)
+        check(_saturated_levels(n, *_witness_rule(table, n)),
+              lambda g: is_rainbow_saturated(g, fam).status is Verdict.SATURATED)
         if len(fam) == 1:
             pat = as_pattern(fam[0])
-            for m, _, hits in _saturated_levels(n, *_pattern_free_rule(pat, n)):
-                assert hits == [g for g in levels[m] if is_classically_saturated(g, pat)]
+            check(_saturated_levels(n, *_pattern_free_rule(pat, n)),
+                  lambda g: is_classically_saturated(g, pat))
 
 
 def reference_levels(n):
@@ -753,11 +803,15 @@ def reference_levels(n):
 
 def reference_saturated_levels(n, root, rule):
     """Reference: the level table, trying every non-edge of every class; a
-    class is decided by ``rule`` on the first child to reach it."""
+    class is decided by ``rule`` on the first child to reach it.  As the
+    walk does, it stops after the first level with no free class."""
     levels = reference_levels(n)
     m, graphs = next(levels)
     states = [root]
     while True:
+        if all(state is False for state in states):
+            yield m, graphs, []
+            return
         children = {}
         for g, state in zip(graphs, states):
             if state is False:
