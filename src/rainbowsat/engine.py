@@ -43,7 +43,7 @@ from enum import Enum
 from functools import lru_cache
 from itertools import groupby
 
-from .graphs import Graph, _Expired, induced_subgraph, iter_bits
+from .graphs import Graph, _Expired, _find, automorphism_generators, induced_subgraph, iter_bits
 
 
 class Status(Enum):
@@ -269,15 +269,33 @@ def _arc_orbits(core: Graph) -> tuple:
     """One arc (a, b), the least, from each orbit of Aut(core) on the arcs
     of core (the ordered pairs of adjacent vertices), as a plan that places
     the core with a and b first: ``_plan``'s (order, anchors) and the
-    core's edges other than ab."""
-    auts = list(_matches(core, core))
-    seen = set()
+    core's edges other than ab.
+
+    The orbits are merged in a union-find on the arcs, arc (a, b) at
+    a * n + b, under generators of the group, not its every element (5,040
+    of them for K7): the automorphisms that the canonical search meets
+    (``graphs.automorphism_generators``) and the transpositions of each
+    twin class's least vertex with the others, which together generate it.
+    Each orbit's root is its least index, so its least arc.
+    """
+    n = core.n
+    gens = automorphism_generators(core)
+    for cls in set(core.twin_classes()):
+        a = (cls & -cls).bit_length() - 1
+        for b in iter_bits(cls & (cls - 1)):
+            perm = list(range(n))
+            perm[a], perm[b] = b, a
+            gens.append(perm)
+    arcs = [(a, b) for a in range(n) for b in iter_bits(core.adj[a])]
+    orbit = list(range(n * n))
+    for perm in gens:
+        for a, b in arcs:
+            x, y = _find(orbit, a * n + b), _find(orbit, perm[a] * n + perm[b])
+            if x != y:
+                orbit[max(x, y)] = min(x, y)
     out = []
-    for a in range(core.n):
-        for b in iter_bits(core.adj[a]):
-            if (a, b) in seen:
-                continue
-            seen.update((aut[a], aut[b]) for aut in auts)
+    for a, b in arcs:
+        if _find(orbit, a * n + b) == a * n + b:
             others = tuple(e for e in core.edges if e != (a, b) and e != (b, a))
             out.append((*_plan(core, (a, b)), others))
     return tuple(out)

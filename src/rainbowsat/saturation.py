@@ -29,15 +29,26 @@ Two structural facts carry the heavy lifting:
   searches.
 
 ``RainbowSolver`` memoizes its verdicts by labeled host and the pattern
-cores searched, so a witness depends on those alone.  Every unbudgeted
-UNCOLORABLE search also adds its refuted prefix
-(``engine._search_component``) to one store shared by all solvers, keyed
-by the same cores.  A graph that a stored
-graph embeds in is UNCOLORABLE, so the saturation check and greedy addition
-test each g + e for such an embedding before they search it; a hit counts
-as refuted.  The walks add to the store but never read it: a class whose
-parents are all free contains no refuted graph.  A solver with a node
-budget neither adds to the store nor reads it.
+cores searched, so a witness depends on those alone.  A graph that an
+UNCOLORABLE graph embeds in is UNCOLORABLE, so the saturation check and
+greedy addition test each g + e for an embedding of a known UNCOLORABLE
+graph before they search it; a hit counts as refuted.  Two sets of them
+are known:
+
+* the committed catalogue (``_OBSTRUCTIONS``): the obstructions of P3, P4,
+  C4, K3, K4 and K1,3 on at most 7 vertices, that is the deletion-minimal
+  UNCOLORABLE graphs, the analogue of minimal unsatisfiable cores
+  (Liffiton and Sakallah, J. Autom. Reasoning 40, 2008).  A graph is
+  UNCOLORABLE iff it contains an obstruction.  Every solver reads the
+  catalogue, a budgeted one too, so a budgeted verdict depends on its
+  inputs and the catalogue alone;
+* the store of refuted graphs (``_REFUTED``): every unbudgeted
+  UNCOLORABLE search of the run adds its refuted prefix
+  (``engine._search_component``), keyed by the cores searched.  A solver
+  with a node budget neither adds to the store nor reads it.
+
+The walks add to the store but read neither: a class whose parents are
+all free contains no UNCOLORABLE graph but itself.
 
 The level table holds the isomorphism classes of each n and their
 twin-orbit children, built once per process, one level at a time as
@@ -64,7 +75,7 @@ from array import array
 from bisect import bisect, insort
 from dataclasses import dataclass
 from enum import Enum
-from itertools import combinations
+from itertools import chain, combinations
 from math import comb
 from typing import NamedTuple
 
@@ -87,6 +98,7 @@ from .graphs import (
     automorphism_generators,
     canonical_form,
     empty_graph,
+    graph6_decode,
     graph6_encode,
     induced_subgraph,
     iter_bits,
@@ -140,10 +152,28 @@ class SatNumberResult:
 # -- cached colorability -----------------------------------------------------
 
 
+# the canonical graph6 of a pattern -> the canonical graph6 of each of its
+# obstructions on at most 7 vertices, isolated vertices dropped, fewest
+# edges first.  An obstruction is UNCOLORABLE for the pattern, and each of
+# its one-edge-deleted subgraphs is COLORABLE.  all_rainbow_saturated(7,
+# [pattern]) refutes exactly these classes: a class that the walk hands to
+# the solver has only free parents.  Read through RainbowSolver._catalogued,
+# so nothing is decoded at import.
+_OBSTRUCTIONS = {
+    "BW": ("BW",),  # P3
+    "CL": ("D@s", "DLo", "F@Ue?"),  # P4
+    # C4; D]{ is the wheel W4
+    "C]": ("D]{", "E?~o", "EBnw", "F?]v_", "F?NNw", "F?N^W", "F@Vfw"),
+    "Bw": ("Bw",),  # K3
+    "C~": ("F?~~w", "FNz~w"),  # K4; F?~~w is K3 joined to four independent vertices
+    "CF": ("CF",),  # K1,3
+}
+
 # the tuple of pattern cores searched -> the graphs that an unbudgeted search
-# for those cores refuted, each its refuted prefix renumbered onto 0..k-1,
-# fewest edges first, no two equal.  Every graph that one of them embeds in
-# is UNCOLORABLE for the same cores.
+# for those cores refuted in this run, each its refuted prefix renumbered
+# onto 0..k-1, fewest edges first, no two equal.  Every graph that one of
+# them embeds in is UNCOLORABLE for the same cores.  Unlike _OBSTRUCTIONS,
+# its content depends on the earlier runs, so a budgeted solver never reads it.
 _REFUTED: dict = {}
 
 
@@ -157,11 +187,14 @@ class RainbowSolver:
     Isomorphic hosts in other labelings are searched apart;
     ``_saturated_levels`` asks once per isomorphism class anyway.
 
-    Each UNCOLORABLE search adds its refuted prefix to the store of refuted
-    graphs shared by every solver (``_REFUTED``), and ``contains_refuted``
-    tests a host for an embedding of one of them.  A solver with a
-    ``node_limit`` neither adds to the store nor reads it, so a budgeted
-    verdict depends on its inputs alone.
+    ``contains_refuted`` tests a host for an embedding of a known
+    UNCOLORABLE graph: an obstruction of the committed catalogue
+    (``_OBSTRUCTIONS``) for one of its cores, then a graph of the store of
+    refuted graphs shared by every solver (``_REFUTED``), to which each
+    UNCOLORABLE search adds its refuted prefix.  A solver with a
+    ``node_limit`` reads the catalogue but neither adds to the store nor
+    reads it, so a budgeted verdict depends on its inputs and the
+    catalogue alone.
     """
 
     def __init__(self, family, *, node_limit: int | None = None, time_limit: float | None = None):
@@ -171,6 +204,7 @@ class RainbowSolver:
         self.node_limit = node_limit
         self.time_limit = time_limit
         self._cache: dict = {}
+        self._known: dict = {}  # n -> the catalogue's entries for the cores that fit n
 
     def fitting_cores(self, n: int) -> tuple:
         """The cores of the patterns with at most n vertices: a copy of a
@@ -218,19 +252,37 @@ class RainbowSolver:
         return res.witness
 
     def contains_refuted(self, g: Graph) -> bool:
-        """Whether a graph of the store, refuted for the cores of the
-        patterns that fit g, embeds in g, which makes g UNCOLORABLE with no
-        search.  The stored graphs are tried fewest edges first, all within
-        ``time_limit``; a test that runs out of time finds nothing.  False
-        for a solver with a ``node_limit``."""
-        if self.node_limit is not None:
-            return False
-        held = _REFUTED.get(self.fitting_cores(g.n), ())
+        """Whether a known UNCOLORABLE graph for the cores of the patterns
+        that fit g embeds in g, which makes g UNCOLORABLE with no search.
+
+        First the catalogue's obstructions of every fitting core: one for a
+        single core refutes any family that contains that core.  Then, for
+        a solver with no ``node_limit``, the store's graphs refuted for
+        these cores.  Each list is tried fewest edges first, all within
+        ``time_limit``; a test that runs out of time finds nothing.
+        """
+        held = self._catalogued(g.n)
+        if self.node_limit is None:
+            held = chain(held, _REFUTED.get(self.fitting_cores(g.n), ()))
         deadline = None if self.time_limit is None else time.monotonic() + self.time_limit
         try:
             return any(exists_embedding(g, s, deadline) for s in held)
         except _Expired:
             return False
+
+    def _catalogued(self, n: int) -> list:
+        """The catalogue's obstructions of the cores that fit n vertices,
+        fewest edges first, decoded on the first test for n.  A core finds
+        its entries by its canonical graph6."""
+        known = self._known.get(n)
+        if known is None:
+            entries = []
+            for core in self.fitting_cores(n):
+                key = graph6_encode(core.relabel(canonical_form(core).relabeling))
+                entries += _OBSTRUCTIONS.get(key, ())
+            known = self._known[n] = sorted(
+                map(graph6_decode, dict.fromkeys(entries)), key=lambda s: s.edge_count)
+        return known
 
     def _solve(self, g: Graph, cores: tuple) -> ColorabilityResult:
         if not cores:
@@ -282,10 +334,10 @@ def is_rainbow_saturated(g: Graph, family, *, node_limit=None, time_limit=None) 
     (``graphs.automorphism_generators``), each checked to preserve edges;
     that search stops at ``time_limit``, and the generators found by then
     merge fewer orbits, which costs searches, not soundness.
-    Each g+e that a graph of the store of refuted graphs embeds in
-    (``RainbowSolver.contains_refuted``) is refuted with no search; the
-    solver splits any other into components and reads the untouched ones
-    back from its cache.  Only a NOT_SATURATED verdict has a
+    Each g+e that an obstruction of the catalogue or a graph of the store
+    of refuted graphs embeds in (``RainbowSolver.contains_refuted``) is
+    refuted with no search, at any budget; the solver splits any other
+    into components and reads the untouched ones back from its cache.  Only a NOT_SATURATED verdict has a
     ``failing_edge``; an INDETERMINATE one names the non-edge whose search
     ran out of budget in its ``reason``.
     """
@@ -781,12 +833,13 @@ def _add_greedily(g: Graph, pairs, solver: RainbowSolver, classes=None):
     Three kinds of pair are settled unsearched.  A pair uv for which the
     rule of ``_saturated_levels`` (``EdgeClasses.extension``) finds a class
     over the current witness is added, and the witness gains that class on
-    uv; until a witness is known, no pair is.  A pair whose g + uv holds a
-    graph of the store of refuted graphs (``RainbowSolver.contains_refuted``)
-    is rejected.  Any other pair is searched, and if it is added the
-    solver's witness of the grown graph becomes the current one.  A rejected
-    uv settles every pair from u's and v's twin classes under the current g:
-    isomorphic graphs, kept rejected by downward closure."""
+    uv; until a witness is known, no pair is.  A pair whose g + uv holds an
+    obstruction of the catalogue or a graph of the store of refuted graphs
+    (``RainbowSolver.contains_refuted``) is rejected.  Any other pair is
+    searched, and if it is added the solver's witness of the grown graph
+    becomes the current one.  A rejected uv settles every pair from u's and
+    v's twin classes under the current g: isomorphic graphs, kept rejected
+    by downward closure."""
     cores = solver.fitting_cores(g.n)
     table = None if classes is None else EdgeClasses(g, classes)
     added, rejected = [], set()

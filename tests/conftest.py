@@ -1,0 +1,11 @@
+import pytest
+
+from rainbowsat import saturation
+
+
+@pytest.fixture
+def no_catalogue(monkeypatch):
+    """The committed catalogue of obstructions emptied: a budgeted run then
+    searches the hosts that an obstruction would settle, as it did before
+    the catalogue, and only the run's store knows refuted graphs."""
+    monkeypatch.setattr(saturation, "_OBSTRUCTIONS", {})

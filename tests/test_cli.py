@@ -109,6 +109,7 @@ def test_verify_paper_timeout_error_points_to_nodes(capsys):
     ],
     ids=["ladder", "satstar"],
 )
+@pytest.mark.usefixtures("no_catalogue")
 def test_budget_abort_exits_2(argv, capsys):
     assert main(argv) == 2
     assert capsys.readouterr().err.startswith("INDETERMINATE: budget exhausted")
@@ -211,6 +212,7 @@ def test_graph_file_reads_its_first_line(tmp_path, capsys):
         assert run(capsys, "check", f"@{path}", "C4") == want
 
 
+@pytest.mark.usefixtures("no_catalogue")
 def test_indeterminate_check_names_no_failing_edge(capsys):
     host = graph6_encode(ladder_construction(complete_graph(4), 12).graph)
     code, out = run(capsys, "check", host, "K4", "--nodes", "0")

@@ -298,6 +298,7 @@ def test_ladder_construction_linear_growth():
 
 
 @pytest.mark.parametrize("node_limit", [0, 1])
+@pytest.mark.usefixtures("no_catalogue")
 def test_ladder_construction_budget_abort(node_limit):
     with pytest.raises(SearchAborted, match=r"^budget exhausted"):
         ladder_construction(complete_graph(3), 9, node_limit=node_limit)

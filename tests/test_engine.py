@@ -2,6 +2,7 @@ import random
 import time
 from itertools import combinations
 
+import networkx as nx
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -33,6 +34,7 @@ from rainbowsat.engine import (
     _maps_through,
     _match_order,
     _matches,
+    _plan,
     _search_component,
     _search_order,
     EdgeClasses,
@@ -452,6 +454,33 @@ def test_arc_orbit_counts():
     counts = {name: len(_arc_orbits(Pattern(THROUGH_PATTERNS[name]).core))
               for name in ("P3", "P4", "K1,3", "C4", "K4")}
     assert counts == {"P3": 2, "P4": 3, "K1,3": 2, "C4": 1, "K4": 1}
+
+
+def arc_orbits_by_enumeration(core):
+    """Reference: the least arc of each orbit, found by mapping each arc
+    under every automorphism, as ``_arc_orbits`` plans it."""
+    auts = list(_matches(core, core))
+    seen = set()
+    out = []
+    for a in range(core.n):
+        for b in iter_bits(core.adj[a]):
+            if (a, b) not in seen:
+                seen.update((aut[a], aut[b]) for aut in auts)
+                others = tuple(e for e in core.edges if e != (a, b) and e != (b, a))
+                out.append((*_plan(core, (a, b)), others))
+    return tuple(out)
+
+
+def test_arc_orbits_match_the_enumerated_group():
+    # the generators and the twin transpositions merge the arcs into the
+    # orbits of the whole group, on every atlas graph with an edge (up to 7
+    # vertices) and on K8, whose 40,320 automorphisms the twin
+    # transpositions generate
+    cores = [Graph(h.number_of_nodes(), h.edges()) for h in nx.graph_atlas_g()
+             if h.number_of_edges()]
+    cores.append(complete_graph(8))
+    for core in cores:
+        assert _arc_orbits(core) == arc_orbits_by_enumeration(core), core
 
 
 def test_match_order_is_computed_once_per_pattern():

@@ -56,6 +56,7 @@ from rainbowsat.engine import EdgeClasses, EdgeColoring, as_pattern
 from rainbowsat.graphs import (
     _Expired,
     canonical_form,
+    complete_bipartite,
     graph6_encode,
     induced_subgraph,
 )
@@ -1043,6 +1044,7 @@ def test_greedy_always_saturates():
 
 
 @pytest.mark.parametrize("node_limit", [0, 1])
+@pytest.mark.usefixtures("no_catalogue")
 def test_greedy_budget_abort_names_the_graph(node_limit):
     with pytest.raises(SearchAborted, match=r"^budget exhausted .*graph \S+$"):
         greedy_saturate(empty_graph(5), [path(4)], node_limit=node_limit)
@@ -1224,6 +1226,7 @@ def store_verdict(v):
     return v.status, v.nonedges_checked, v.nonedges_refuted, v.failing_edge, v.witness_coloring
 
 
+@pytest.mark.usefixtures("no_catalogue")
 def test_warm_store_gives_the_verdicts_of_an_empty_one(monkeypatch):
     # each host and each host less its last edge, whose check fails at or
     # before that edge, checked with an empty store, then again with the
@@ -1257,9 +1260,10 @@ def test_expired_embedding_test_finds_nothing_in_the_store(monkeypatch):
     assert not solver.contains_refuted(g)
 
 
+@pytest.mark.usefixtures("no_catalogue")
 def test_budgeted_check_neither_reads_nor_fills_the_store(monkeypatch):
-    # with a warm store, the first non-edge of the 14-vertex K4 ladder needs
-    # a search of 3,741 nodes, past the budget
+    # with a warm store and no catalogue, the first non-edge of the
+    # 14-vertex K4 ladder needs a search of 3,741 nodes, past the budget
     monkeypatch.setattr(saturation, "_REFUTED", {})
     g = ladder_construction(complete_graph(4), 14).graph
     assert is_rainbow_saturated(g, [complete_graph(4)]).status is Verdict.SATURATED
@@ -1276,6 +1280,152 @@ def test_budgeted_check_neither_reads_nor_fills_the_store(monkeypatch):
     assert is_rainbow_saturated(h, [complete_graph(4)], node_limit=10**6).status \
         is Verdict.SATURATED
     assert store_snapshot() == held
+
+
+def test_budgeted_check_reads_the_catalogue_not_the_store(monkeypatch):
+    # the first non-edge of the 14-vertex K4 ladder gives a graph that K3
+    # joined to four independent vertices (F?~~w) embeds in: the catalogue
+    # settles it with no search, within the budget that the search exceeds
+    monkeypatch.setattr(saturation, "_REFUTED", {})
+    g = ladder_construction(complete_graph(4), 14).graph
+    with monkeypatch.context() as patch:
+        patch.setattr(saturation, "_OBSTRUCTIONS", {})
+        want = is_rainbow_saturated(g, [complete_graph(4)])
+    held = store_snapshot()
+    assert held
+    searched = []
+    colorability = RainbowSolver.colorability
+
+    def recording(solver, h):
+        searched.append(h)
+        return colorability(solver, h)
+
+    monkeypatch.setattr(RainbowSolver, "colorability", recording)
+    got = is_rainbow_saturated(g, [complete_graph(4)], node_limit=1000)
+    assert got.status is want.status is Verdict.SATURATED
+    assert store_verdict(got) == store_verdict(want)
+    assert g.with_edge(*g.non_edges()[0]) not in searched
+    assert store_snapshot() == held
+
+
+# -- the catalogue of obstructions --------------------------------------------------
+
+
+CATALOGUED = {
+    "P3": path(3), "P4": path(4), "C4": cycle(4),
+    "K3": complete_graph(3), "K4": complete_graph(4), "K1,3": star(3),
+}
+
+
+def canonical_graph6(g) -> str:
+    return graph6_encode(g.relabel(canonical_form(g).relabeling))
+
+
+def catalogue_entries(name) -> list:
+    return [graph6_decode(text)
+            for text in saturation._OBSTRUCTIONS[canonical_graph6(CATALOGUED[name])]]
+
+
+@pytest.mark.parametrize("name", sorted(CATALOGUED))
+def test_walk_on_seven_vertices_refutes_the_catalogue(name, monkeypatch):
+    # a class that the walk hands to the solver has only free parents, so if
+    # it is UNCOLORABLE it is deletion-minimal and its refuted prefix is all
+    # of its edges: the store ends up holding the obstructions on at most 7
+    # vertices, and nothing else
+    monkeypatch.setattr(saturation, "_REFUTED", {})
+    all_rainbow_saturated(7, [CATALOGUED[name]])
+    stored = [g for graphs in saturation._REFUTED.values() for g in graphs]
+    entries = catalogue_entries(name)
+    assert sorted(map(canonical_graph6, stored)) == sorted(map(graph6_encode, entries))
+    assert [s.edge_count for s in entries] == sorted(s.edge_count for s in entries)
+    assert len(saturation._OBSTRUCTIONS) == len(CATALOGUED)
+
+
+def check_obstruction(s, pattern, naive: bool) -> None:
+    """s is UNCOLORABLE for the pattern, and each one-edge-deleted subgraph
+    is COLORABLE with a witness re-checked on its own; by the naive oracle
+    too when ``naive``."""
+    assert rainbow_free_colorable(s, [pattern]).status is Status.UNCOLORABLE
+    if naive:
+        assert not naive_rainbow_free_colorable(s, [pattern])
+    for e in s.edges:
+        sub = Graph(s.n, [f for f in s.edges if f != e])
+        res = rainbow_free_colorable(sub, [pattern])
+        assert res.status is Status.COLORABLE, (graph6_encode(s), e)
+        assert is_proper(sub, res.witness)
+        assert find_rainbow_embedding(sub, res.witness, pattern) is None
+        if naive:
+            assert naive_rainbow_free_colorable(sub, [pattern])
+
+
+@pytest.mark.parametrize("name", sorted(CATALOGUED))
+def test_catalogue_entries_are_obstructions(name):
+    # the naive oracle takes the 12 entries with at most 11 edges (about
+    # 1.3 s in all); F@Vfw (C4, 12 edges) is checked so under extended, and
+    # the K4 entries (15 and 18 edges) are beyond it
+    for s in catalogue_entries(name):
+        check_obstruction(s, CATALOGUED[name], naive=s.edge_count <= 11)
+
+
+@pytest.mark.extended
+def test_twelve_edge_c4_obstruction_against_the_naive_oracle():
+    [s] = [s for s in catalogue_entries("C4") if s.edge_count == 12]
+    assert graph6_encode(s) == "F@Vfw"
+    check_obstruction(s, cycle(4), naive=True)
+
+
+@pytest.mark.parametrize("node_limit", [None, 10**6])
+def test_catalogue_changes_no_verdict(node_limit, monkeypatch):
+    # each host and each host less its last edge, each checked from an empty
+    # store, with the catalogue and with it emptied: the same verdicts, the
+    # catalogue's with fewer searches
+    hosts = []
+    for g, fam in store_hosts():
+        hosts += [(g, fam), (Graph(g.n, g.edges[:-1]), fam)]
+    searches = []
+    search = saturation.rainbow_free_colorable
+
+    def counting(*args, **kwargs):
+        searches.append(args[0])
+        return search(*args, **kwargs)
+
+    monkeypatch.setattr(saturation, "rainbow_free_colorable", counting)
+    runs = []
+    for table in (saturation._OBSTRUCTIONS, {}):
+        monkeypatch.setattr(saturation, "_OBSTRUCTIONS", table)
+        before = len(searches)
+        verdicts = []
+        for g, fam in hosts:
+            monkeypatch.setattr(saturation, "_REFUTED", {})
+            verdicts.append(store_verdict(is_rainbow_saturated(g, fam, node_limit=node_limit)))
+        runs.append((verdicts, len(searches) - before))
+    (with_table, searched), (without, searched_without) = runs
+    assert with_table == without
+    assert searched < searched_without
+
+
+def test_catalogue_serves_relabeled_patterns_and_mixed_families(monkeypatch):
+    # W4 is a C4 obstruction, and K2,4 a triangle-free one: an obstruction
+    # for one core refutes every family that holds that core, in any
+    # labeling, with no search and at any budget
+    monkeypatch.setattr(saturation, "_REFUTED", {})
+
+    def no_search(*args, **kwargs):
+        raise AssertionError("searched")
+
+    monkeypatch.setattr(saturation, "rainbow_free_colorable", no_search)
+    c4 = Graph(4, [(0, 2), (1, 2), (1, 3), (0, 3)])
+    assert c4 != cycle(4) and are_isomorphic(c4, cycle(4))
+    mixed = [cycle(4), disjoint_union([complete_graph(3), empty_graph(2)])]
+    w4 = Graph(7, wheel(5).edges + ((5, 6),)).relabel([3, 6, 0, 5, 1, 2, 4])
+    k24 = Graph(7, complete_bipartite(2, 4).edges + ((2, 6),))
+    assert not exists_embedding(k24, complete_graph(3))
+    for host in (w4, k24):
+        for family in ([c4], mixed):
+            for node_limit in (None, 0):
+                assert RainbowSolver(family, node_limit=node_limit).contains_refuted(host)
+    # a host with no obstruction of the catalogue nor of the store
+    assert not RainbowSolver([c4]).contains_refuted(cycle(7))
 
 
 # -- formulas and audits ---------------------------------------------------------------

@@ -51,6 +51,7 @@ def test_exhausted_budget_marks_checks_indeterminate():
     assert report["status"] == "indeterminate"
 
 
+@pytest.mark.usefixtures("no_catalogue")
 def test_ladder_budget_abort_is_indeterminate():
     # a one-node budget aborts the ladder's patching searches: each aborted
     # host and the growth check over the hosts are indeterminate, not a crash
