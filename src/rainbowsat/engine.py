@@ -43,7 +43,7 @@ from enum import Enum
 from functools import lru_cache
 from itertools import groupby
 
-from .graphs import Graph, _Expired, _find, automorphism_generators, induced_subgraph, iter_bits
+from .graphs import Graph, _Expired, _find, _union, automorphism_generators, induced_subgraph, iter_bits
 
 
 class Status(Enum):
@@ -290,9 +290,7 @@ def _arc_orbits(core: Graph) -> tuple:
     orbit = list(range(n * n))
     for perm in gens:
         for a, b in arcs:
-            x, y = _find(orbit, a * n + b), _find(orbit, perm[a] * n + perm[b])
-            if x != y:
-                orbit[max(x, y)] = min(x, y)
+            _union(orbit, a * n + b, perm[a] * n + perm[b])
     out = []
     for a, b in arcs:
         if _find(orbit, a * n + b) == a * n + b:

@@ -163,9 +163,7 @@ class Graph:
         root = {e: e for e in out}  # union-find, each root its class's least
         for perm in gens:
             for u, v in out:
-                x, y = _find(root, (u, v)), _find(root, first(perm[u], perm[v]))
-                if x != y:
-                    root[max(x, y)] = min(x, y)
+                _union(root, (u, v), first(perm[u], perm[v]))
         return [e for e in out if root[e] == e]
 
     # -- derived graphs --------------------------------------------------
@@ -581,6 +579,14 @@ def _find(orbit, v):
     return v
 
 
+def _union(orbit, a, b) -> None:
+    """Join the classes of a and b in the union-find ``orbit``: the lesser
+    of their two roots becomes the root of both."""
+    a, b = _find(orbit, a), _find(orbit, b)
+    if a != b:
+        orbit[max(a, b)] = min(a, b)
+
+
 def _join_orbits(orbit, gens, fixes, path):
     """Join, in the union-find list ``orbit`` (None for the identity), each
     vertex with its images under those of ``gens`` that fix every vertex of
@@ -595,9 +601,7 @@ def _join_orbits(orbit, gens, fixes, path):
         if orbit is None:
             orbit = list(range(len(perm)))
         for a, b in enumerate(perm):
-            a, b = _find(orbit, a), _find(orbit, b)
-            if a != b:
-                orbit[max(a, b)] = min(a, b)
+            _union(orbit, a, b)
     return orbit
 
 

@@ -32,22 +32,17 @@ Two structural facts carry the heavy lifting:
 cores searched, so a witness depends on those alone.  A graph that an
 UNCOLORABLE graph embeds in is UNCOLORABLE, so the saturation check and
 greedy addition test each g + e for an embedding of a known UNCOLORABLE
-graph before they search it; a hit counts as refuted.  Two sets of them
-are known:
-
-* the committed catalogue (``_OBSTRUCTIONS``): the obstructions of P3, P4,
-  C4, K3, K4 and K1,3 on at most 7 vertices, that is the deletion-minimal
-  UNCOLORABLE graphs, the analogue of minimal unsatisfiable cores
-  (Liffiton and Sakallah, J. Autom. Reasoning 40, 2008).  A graph is
-  UNCOLORABLE iff it contains an obstruction.  Every solver reads the
-  catalogue, a budgeted one too, so a budgeted verdict depends on its
-  inputs and the catalogue alone;
-* the store of refuted graphs (``_REFUTED``): every unbudgeted
-  UNCOLORABLE search of the run adds its refuted prefix
-  (``engine._search_component``), keyed by the cores searched.  A solver
-  with a node budget neither adds to the store nor reads it.
-
-The walks add to the store but read neither: a class whose parents are
+graph before they search it; a hit counts as refuted.  Each solver keeps
+one list of them per tuple of cores searched.  It starts as the committed
+catalogue's entries (``_OBSTRUCTIONS``): the obstructions of P3, P4, C4,
+K3, K4 and K1,3 on at most 7 vertices, that is the deletion-minimal
+UNCOLORABLE graphs, the analogue of minimal unsatisfiable cores (Liffiton
+and Sakallah, J. Autom. Reasoning 40, 2008).  A graph is UNCOLORABLE iff
+it contains an obstruction.  Each unbudgeted UNCOLORABLE search of the
+solver adds its refuted prefix (``engine._search_component``); a solver
+with a node budget adds nothing, so a budgeted verdict depends on its
+inputs and the catalogue alone.  No solver reads another's list.  The
+walks add to their solver's list but read none: a class whose parents are
 all free contains no UNCOLORABLE graph but itself.
 
 The level table holds the isomorphism classes of each n and their
@@ -75,7 +70,7 @@ from array import array
 from bisect import bisect, insort
 from dataclasses import dataclass
 from enum import Enum
-from itertools import chain, combinations
+from itertools import combinations
 from math import comb
 from typing import NamedTuple
 
@@ -157,7 +152,7 @@ class SatNumberResult:
 # edges first.  An obstruction is UNCOLORABLE for the pattern, and each of
 # its one-edge-deleted subgraphs is COLORABLE.  all_rainbow_saturated(7,
 # [pattern]) refutes exactly these classes: a class that the walk hands to
-# the solver has only free parents.  Read through RainbowSolver._catalogued,
+# the solver has only free parents.  Read through RainbowSolver._refuted,
 # so nothing is decoded at import.
 _OBSTRUCTIONS = {
     "BW": ("BW",),  # P3
@@ -168,13 +163,6 @@ _OBSTRUCTIONS = {
     "C~": ("F?~~w", "FNz~w"),  # K4; F?~~w is K3 joined to four independent vertices
     "CF": ("CF",),  # K1,3
 }
-
-# the tuple of pattern cores searched -> the graphs that an unbudgeted search
-# for those cores refuted in this run, each its refuted prefix renumbered
-# onto 0..k-1, fewest edges first, no two equal.  Every graph that one of
-# them embeds in is UNCOLORABLE for the same cores.  Unlike _OBSTRUCTIONS,
-# its content depends on the earlier runs, so a budgeted solver never reads it.
-_REFUTED: dict = {}
 
 
 class RainbowSolver:
@@ -188,13 +176,11 @@ class RainbowSolver:
     ``_saturated_levels`` asks once per isomorphism class anyway.
 
     ``contains_refuted`` tests a host for an embedding of a known
-    UNCOLORABLE graph: an obstruction of the committed catalogue
-    (``_OBSTRUCTIONS``) for one of its cores, then a graph of the store of
-    refuted graphs shared by every solver (``_REFUTED``), to which each
-    UNCOLORABLE search adds its refuted prefix.  A solver with a
-    ``node_limit`` reads the catalogue but neither adds to the store nor
-    reads it, so a budgeted verdict depends on its inputs and the
-    catalogue alone.
+    UNCOLORABLE graph for its cores (``_refuted``): an obstruction of the
+    committed catalogue (``_OBSTRUCTIONS``) for one of them, or the refuted
+    prefix of one of this solver's UNCOLORABLE searches for them.  A solver
+    with a ``node_limit`` adds no prefix, so a budgeted verdict depends on
+    its inputs and the catalogue alone.
     """
 
     def __init__(self, family, *, node_limit: int | None = None, time_limit: float | None = None):
@@ -204,7 +190,7 @@ class RainbowSolver:
         self.node_limit = node_limit
         self.time_limit = time_limit
         self._cache: dict = {}
-        self._known: dict = {}  # n -> the catalogue's entries for the cores that fit n
+        self._known: dict = {}  # cores -> the known UNCOLORABLE graphs for them
 
     def fitting_cores(self, n: int) -> tuple:
         """The cores of the patterns with at most n vertices: a copy of a
@@ -255,32 +241,29 @@ class RainbowSolver:
         """Whether a known UNCOLORABLE graph for the cores of the patterns
         that fit g embeds in g, which makes g UNCOLORABLE with no search.
 
-        First the catalogue's obstructions of every fitting core: one for a
-        single core refutes any family that contains that core.  Then, for
-        a solver with no ``node_limit``, the store's graphs refuted for
-        these cores.  Each list is tried fewest edges first, all within
+        The graphs of ``_refuted`` are tried fewest edges first, all within
         ``time_limit``; a test that runs out of time finds nothing.
         """
-        held = self._catalogued(g.n)
-        if self.node_limit is None:
-            held = chain(held, _REFUTED.get(self.fitting_cores(g.n), ()))
         deadline = None if self.time_limit is None else time.monotonic() + self.time_limit
         try:
-            return any(exists_embedding(g, s, deadline) for s in held)
+            return any(exists_embedding(g, s, deadline) for s in self._refuted(self.fitting_cores(g.n)))
         except _Expired:
             return False
 
-    def _catalogued(self, n: int) -> list:
-        """The catalogue's obstructions of the cores that fit n vertices,
-        fewest edges first, decoded on the first test for n.  A core finds
-        its entries by its canonical graph6."""
-        known = self._known.get(n)
+    def _refuted(self, cores: tuple) -> list:
+        """The known UNCOLORABLE graphs for ``cores``, fewest edges first, no
+        two equal: the catalogue's obstructions of each core, decoded on
+        first use, and the refuted prefix of each UNCOLORABLE search for
+        ``cores`` that this solver made with no ``node_limit``.  An
+        obstruction of a single core refutes any family that holds it; a
+        core finds its entries by its canonical graph6."""
+        known = self._known.get(cores)
         if known is None:
             entries = []
-            for core in self.fitting_cores(n):
+            for core in cores:
                 key = graph6_encode(core.relabel(canonical_form(core).relabeling))
                 entries += _OBSTRUCTIONS.get(key, ())
-            known = self._known[n] = sorted(
+            known = self._known[cores] = sorted(
                 map(graph6_decode, dict.fromkeys(entries)), key=lambda s: s.edge_count)
         return known
 
@@ -302,19 +285,13 @@ class RainbowSolver:
         if res.status is not Status.INDETERMINATE:
             self._cache[key] = (res.status, res.witness)
         if res.status is Status.UNCOLORABLE and self.node_limit is None:
-            _add_refuted(cores, g, res.stats.refuted)
+            # the refuted prefix, on the vertices it touches in ascending order
+            edges = [g.edges[i] for i in res.stats.refuted]
+            s = induced_subgraph(Graph(g.n, edges), {x for e in edges for x in e})[0]
+            known = self._refuted(cores)
+            if s not in known:
+                insort(known, s, key=lambda h: h.edge_count)
         return res
-
-
-def _add_refuted(key: tuple, g: Graph, prefix) -> None:
-    """Store the subgraph of g on the edges ``prefix`` (edge indices), on
-    the vertices they touch renumbered in ascending order, as refuted for
-    the cores ``key``, unless the store holds it already."""
-    edges = [g.edges[i] for i in prefix]
-    s = induced_subgraph(Graph(g.n, edges), {x for e in edges for x in e})[0]
-    held = _REFUTED.setdefault(key, [])
-    if s not in held:
-        insort(held, s, key=lambda h: h.edge_count)
 
 
 # -- saturation checks --------------------------------------------------------
@@ -334,12 +311,12 @@ def is_rainbow_saturated(g: Graph, family, *, node_limit=None, time_limit=None) 
     (``graphs.automorphism_generators``), each checked to preserve edges;
     that search stops at ``time_limit``, and the generators found by then
     merge fewer orbits, which costs searches, not soundness.
-    Each g+e that an obstruction of the catalogue or a graph of the store
-    of refuted graphs embeds in (``RainbowSolver.contains_refuted``) is
-    refuted with no search, at any budget; the solver splits any other
-    into components and reads the untouched ones back from its cache.  Only a NOT_SATURATED verdict has a
-    ``failing_edge``; an INDETERMINATE one names the non-edge whose search
-    ran out of budget in its ``reason``.
+    Each g+e that an obstruction of the catalogue or a prefix that the
+    check's own solver refuted embeds in (``RainbowSolver.contains_refuted``)
+    is refuted with no search, at any budget; the solver splits any other
+    into components and reads the untouched ones back from its cache.  Only
+    a NOT_SATURATED verdict has a ``failing_edge``; an INDETERMINATE one
+    names the non-edge whose search ran out of budget in its ``reason``.
     """
     solver = RainbowSolver(family, node_limit=node_limit, time_limit=time_limit)
     base = solver.colorability(g)
@@ -834,7 +811,7 @@ def _add_greedily(g: Graph, pairs, solver: RainbowSolver, classes=None):
     rule of ``_saturated_levels`` (``EdgeClasses.extension``) finds a class
     over the current witness is added, and the witness gains that class on
     uv; until a witness is known, no pair is.  A pair whose g + uv holds an
-    obstruction of the catalogue or a graph of the store of refuted graphs
+    obstruction of the catalogue or a prefix that ``solver`` refuted
     (``RainbowSolver.contains_refuted``) is rejected.  Any other pair is
     searched, and if it is added the solver's witness of the grown graph
     becomes the current one.  A rejected uv settles every pair from u's and

@@ -7,5 +7,6 @@ from rainbowsat import saturation
 def no_catalogue(monkeypatch):
     """The committed catalogue of obstructions emptied: a budgeted run then
     searches the hosts that an obstruction would settle, as it did before
-    the catalogue, and only the run's store knows refuted graphs."""
+    the catalogue, and each solver knows only the graphs that its own
+    unbudgeted searches refuted."""
     monkeypatch.setattr(saturation, "_OBSTRUCTIONS", {})

@@ -151,8 +151,8 @@ def test_check_json_matches_golden(graph, pattern, golden, capsys):
 
 @pytest.mark.parametrize("pattern, n", [("K4", "14"), ("K3", "33")], ids=["K4-14", "K3-33"])
 def test_construct_ladder_json_matches_golden(pattern, n, capsys):
-    # the K4 ladder's patching rejects pairs through the store of refuted
-    # graphs; the K3 ladder's one lift takes its guaranteed size, h^3 + h =
+    # the K4 ladder's patching rejects pairs through an obstruction of the
+    # catalogue; the K3 ladder's one lift takes its guaranteed size, h^3 + h =
     # 30, unclamped.  Each graph and its trace stay byte for byte as they were
     code, out = run(capsys, "construct", "ladder", "--pattern", pattern, "--n", n, "--json")
     assert code == 0 and out == (GOLDEN / f"ladder-{pattern}-{n}.json").read_text()

@@ -63,6 +63,7 @@ from rainbowsat.graphs import (
 from rainbowsat.saturation import (
     RainbowSolver,
     _class_key as class_key,
+    _orbit_representatives,
     _pattern_free_rule,
     _saturated_levels,
     _witness_rule,
@@ -1128,12 +1129,12 @@ def witness_calls(monkeypatch, build):
 def test_greedy_adds_an_edge_no_copy_uses_unsearched(monkeypatch):
     # the witness rule finds a class for 21 of the 31 candidates that
     # searching each would try, 12 of them with no C4 copy through uv; of
-    # the other 10, one is searched and 9 contain a subgraph that the
-    # reference loop's searches refuted
+    # the other 10, 6 are searched and 4 contain an obstruction of the
+    # catalogue.  The reference loop's searches refute graphs for its own
+    # solver only, so they settle none of these
     def build():
         return greedy_saturate(empty_graph(12), [cycle(4)])
 
-    monkeypatch.setattr(saturation, "_REFUTED", {})
     want = with_every_pair_greedy(monkeypatch, build)
     hits = []
     contains = RainbowSolver.contains_refuted
@@ -1147,7 +1148,7 @@ def test_greedy_adds_an_edge_no_copy_uses_unsearched(monkeypatch):
     with monkeypatch.context() as patch:
         patch.setattr(RainbowSolver, "contains_refuted", counting)
         calls = witness_calls(monkeypatch, build)
-    assert (calls, len(hits)) == (1 + 1, 9)  # the seed check, then the loop
+    assert (calls, len(hits)) == (1 + 6, 4)  # the seed check, then the loop
     assert build() == want
 
 
@@ -1157,17 +1158,51 @@ def test_ladder_searches_once_per_rejected_twin_orbit(r, n, monkeypatch):
     assert witness_calls(monkeypatch, lambda: ladder_construction(complete_graph(r), n)) <= 3
 
 
-# -- the store of refuted graphs -----------------------------------------------------
+# -- each solver's known UNCOLORABLE graphs -----------------------------------------
 
 
-def store_snapshot() -> dict:
-    return {key: list(graphs) for key, graphs in saturation._REFUTED.items()}
+def recording_solvers(monkeypatch) -> list:
+    """Patch ``RainbowSolver._solve`` to note each solver that calls it;
+    return the list of those solvers, in order of first call."""
+    solvers = []
+    solve = RainbowSolver._solve
+
+    def recording(solver, g, cores):
+        if not any(s is solver for s in solvers):
+            solvers.append(solver)
+        return solve(solver, g, cores)
+
+    monkeypatch.setattr(RainbowSolver, "_solve", recording)
+    return solvers
+
+
+def recording_searches(monkeypatch) -> list:
+    """Patch the solver's ``rainbow_free_colorable`` to note each host it
+    searches; return the list of those hosts."""
+    searches = []
+    search = saturation.rainbow_free_colorable
+
+    def recording(*args, **kwargs):
+        searches.append(args[0])
+        return search(*args, **kwargs)
+
+    monkeypatch.setattr(saturation, "rainbow_free_colorable", recording)
+    return searches
+
+
+def learned(solver) -> list:
+    """The graphs the solver's own searches added to its lists: each is
+    in no fresh solver's list for the same cores."""
+    fresh = RainbowSolver(solver.patterns)
+    return [(cores, g) for cores, graphs in solver._known.items()
+            for g in graphs if g not in fresh._refuted(cores)]
 
 
 def test_stored_graphs_are_uncolorable(monkeypatch):
     # the refuted prefixes of every unbudgeted search that certify-families,
-    # satstar-n7 and the small sat* walks make, each checked on its own
-    monkeypatch.setattr(saturation, "_REFUTED", {})
+    # satstar-n7 and the small sat* walks make, each checked on its own in
+    # the list of the solver that searched, with the catalogue's entries
+    solvers = recording_solvers(monkeypatch)
     for g, pattern in [(wheel_construction(16).graph, cycle(4))] + [
             (ladder_construction(complete_graph(r), n).graph, complete_graph(r))
             for r, n in ((3, 33), (4, 13), (4, 14))]:
@@ -1177,17 +1212,19 @@ def test_stored_graphs_are_uncolorable(monkeypatch):
     for pattern in (path(4), cycle(4), complete_graph(3), star(3), path(5), cycle(5)):
         for n in range(pattern.n, 8):
             sat_star_exact(n, [pattern])
-    held = store_snapshot()
-    assert sum(map(len, held.values())) > 20
-    for cores, graphs in held.items():
-        assert [g.edge_count for g in graphs] == sorted(g.edge_count for g in graphs)
-        assert len(set(graphs)) == len(graphs)
-        for g in graphs:
-            assert all(g.degrees())  # renumbered onto the prefix's vertices
-            if g.edge_count <= 11:
-                assert not naive_rainbow_free_colorable(g, list(cores)), g
-            else:
-                assert rainbow_free_colorable(g, cores).status is Status.UNCOLORABLE, g
+    assert sum(len(learned(solver)) for solver in solvers) > 20
+    held = set()  # each graph of each list with its cores, checked once below
+    for solver in solvers:
+        for cores, graphs in solver._known.items():
+            assert [g.edge_count for g in graphs] == sorted(g.edge_count for g in graphs)
+            assert len(set(graphs)) == len(graphs)
+            held.update((cores, g) for g in graphs)
+    for cores, g in held:
+        assert all(g.degrees())  # renumbered onto the prefix's vertices
+        if g.edge_count <= 11:
+            assert not naive_rainbow_free_colorable(g, list(cores)), g
+        else:
+            assert rainbow_free_colorable(g, cores).status is Status.UNCOLORABLE, g
 
 
 @pytest.mark.parametrize("host, pattern, untouched", [
@@ -1198,19 +1235,36 @@ def test_stored_graphs_are_uncolorable(monkeypatch):
     # GA with a pendant vertex 2 on vertex 0, which the prefix leaves out
     (Graph(7, gadget("GA").graph.edges + ((0, 6),)).relabel([0, 1, 3, 4, 5, 6, 2]), cycle(4), [2]),
 ], ids=["GA-C4", "GB-C4", "star_plus_chord-P4", "K9-C5", "GA-pendant-C4"])
-def test_stored_graph_is_the_prefix_renumbered(host, pattern, untouched, monkeypatch):
-    # the stored graph has the prefix's edges and no other vertex; its
-    # vertex i is the i-th least host vertex the prefix touches
-    monkeypatch.setattr(saturation, "_REFUTED", {})
-    res = RainbowSolver([pattern]).colorability(host)
+def test_stored_graph_is_the_prefix_renumbered(host, pattern, untouched):
+    # the graph that the search adds to its solver's list has the prefix's
+    # edges and no other vertex; its vertex i is the i-th least host vertex
+    # the prefix touches
+    solver = RainbowSolver([pattern])
+    res = solver.colorability(host)
     assert res.status is Status.UNCOLORABLE
-    [stored] = [g for graphs in saturation._REFUTED.values() for g in graphs]
+    [(cores, stored)] = learned(solver)
+    assert cores == solver.fitting_cores(host.n)
     prefix = [host.edges[i] for i in res.stats.refuted]
     touched = sorted({v for e in prefix for v in e})
     assert sorted(set(range(host.n)) - set(touched)) == untouched
     assert stored.edge_count == len(prefix) and all(stored.degrees())
     assert stored.n == len(touched)
     assert Graph(host.n, [(touched[u], touched[v]) for u, v in stored.edges]) == Graph(host.n, prefix)
+
+
+def test_each_solver_learns_its_own_refuted_graphs(monkeypatch):
+    # a solver that refutes K9 for C5 knows it, while a fresh one knows
+    # only the catalogue, which has no C5 entries
+    k9 = complete_graph(9)
+    solver = RainbowSolver([cycle(5)])
+    assert solver.colorability(k9).status is Status.UNCOLORABLE
+    assert solver.contains_refuted(k9)
+    assert not RainbowSolver([cycle(5)]).contains_refuted(k9)
+    # within one solver, the prefixes of its searches settle later pairs:
+    # greedy addition on 16 vertices searches twice, and 7 times with none
+    searches = recording_searches(monkeypatch)
+    greedy_saturate(empty_graph(16), [cycle(5)])
+    assert len(searches) == 2
 
 
 def store_hosts():
@@ -1227,30 +1281,41 @@ def store_verdict(v):
 
 
 @pytest.mark.usefixtures("no_catalogue")
-def test_warm_store_gives_the_verdicts_of_an_empty_one(monkeypatch):
-    # each host and each host less its last edge, whose check fails at or
-    # before that edge, checked with an empty store, then again with the
-    # store that all those checks filled
+def test_warm_store_gives_the_verdicts_of_an_empty_one():
+    # one solver per family is warmed on each host and each host less its
+    # last edge, which fails at or before that edge, in turn: it checks the
+    # host's non-edges as the saturation check does, each settled by the
+    # graphs it learned from the hosts before where one embeds.  Each host's
+    # status and verdict are those of a fresh solver's check, and a fresh
+    # solver refutes each graph that the warm list settled
     hosts = []
     for g, fam in store_hosts():
         hosts += [(g, fam), (Graph(g.n, g.edges[:-1]), fam)]
-    empty = []
+    warm, settled, verdicts = {}, [], []
     for g, fam in hosts:
-        monkeypatch.setattr(saturation, "_REFUTED", {})
-        empty.append(store_verdict(is_rainbow_saturated(g, fam)))
-    monkeypatch.setattr(saturation, "_REFUTED", {})
-    for g, fam in hosts:
-        is_rainbow_saturated(g, fam)
-    assert sum(map(len, saturation._REFUTED.values())) > 5
-    assert [store_verdict(is_rainbow_saturated(g, fam)) for g, fam in hosts] == empty
-    assert Counter(v[0] for v in empty) == {Verdict.SATURATED: 29, Verdict.NOT_SATURATED: 29}
+        solver = warm.setdefault(graph6_encode(fam[0]), RainbowSolver(fam))
+        assert solver.colorability(g).status is RainbowSolver(fam).colorability(g).status
+        verdict = Verdict.SATURATED
+        for u, v in _orbit_representatives(g, None):
+            h = g.with_edge(u, v)
+            if solver.contains_refuted(h):
+                settled.append((h, fam))
+            elif solver.colorability(h).status is Status.COLORABLE:
+                verdict = Verdict.NOT_SATURATED
+                break
+        assert verdict is is_rainbow_saturated(g, fam).status, graph6_encode(g)
+        verdicts.append(verdict)
+    assert sum(len(learned(solver)) for solver in warm.values()) > 5
+    assert len(settled) > 5
+    for h, fam in settled:
+        assert RainbowSolver(fam).colorability(h).status is Status.UNCOLORABLE
+    assert Counter(verdicts) == {Verdict.SATURATED: 29, Verdict.NOT_SATURATED: 29}
 
 
 def test_expired_embedding_test_finds_nothing_in_the_store(monkeypatch):
-    monkeypatch.setattr(saturation, "_REFUTED", {})
     solver = RainbowSolver([cycle(4)])
     g = gadget("GA").graph
-    saturation._add_refuted(solver.fitting_cores(g.n), g, range(g.edge_count))
+    assert solver.colorability(g).status is Status.UNCOLORABLE
     assert solver.contains_refuted(g)
 
     def expired(*args):
@@ -1262,37 +1327,35 @@ def test_expired_embedding_test_finds_nothing_in_the_store(monkeypatch):
 
 @pytest.mark.usefixtures("no_catalogue")
 def test_budgeted_check_neither_reads_nor_fills_the_store(monkeypatch):
-    # with a warm store and no catalogue, the first non-edge of the
-    # 14-vertex K4 ladder needs a search of 3,741 nodes, past the budget
-    monkeypatch.setattr(saturation, "_REFUTED", {})
+    # after an unbudgeted check has refuted the 14-vertex K4 ladder's
+    # non-edges, a budgeted one with no catalogue still needs a search of
+    # 3,741 nodes, past the budget, for the first of them
     g = ladder_construction(complete_graph(4), 14).graph
     assert is_rainbow_saturated(g, [complete_graph(4)]).status is Verdict.SATURATED
-    held = store_snapshot()
-    assert held
     got = is_rainbow_saturated(g, [complete_graph(4)], node_limit=1000)
     assert got.status is Verdict.INDETERMINATE
     assert (got.nonedges_checked, got.nonedges_refuted) == (1, 0)
-    assert store_snapshot() == held
-    # nor does a budgeted search that refutes add to it
+    # nor does a budgeted search that refutes add to its solver's list,
+    # which keeps the catalogue's entries alone
+    h = ladder_construction(complete_graph(4), 13).graph
+    solvers = recording_solvers(monkeypatch)
     assert is_rainbow_saturated(g, [complete_graph(4)], node_limit=10**6).status \
         is Verdict.SATURATED
-    h = ladder_construction(complete_graph(4), 13).graph
     assert is_rainbow_saturated(h, [complete_graph(4)], node_limit=10**6).status \
         is Verdict.SATURATED
-    assert store_snapshot() == held
+    assert len(solvers) == 2
+    for solver in solvers:
+        assert solver.node_limit == 10**6 and solver._known and not learned(solver)
 
 
 def test_budgeted_check_reads_the_catalogue_not_the_store(monkeypatch):
     # the first non-edge of the 14-vertex K4 ladder gives a graph that K3
     # joined to four independent vertices (F?~~w) embeds in: the catalogue
     # settles it with no search, within the budget that the search exceeds
-    monkeypatch.setattr(saturation, "_REFUTED", {})
     g = ladder_construction(complete_graph(4), 14).graph
     with monkeypatch.context() as patch:
         patch.setattr(saturation, "_OBSTRUCTIONS", {})
         want = is_rainbow_saturated(g, [complete_graph(4)])
-    held = store_snapshot()
-    assert held
     searched = []
     colorability = RainbowSolver.colorability
 
@@ -1305,7 +1368,6 @@ def test_budgeted_check_reads_the_catalogue_not_the_store(monkeypatch):
     assert got.status is want.status is Verdict.SATURATED
     assert store_verdict(got) == store_verdict(want)
     assert g.with_edge(*g.non_edges()[0]) not in searched
-    assert store_snapshot() == held
 
 
 # -- the catalogue of obstructions --------------------------------------------------
@@ -1330,13 +1392,22 @@ def catalogue_entries(name) -> list:
 def test_walk_on_seven_vertices_refutes_the_catalogue(name, monkeypatch):
     # a class that the walk hands to the solver has only free parents, so if
     # it is UNCOLORABLE it is deletion-minimal and its refuted prefix is all
-    # of its edges: the store ends up holding the obstructions on at most 7
-    # vertices, and nothing else
-    monkeypatch.setattr(saturation, "_REFUTED", {})
+    # of its edges: the walk's UNCOLORABLE searches are of the obstructions
+    # on at most 7 vertices, and of nothing else
+    refuted = []
+    solve = RainbowSolver._solve
+
+    def recording(solver, g, cores):
+        res = solve(solver, g, cores)
+        if res.status is Status.UNCOLORABLE:
+            assert sorted(res.stats.refuted) == list(range(g.edge_count))
+            refuted.append(induced_subgraph(g, {x for e in g.edges for x in e})[0])
+        return res
+
+    monkeypatch.setattr(RainbowSolver, "_solve", recording)
     all_rainbow_saturated(7, [CATALOGUED[name]])
-    stored = [g for graphs in saturation._REFUTED.values() for g in graphs]
     entries = catalogue_entries(name)
-    assert sorted(map(canonical_graph6, stored)) == sorted(map(graph6_encode, entries))
+    assert sorted(map(canonical_graph6, refuted)) == sorted(map(graph6_encode, entries))
     assert [s.edge_count for s in entries] == sorted(s.edge_count for s in entries)
     assert len(saturation._OBSTRUCTIONS) == len(CATALOGUED)
 
@@ -1376,27 +1447,19 @@ def test_twelve_edge_c4_obstruction_against_the_naive_oracle():
 
 @pytest.mark.parametrize("node_limit", [None, 10**6])
 def test_catalogue_changes_no_verdict(node_limit, monkeypatch):
-    # each host and each host less its last edge, each checked from an empty
-    # store, with the catalogue and with it emptied: the same verdicts, the
-    # catalogue's with fewer searches
+    # each host and each host less its last edge, each checked with the
+    # catalogue and with it emptied: the same verdicts, the catalogue's with
+    # fewer searches
     hosts = []
     for g, fam in store_hosts():
         hosts += [(g, fam), (Graph(g.n, g.edges[:-1]), fam)]
-    searches = []
-    search = saturation.rainbow_free_colorable
-
-    def counting(*args, **kwargs):
-        searches.append(args[0])
-        return search(*args, **kwargs)
-
-    monkeypatch.setattr(saturation, "rainbow_free_colorable", counting)
+    searches = recording_searches(monkeypatch)
     runs = []
     for table in (saturation._OBSTRUCTIONS, {}):
         monkeypatch.setattr(saturation, "_OBSTRUCTIONS", table)
         before = len(searches)
         verdicts = []
         for g, fam in hosts:
-            monkeypatch.setattr(saturation, "_REFUTED", {})
             verdicts.append(store_verdict(is_rainbow_saturated(g, fam, node_limit=node_limit)))
         runs.append((verdicts, len(searches) - before))
     (with_table, searched), (without, searched_without) = runs
@@ -1408,7 +1471,6 @@ def test_catalogue_serves_relabeled_patterns_and_mixed_families(monkeypatch):
     # W4 is a C4 obstruction, and K2,4 a triangle-free one: an obstruction
     # for one core refutes every family that holds that core, in any
     # labeling, with no search and at any budget
-    monkeypatch.setattr(saturation, "_REFUTED", {})
 
     def no_search(*args, **kwargs):
         raise AssertionError("searched")
@@ -1424,7 +1486,7 @@ def test_catalogue_serves_relabeled_patterns_and_mixed_families(monkeypatch):
         for family in ([c4], mixed):
             for node_limit in (None, 0):
                 assert RainbowSolver(family, node_limit=node_limit).contains_refuted(host)
-    # a host with no obstruction of the catalogue nor of the store
+    # a host with no obstruction of the catalogue
     assert not RainbowSolver([c4]).contains_refuted(cycle(7))
 
 
