@@ -299,64 +299,97 @@ def _arc_orbits(core: Graph) -> tuple:
     return tuple(out)
 
 
-def _maps_through(g: Graph, cores, u: int, v: int):
-    """Maps of the pattern graphs ``cores`` into g that send an edge onto
-    the edge uv of g, each with the core's other edges: every copy through
-    uv is met at least once.
+def _through_plans(cores, n: int) -> tuple:
+    """The plans of ``_maps_through`` for the pattern graphs ``cores`` in
+    hosts on n vertices: per core and arc orbit (``_arc_orbits``), the
+    ``_place`` plan (order, anchors, fits, above) that lets every host vertex
+    take every step under no ``above`` condition, and the core's edges other
+    than the arc's.  A caller that meets many edges builds them once."""
+    everywhere = (1 << n) - 1
+    return tuple((order, anchors, (everywhere,) * len(order), ((),) * len(order), others)
+                 for core in cores for order, anchors, others in _arc_orbits(core))
+
+
+def _maps_through(rows, plans, u: int, v: int):
+    """Maps of the pattern graphs planned in ``plans`` (``_through_plans``)
+    into g + uv, g the graph with adjacency rows ``rows``, that send an edge
+    onto uv, each with the core's other edges: every copy through uv is met
+    at least once.  Whether g holds uv already does not matter: the search
+    takes the images of the arc's ends as given and never reads that pair.
 
     Such a copy is a map sending some arc (a, b) of the core onto (u, v).
     Composed with an automorphism of the core it sends every arc of (a, b)'s
-    orbit there, so one ``_place`` search per arc orbit (``_arc_orbits``),
-    started from a on u and b on v, finds it.  Every host vertex may take
-    every step, and no ``above`` condition applies.
+    orbit there, so one ``_place`` search per arc orbit, started from a on u
+    and b on v, finds it.
     """
-    everywhere = (1 << g.n) - 1
-    for core in cores:
-        for order, anchors, others in _arc_orbits(core):
-            k = len(order)
-            for f in _place(g.adj, order, anchors, [everywhere] * k, [()] * k, (u, v)):
-                yield f, others
+    for order, anchors, fits, above, others in plans:
+        for f in _place(rows, order, anchors, fits, above, (u, v)):
+            yield f, others
 
 
-def copy_through(g: Graph, cores, u: int, v: int) -> bool:
-    """Whether some copy of one of the pattern graphs ``cores`` in g uses
-    the edge uv of g."""
-    for _ in _maps_through(g, cores, u, v):
+def copy_through(rows, plans, u: int, v: int) -> bool:
+    """Whether some copy of one of the pattern graphs planned in ``plans``
+    (``_through_plans``) in g + uv uses the edge uv, g the graph with
+    adjacency rows ``rows``."""
+    for _ in _maps_through(rows, plans, u, v):
         return True
     return False
 
 
 class EdgeClasses:
-    """A proper edge coloring of a graph, looked up by endpoints, and the
-    rule that extends it to one more edge.
+    """A proper edge coloring of a graph g on n vertices as its class table,
+    and the rule that extends it to one more edge.
 
-    Built from a graph g and its classes in g's edge order.
+    The table ``color`` holds the class of edge xy at x * n + y and at
+    y * n + x, and anything at the other pairs.  Any sequence of ints will
+    do: the ``sat*`` walk keeps bytes, which hold its classes for n <= 9,
+    and greedy addition, on up to 64 vertices, a list.  The constructor
+    wraps a table as it is; ``from_edges`` builds one from classes in g's
+    edge order.
     """
 
-    def __init__(self, g: Graph, classes):
-        n = self.n = g.n
-        self.color = color = [0] * (n * n)  # the class of edge xy at x * n + y and y * n + x
-        self.used = used = [0] * n  # per vertex, the classes at it as a mask
+    __slots__ = ("n", "color")
+
+    def __init__(self, n: int, color):
+        self.n = n
+        self.color = color
+
+    @classmethod
+    def from_edges(cls, g: Graph, classes) -> "EdgeClasses":
+        """The table of g's classes ``classes``, given in g's edge order, as
+        a list."""
+        n = g.n
+        color = [0] * (n * n)
         for (x, y), c in zip(g.edges, classes):
             color[x * n + y] = color[y * n + x] = c
-            used[x] |= 1 << c
-            used[y] |= 1 << c
-        self.fresh = max(classes, default=-1) + 1
+        return cls(n, color)
 
-    def extension(self, h: Graph, cores, u: int, v: int):
-        """The least class for the edge uv of h = g + uv that keeps the
-        coloring proper and free of rainbow copies of ``cores``, given that
-        it is free of them on g; None if no class does.
+    def extension(self, rows, plans, u: int, v: int):
+        """The least class for the new edge uv of g + uv that keeps the
+        coloring proper and free of rainbow copies of the cores planned in
+        ``plans`` (``_through_plans``), given that it is free of them on g;
+        None if no class does.  ``rows`` are the adjacency rows of g or of
+        g + uv: the table's entry at uv is not read.
 
-        The class is sought in 0..k, k the fresh class: one used at neither
-        u nor v, and, for each copy through uv whose other edges already
-        have pairwise distinct classes, one of those classes.  Copies that
-        avoid uv keep their classes from g.  With no copy through uv the
-        rule always finds a class, the fresh one at the latest.
+        The class is one used at neither u nor v, and, for each copy through
+        uv whose other edges already have pairwise distinct classes, one of
+        those classes.  Copies that avoid uv keep their classes from g.  The
+        least class used at neither end is at most the fresh one (one more
+        than the greatest class of g), since the classes at u and v are all
+        below it, so no bound on the classes is needed; and with no copy
+        through uv the rule always finds a class.
         """
         n, color = self.n, self.color
-        allowed = ((2 << self.fresh) - 1) & ~(self.used[u] | self.used[v])
-        for f, others in _maps_through(h, cores, u, v):
+        used = 0  # the classes at u and v, over g's edges
+        for x, y in ((u, v), (v, u)):
+            row = rows[x] & ~(1 << y)
+            base = x * n
+            while row:
+                low = row & -row
+                used |= 1 << color[base + low.bit_length() - 1]
+                row ^= low
+        allowed = ~used
+        for f, others in _maps_through(rows, plans, u, v):
             seen = 0
             for p, q in others:
                 b = 1 << color[f[p] * n + f[q]]
@@ -370,11 +403,14 @@ class EdgeClasses:
         return (allowed & -allowed).bit_length() - 1
 
     def add(self, u: int, v: int, c: int) -> None:
-        """Color the new edge uv with class c."""
+        """Color the new edge uv with class c, in place (a list table)."""
         self.color[u * self.n + v] = self.color[v * self.n + u] = c
-        self.used[u] |= 1 << c
-        self.used[v] |= 1 << c
-        self.fresh = max(self.fresh, c + 1)
+
+    def child(self, u: int, v: int, c: int) -> bytes:
+        """The table of g + uv with class c on uv, as a new bytes."""
+        color = bytearray(self.color)
+        color[u * self.n + v] = color[v * self.n + u] = c
+        return bytes(color)
 
 
 def _copies(g: Graph, core: Graph, deadline=None) -> list:

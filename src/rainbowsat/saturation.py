@@ -39,11 +39,14 @@ K3, K4 and K1,3 on at most 7 vertices, that is the deletion-minimal
 UNCOLORABLE graphs, the analogue of minimal unsatisfiable cores (Liffiton
 and Sakallah, J. Autom. Reasoning 40, 2008).  A graph is UNCOLORABLE iff
 it contains an obstruction.  Each unbudgeted UNCOLORABLE search of the
-solver adds its refuted prefix (``engine._search_component``); a solver
-with a node budget adds nothing, so a budgeted verdict depends on its
-inputs and the catalogue alone.  No solver reads another's list.  The
-walks add to their solver's list but read none: a class whose parents are
-all free contains no UNCOLORABLE graph but itself.
+solver adds its refuted prefix (``engine._search_component``), unless a
+listed graph with at most as many edges embeds in it; a solver with a node
+budget adds nothing, so a budgeted verdict depends on its inputs and the
+catalogue alone.  No solver reads another's list.  The walks read none: a
+class whose parents are all free contains no UNCOLORABLE graph but itself.
+So each class a walk refutes is an obstruction, which for a catalogued
+pattern on at most 7 vertices is kept out by the listed entry it equals up
+to isomorphism.
 
 The level table holds the isomorphism classes of each n and their
 twin-orbit children, built once per process, one level at a time as
@@ -58,16 +61,18 @@ scratch, so each class's labels are computed once.  Each class is
 represented by the first child to reach it, in its parent's labeling, so
 the table computes no canonical form; only the saturated classes a run
 reports are put in canonical form.  The table holds no verdict; each walk
-keeps its own, with a witness coloring per free class for ``sat*``, and
-asks the solver at most once per isomorphism class: not at all for a child
-of a free class that one class more on the parent's witness colors
-rainbow-free (the witness rule, ``engine.EdgeClasses.extension``).
+keeps its own, with a witness coloring per free class for ``sat*`` as its
+class table (``engine.EdgeClasses``), and asks the solver at most once per
+isomorphism class: not at all for a child of a free class that one class
+more on the parent's witness colors rainbow-free (the witness rule,
+``engine.EdgeClasses.extension``), which takes the parent's table with
+that class set on the new edge and builds no graph.
 """
 from __future__ import annotations
 
 import time
 from array import array
-from bisect import bisect, insort
+from bisect import bisect
 from dataclasses import dataclass
 from enum import Enum
 from itertools import combinations
@@ -81,6 +86,7 @@ from .engine import (
     SearchStats,
     EdgeClasses,
     Status,
+    _through_plans,
     as_pattern,
     copy_through,
     exists_embedding,
@@ -241,22 +247,27 @@ class RainbowSolver:
         """Whether a known UNCOLORABLE graph for the cores of the patterns
         that fit g embeds in g, which makes g UNCOLORABLE with no search.
 
-        The graphs of ``_refuted`` are tried fewest edges first, all within
-        ``time_limit``; a test that runs out of time finds nothing.
+        The graphs of ``_refuted`` are tried fewest edges first.
         """
+        return self._embeds_any(g, self._refuted(self.fitting_cores(g.n)))
+
+    def _embeds_any(self, g: Graph, graphs) -> bool:
+        """Whether one of ``graphs`` embeds in g, all tried within
+        ``time_limit``; a test that runs out of time finds nothing."""
         deadline = None if self.time_limit is None else time.monotonic() + self.time_limit
         try:
-            return any(exists_embedding(g, s, deadline) for s in self._refuted(self.fitting_cores(g.n)))
+            return any(exists_embedding(g, s, deadline) for s in graphs)
         except _Expired:
             return False
 
     def _refuted(self, cores: tuple) -> list:
-        """The known UNCOLORABLE graphs for ``cores``, fewest edges first, no
-        two equal: the catalogue's obstructions of each core, decoded on
-        first use, and the refuted prefix of each UNCOLORABLE search for
-        ``cores`` that this solver made with no ``node_limit``.  An
-        obstruction of a single core refutes any family that holds it; a
-        core finds its entries by its canonical graph6."""
+        """The known UNCOLORABLE graphs for ``cores``, fewest edges first:
+        the catalogue's obstructions of each core, decoded on first use, and
+        the refuted prefix of each UNCOLORABLE search for ``cores`` that
+        this solver made with no ``node_limit`` and that no graph listed
+        before it, with at most as many edges, embeds in.  An obstruction of
+        a single core refutes any family that holds it; a core finds its
+        entries by its canonical graph6."""
         known = self._known.get(cores)
         if known is None:
             entries = []
@@ -289,8 +300,10 @@ class RainbowSolver:
             edges = [g.edges[i] for i in res.stats.refuted]
             s = induced_subgraph(Graph(g.n, edges), {x for e in edges for x in e})[0]
             known = self._refuted(cores)
-            if s not in known:
-                insort(known, s, key=lambda h: h.edge_count)
+            # a listed graph that embeds in s refutes every graph s does
+            i = bisect(known, s.edge_count, key=lambda h: h.edge_count)
+            if not self._embeds_any(s, known[:i]):
+                known.insert(i, s)
         return res
 
 
@@ -640,11 +653,12 @@ def _saturated_levels(n: int, root, rule):
 
     The walk decides a property of graphs on n vertices, "free", that
     survives edge deletion.  It keeps a state for each free class of the
-    current and the next level, in the labeling of the class's rep, and
-    False for a class that is not free; ``root`` is the state of the empty
-    graph.  ``rule(g, state)`` gives the function that decides the children
-    of a free class g: called with a non-edge (u, v) of g, it returns the
-    state of g + uv in g's labeling, or False.
+    current and the next level, in the labeling of the class's rep (for
+    ``sat*``, a witness's class table), and False for a class that is not
+    free; ``root`` is the state of the empty graph.  ``rule(g, state)``
+    gives the function that decides the children of a free class g: called
+    with a non-edge (u, v) of g, it returns the state of g + uv in g's
+    labeling, or False.
 
     The walk reads ``enumerate_levels`` one level ahead, so each level is
     built in that generator, and keeps its states to itself.  A child of a
@@ -695,44 +709,49 @@ def _saturated_levels(n: int, root, rule):
 def _pattern_free_rule(pat: Pattern, n: int):
     """(root, rule) of ``_saturated_levels`` for freedom from the pattern
     ``pat`` on n vertices, with True as every free class's state: g + uv is
-    free iff no copy of the core goes through uv."""
-    cores = [pat.core] if pat.order <= n else []
+    free iff no copy of the core goes through uv, which the maps through uv
+    decide from g's rows, planned once per walk."""
+    plans = _through_plans([pat.core] if pat.order <= n else [], n)
 
     def rule(g, _):
-        return lambda u, v: not copy_through(g.with_edge(u, v), cores, u, v)
+        rows = g.adj
+        return lambda u, v: not copy_through(rows, plans, u, v)
     return not exists_embedding(empty_graph(n), pat), rule
 
 
 def _witness_rule(solver: RainbowSolver, n: int):
     """(root, rule) of ``_saturated_levels`` for rainbow-free colorability
-    on n vertices.  A free class's state is a witness coloring, its classes
-    as one bytes in the edge order of the class's rep.
+    on n vertices.  A free class's state is a witness coloring as its class
+    table (``engine.EdgeClasses``): n * n bytes, the class of edge xy at
+    x * n + y and y * n + x, in the labeling of the class's rep.
 
-    A child g + uv of a free class g takes g's witness with the class that
-    ``EdgeClasses.extension`` finds for uv over it inserted at uv's position
-    in the child's edge order, with no search; only when there is none does
-    the solver decide g + uv, and its witness is the state as it comes.  The
+    A child g + uv of a free class g takes g's table with the class that
+    ``EdgeClasses.extension`` finds for uv over it set at uv's two entries,
+    with no search and no graph built: the rule reads g's rows and the maps
+    through uv planned once per walk.  Only when there is no such class does
+    the solver decide g + uv, and its witness is made a table once.  The
     witnesses stay out of the solver's cache: they depend on which parent
     reached a class first.
     """
-    cores = solver.fitting_cores(n)
+    plans = _through_plans(solver.fitting_cores(n), n)
+
+    def state(g, found):
+        return False if found is None else bytes(EdgeClasses.from_edges(g, found.classes).color)
 
     def rule(g, witness):
-        table = EdgeClasses(g, witness)
-        edges = g.edges
+        table = EdgeClasses(n, witness)
+        rows = g.adj
 
         def decide(u, v):
-            h = g.with_edge(u, v)
-            c = table.extension(h, cores, u, v)
+            c = table.extension(rows, plans, u, v)
             if c is not None:
-                i = bisect(edges, (u, v))
-                return witness[:i] + bytes((c,)) + witness[i:]
-            found = solver.witness(h)
-            return False if found is None else bytes(found.classes)
+                return table.child(u, v, c)
+            h = g.with_edge(u, v)
+            return state(h, solver.witness(h))
         return decide
 
-    root = solver.witness(empty_graph(n))
-    return (False if root is None else bytes(root.classes)), rule
+    empty = empty_graph(n)
+    return state(empty, solver.witness(empty)), rule
 
 
 def _in_canonical_form(graphs) -> list:
@@ -806,11 +825,13 @@ def _add_greedily(g: Graph, pairs, solver: RainbowSolver, classes=None):
     rainbow-free colorable (``greedy_saturate`` checks its seed, and the
     caller of a ladder re-verifies the graph built), and stays so.
 
-    ``classes`` is a witness of g, in its edge order, when one is known.
-    Three kinds of pair are settled unsearched.  A pair uv for which the
-    rule of ``_saturated_levels`` (``EdgeClasses.extension``) finds a class
-    over the current witness is added, and the witness gains that class on
-    uv; until a witness is known, no pair is.  A pair whose g + uv holds an
+    ``classes`` is a witness of g, in its edge order, when one is known; it
+    is kept as a class table (``EdgeClasses.from_edges``), a list, as a host
+    of up to 64 vertices may use more classes than a byte holds.  Three
+    kinds of pair are settled unsearched.  A pair uv for which the witness
+    rule of the ``sat*`` walk (``EdgeClasses.extension``) finds a class over
+    the current witness is added, and the table gains that class on uv;
+    until a witness is known, no pair is.  A pair whose g + uv holds an
     obstruction of the catalogue or a prefix that ``solver`` refuted
     (``RainbowSolver.contains_refuted``) is rejected.  Any other pair is
     searched, and if it is added the solver's witness of the grown graph
@@ -818,13 +839,18 @@ def _add_greedily(g: Graph, pairs, solver: RainbowSolver, classes=None):
     v's twin classes under the current g: isomorphic graphs, kept rejected
     by downward closure."""
     cores = solver.fitting_cores(g.n)
-    table = None if classes is None else EdgeClasses(g, classes)
+    plans = None  # planned on the first pair tried over a witness
+    table = None if classes is None else EdgeClasses.from_edges(g, classes)
     added, rejected = [], set()
     for u, v in pairs:
         if (u, v) in rejected:
             continue
         g2 = g.with_edge(u, v)
-        c = None if table is None else table.extension(g2, cores, u, v)
+        c = None
+        if table is not None:
+            if plans is None:
+                plans = _through_plans(cores, g.n)
+            c = table.extension(g2.adj, plans, u, v)
         if c is not None:
             table.add(u, v, c)
         else:
@@ -834,7 +860,7 @@ def _add_greedily(g: Graph, pairs, solver: RainbowSolver, classes=None):
                 rejected.update((a, b) if a < b else (b, a)
                                 for a in iter_bits(twins[u]) for b in iter_bits(twins[v]) if a != b)
                 continue
-            table = EdgeClasses(g2, found.classes)
+            table = EdgeClasses.from_edges(g2, found.classes)
         g = g2
         added.append((u, v))
     return g, added

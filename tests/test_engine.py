@@ -37,6 +37,7 @@ from rainbowsat.engine import (
     _plan,
     _search_component,
     _search_order,
+    _through_plans,
     EdgeClasses,
     as_pattern,
     copy_through,
@@ -397,13 +398,14 @@ def test_maps_through_are_the_pinned_reference_maps(name):
     hosts = [complete_graph(7), wheel(8)]
     hosts += [random_graph(rng, rng.randint(3, 9)) for _ in range(40)]
     for g in hosts:
+        plans = _through_plans([core], g.n)
         # cores with one vertex more than the host have no map into it
-        bigger = [path(g.n + 1), star(g.n)]
+        bigger = _through_plans([path(g.n + 1), star(g.n)], g.n)
         for u, v in g.edges:
             for a, b in ((u, v), (v, u)):
                 want = list(reference_maps_through(g, [core], a, b))
-                assert list(_maps_through(g, [core], a, b)) == want, (name, g, a, b)
-                assert list(_maps_through(g, bigger, a, b)) == []
+                assert list(_maps_through(g.adj, plans, a, b)) == want, (name, g, a, b)
+                assert list(_maps_through(g.adj, bigger, a, b)) == []
 
 
 @settings(max_examples=150, deadline=None)
@@ -413,13 +415,13 @@ def test_copy_through_matches_copies_containing_the_edge(g):
     for e, (u, v) in enumerate(g.edges):
         anywhere = False
         for p in pats:
-            cores = [p.core] if p.order <= g.n else []
+            plans = _through_plans([p.core] if p.order <= g.n else [], g.n)
             want = any(e in copy for copy in enumerate_embeddings(g, p))
-            assert copy_through(g, cores, u, v) is want, (p, g.adj, u, v)
-            assert copy_through(g, cores, v, u) is want
+            assert copy_through(g.adj, plans, u, v) is want, (p, g.adj, u, v)
+            assert copy_through(g.adj, plans, v, u) is want
             anywhere = anywhere or want
-        every = [p.core for p in pats if p.order <= g.n]
-        assert copy_through(g, every, u, v) is anywhere
+        every = _through_plans([p.core for p in pats if p.order <= g.n], g.n)
+        assert copy_through(g.adj, every, u, v) is anywhere
 
 
 @settings(max_examples=60, deadline=None)
@@ -431,10 +433,10 @@ def test_extension_is_the_least_class_that_keeps_the_witness(g):
         res = rainbow_free_colorable(g, [p])
         if res.status is not Status.COLORABLE:
             continue
-        cores = [p.core] if p.order <= g.n else []
+        plans = _through_plans([p.core] if p.order <= g.n else [], g.n)
         for u, v in g.non_edges():
             h = g.with_edge(u, v)
-            table = EdgeClasses(g, res.witness.classes)
+            table = EdgeClasses.from_edges(g, res.witness.classes)
 
             def extended(c):
                 old = dict(zip(g.edges, res.witness.classes))
@@ -443,11 +445,14 @@ def test_extension_is_the_least_class_that_keeps_the_witness(g):
             fresh = max(res.witness.classes, default=-1) + 1
             want = next((c for c in range(fresh + 1) if is_proper(h, extended(c))
                          and find_rainbow_embedding(h, extended(c), p) is None), None)
-            assert table.extension(h, cores, u, v) == want, (p, g.adj, u, v)
+            # the rule reads the rows of g and of h alike
+            assert table.extension(h.adj, plans, u, v) == want, (p, g.adj, u, v)
+            assert table.extension(g.adj, plans, u, v) == want, (p, g.adj, u, v)
             if want is not None:
+                grown = EdgeClasses.from_edges(h, extended(want).classes)
+                assert table.child(u, v, want) == bytes(grown.color)
                 table.add(u, v, want)
-                grown = EdgeClasses(h, extended(want).classes)
-                assert (table.color, table.used, table.fresh) == (grown.color, grown.used, grown.fresh)
+                assert table.color == grown.color
 
 
 def test_arc_orbit_counts():

@@ -851,9 +851,10 @@ def free_calls(levels, monkeypatch):
         calls.append(("free", g.n, g.adj))
         return witness(solver, g)
 
-    def settling(table, h, cores, u, v):
-        c = extension(table, h, cores, u, v)
+    def settling(table, rows, plans, u, v):
+        c = extension(table, rows, plans, u, v)
         if c is not None:
+            h = Graph._from_adj(len(rows), rows).with_edge(u, v)
             calls.append(("settled", h.n, h.adj))
         return c
 
@@ -905,7 +906,8 @@ class CountingSolver(RainbowSolver):
 def settled_children(n, fam) -> list:
     """Each child that the sat* walk on n vertices settles from its parent's
     witness, up to the first level with a saturated class, as the child in
-    its parent's labeling, which is its rep's, and the witness it carries."""
+    its parent's labeling, which is its rep's, and the witness it carries,
+    read from the child's class table in the child's edge order."""
     solver = CountingSolver(fam)
     root, rule = _witness_rule(solver, n)
     settled = []
@@ -917,7 +919,8 @@ def settled_children(n, fam) -> list:
             before = solver.searched
             out = decide(u, v)
             if solver.searched == before:
-                settled.append((g.with_edge(u, v), out))
+                h = g.with_edge(u, v)
+                settled.append((h, [out[x * n + y] for x, y in h.edges]))
             return out
         return recorded
 
@@ -950,6 +953,29 @@ def test_witness_rule_settles_colorable_children(name):
 @pytest.mark.parametrize("pattern", [cycle(4), complete_graph(4)], ids=["C4", "K4"])
 def test_witness_rule_settles_colorable_children_at_seven_and_eight(pattern, n):
     assert check_settled_children(n, [pattern]) > 0
+
+
+def test_walk_search_work_is_pinned(monkeypatch):
+    # which children the witness rule leaves to the solver is fixed: a cold
+    # sat*(7, C4) then sat*(7, K4) makes 117 searches, 108 COLORABLE with
+    # 2,532 nodes and 9 UNCOLORABLE with 4,213
+    searches = []
+    search = saturation.rainbow_free_colorable
+
+    def recording(*args, **kwargs):
+        res = search(*args, **kwargs)
+        searches.append((res.status, res.stats.nodes))
+        return res
+
+    monkeypatch.setattr(saturation, "rainbow_free_colorable", recording)
+    assert sat_star_exact(7, [cycle(4)]).value == 11
+    assert sat_star_exact(7, [complete_graph(4)]).value == 17
+    nodes = Counter()
+    for status, count in searches:
+        nodes[status] += count
+    assert Counter(status for status, _ in searches) == {
+        Status.COLORABLE: 108, Status.UNCOLORABLE: 9}
+    assert nodes == {Status.COLORABLE: 2532, Status.UNCOLORABLE: 4213}
 
 
 def test_second_run_reuses_the_levels():
@@ -1227,6 +1253,7 @@ def test_stored_graphs_are_uncolorable(monkeypatch):
             assert rainbow_free_colorable(g, cores).status is Status.UNCOLORABLE, g
 
 
+@pytest.mark.usefixtures("no_catalogue")
 @pytest.mark.parametrize("host, pattern, untouched", [
     (gadget("GA").graph, cycle(4), []),
     (gadget("GB").graph, cycle(4), []),
@@ -1238,7 +1265,9 @@ def test_stored_graphs_are_uncolorable(monkeypatch):
 def test_stored_graph_is_the_prefix_renumbered(host, pattern, untouched):
     # the graph that the search adds to its solver's list has the prefix's
     # edges and no other vertex; its vertex i is the i-th least host vertex
-    # the prefix touches
+    # the prefix touches.  With no catalogue the list starts empty: every
+    # host here but K9 contains a catalogue entry, which would keep its
+    # prefix out of the list
     solver = RainbowSolver([pattern])
     res = solver.colorability(host)
     assert res.status is Status.UNCOLORABLE
@@ -1250,6 +1279,18 @@ def test_stored_graph_is_the_prefix_renumbered(host, pattern, untouched):
     assert stored.edge_count == len(prefix) and all(stored.degrees())
     assert stored.n == len(touched)
     assert Graph(host.n, [(touched[u], touched[v]) for u, v in stored.edges]) == Graph(host.n, prefix)
+
+
+def test_solver_list_holds_one_graph_per_class(monkeypatch):
+    # the walk refutes exactly the catalogue's C4 obstructions on at most 7
+    # vertices, relabeled: a prefix that a listed graph with at most as many
+    # edges embeds in is left out, so the list keeps the 7 entries alone
+    solvers = recording_solvers(monkeypatch)
+    all_rainbow_saturated(7, [cycle(4)])
+    [solver] = solvers
+    [graphs] = solver._known.values()
+    assert len(graphs) == len({canonical_graph6(g) for g in graphs}) == 7
+    assert not learned(solver)
 
 
 def test_each_solver_learns_its_own_refuted_graphs(monkeypatch):
