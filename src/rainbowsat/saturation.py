@@ -31,22 +31,22 @@ Two structural facts carry the heavy lifting:
 ``RainbowSolver`` memoizes its verdicts by labeled host and the pattern
 cores searched, so a witness depends on those alone.  A graph that an
 UNCOLORABLE graph embeds in is UNCOLORABLE, so the saturation check and
-greedy addition test each g + e for an embedding of a known UNCOLORABLE
-graph before they search it; a hit counts as refuted.  Each solver keeps
-one list of them per tuple of cores searched.  It starts as the committed
-catalogue's entries (``_OBSTRUCTIONS``): the obstructions of P3, P4, C4,
+greedy addition, the only readers, test each g + e for an embedding of a
+known UNCOLORABLE graph (``RainbowSolver.contains_refuted``) before they
+search it; a hit counts as refuted.  A solver keeps one list of them per
+tuple of cores, started by the first such test for those cores from the
+committed catalogue (``_OBSTRUCTIONS``): the obstructions of P3, P4, C4,
 K3, K4 and K1,3 on at most 7 vertices, that is the deletion-minimal
 UNCOLORABLE graphs, the analogue of minimal unsatisfiable cores (Liffiton
 and Sakallah, J. Autom. Reasoning 40, 2008).  A graph is UNCOLORABLE iff
-it contains an obstruction.  Each unbudgeted UNCOLORABLE search of the
-solver adds its refuted prefix (``engine._search_component``), unless a
-listed graph with at most as many edges embeds in it; a solver with a node
-budget adds nothing, so a budgeted verdict depends on its inputs and the
-catalogue alone.  No solver reads another's list.  The walks read none: a
-class whose parents are all free contains no UNCOLORABLE graph but itself.
-So each class a walk refutes is an obstruction, which for a catalogued
-pattern on at most 7 vertices is kept out by the listed entry it equals up
-to isomorphism.
+it contains an obstruction.  Once a list is started, each unbudgeted
+UNCOLORABLE search for its cores adds its refuted prefix
+(``engine._search_component``).  No listed graph embeds in the prefix (bar
+a test that ran out of time), as the reader tested the host first and the
+prefix is a subgraph of it.  A solver with a node budget adds nothing, so a
+budgeted verdict depends on its inputs and the catalogue alone.  No solver
+reads another's list.  The walks start none: a class whose parents are all
+free contains no UNCOLORABLE graph but itself.
 
 The level table holds the isomorphism classes of each n and their
 twin-orbit children, built once per process, one level at a time as
@@ -158,8 +158,8 @@ class SatNumberResult:
 # edges first.  An obstruction is UNCOLORABLE for the pattern, and each of
 # its one-edge-deleted subgraphs is COLORABLE.  all_rainbow_saturated(7,
 # [pattern]) refutes exactly these classes: a class that the walk hands to
-# the solver has only free parents.  Read through RainbowSolver._refuted,
-# so nothing is decoded at import.
+# the solver has only free parents.  Read through
+# RainbowSolver.contains_refuted, so nothing is decoded at import.
 _OBSTRUCTIONS = {
     "BW": ("BW",),  # P3
     "CL": ("D@s", "DLo", "F@Ue?"),  # P4
@@ -182,11 +182,13 @@ class RainbowSolver:
     ``_saturated_levels`` asks once per isomorphism class anyway.
 
     ``contains_refuted`` tests a host for an embedding of a known
-    UNCOLORABLE graph for its cores (``_refuted``): an obstruction of the
-    committed catalogue (``_OBSTRUCTIONS``) for one of them, or the refuted
-    prefix of one of this solver's UNCOLORABLE searches for them.  A solver
-    with a ``node_limit`` adds no prefix, so a budgeted verdict depends on
-    its inputs and the catalogue alone.
+    UNCOLORABLE graph for its cores: an obstruction of the committed
+    catalogue (``_OBSTRUCTIONS``) for one of them, or the refuted prefix of
+    one of this solver's UNCOLORABLE searches for them since its first
+    test for them.  It is the one place a list is started, so a solver
+    that is never asked keeps none.  A solver with a ``node_limit`` adds no
+    prefix, so a budgeted verdict depends on its inputs and the catalogue
+    alone.
     """
 
     def __init__(self, family, *, node_limit: int | None = None, time_limit: float | None = None):
@@ -245,29 +247,15 @@ class RainbowSolver:
 
     def contains_refuted(self, g: Graph) -> bool:
         """Whether a known UNCOLORABLE graph for the cores of the patterns
-        that fit g embeds in g, which makes g UNCOLORABLE with no search.
+        that fit g embeds in g, which makes g UNCOLORABLE with no search;
+        a test that runs out of ``time_limit`` finds nothing.
 
-        The graphs of ``_refuted`` are tried fewest edges first.
+        The first test for some cores starts their list from the
+        catalogue's obstructions of each core, found by its canonical
+        graph6; those of a single core refute any family that holds it.
+        Graphs are tried fewest edges first.
         """
-        return self._embeds_any(g, self._refuted(self.fitting_cores(g.n)))
-
-    def _embeds_any(self, g: Graph, graphs) -> bool:
-        """Whether one of ``graphs`` embeds in g, all tried within
-        ``time_limit``; a test that runs out of time finds nothing."""
-        deadline = None if self.time_limit is None else time.monotonic() + self.time_limit
-        try:
-            return any(exists_embedding(g, s, deadline) for s in graphs)
-        except _Expired:
-            return False
-
-    def _refuted(self, cores: tuple) -> list:
-        """The known UNCOLORABLE graphs for ``cores``, fewest edges first:
-        the catalogue's obstructions of each core, decoded on first use, and
-        the refuted prefix of each UNCOLORABLE search for ``cores`` that
-        this solver made with no ``node_limit`` and that no graph listed
-        before it, with at most as many edges, embeds in.  An obstruction of
-        a single core refutes any family that holds it; a core finds its
-        entries by its canonical graph6."""
+        cores = self.fitting_cores(g.n)
         known = self._known.get(cores)
         if known is None:
             entries = []
@@ -276,7 +264,11 @@ class RainbowSolver:
                 entries += _OBSTRUCTIONS.get(key, ())
             known = self._known[cores] = sorted(
                 map(graph6_decode, dict.fromkeys(entries)), key=lambda s: s.edge_count)
-        return known
+        deadline = None if self.time_limit is None else time.monotonic() + self.time_limit
+        try:
+            return any(exists_embedding(g, s, deadline) for s in known)
+        except _Expired:
+            return False
 
     def _solve(self, g: Graph, cores: tuple) -> ColorabilityResult:
         if not cores:
@@ -295,15 +287,13 @@ class RainbowSolver:
         )
         if res.status is not Status.INDETERMINATE:
             self._cache[key] = (res.status, res.witness)
-        if res.status is Status.UNCOLORABLE and self.node_limit is None:
+        known = self._known.get(cores)
+        if res.status is Status.UNCOLORABLE and self.node_limit is None and known is not None:
             # the refuted prefix, on the vertices it touches in ascending order
             edges = [g.edges[i] for i in res.stats.refuted]
             s = induced_subgraph(Graph(g.n, edges), {x for e in edges for x in e})[0]
-            known = self._refuted(cores)
-            # a listed graph that embeds in s refutes every graph s does
-            i = bisect(known, s.edge_count, key=lambda h: h.edge_count)
-            if not self._embeds_any(s, known[:i]):
-                known.insert(i, s)
+            # no listed graph embeds in s: its reader found none in the host
+            known.insert(bisect(known, s.edge_count, key=lambda h: h.edge_count), s)
         return res
 
 

@@ -1218,26 +1218,33 @@ def recording_searches(monkeypatch) -> list:
 
 def learned(solver) -> list:
     """The graphs the solver's own searches added to its lists: each is
-    in no fresh solver's list for the same cores."""
-    fresh = RainbowSolver(solver.patterns)
+    none of the catalogue's entries for its cores."""
     return [(cores, g) for cores, graphs in solver._known.items()
-            for g in graphs if g not in fresh._refuted(cores)]
+            for g in graphs if g not in catalogued(cores)]
 
 
-def test_stored_graphs_are_uncolorable(monkeypatch):
-    # the refuted prefixes of every unbudgeted search that certify-families,
-    # satstar-n7 and the small sat* walks make, each checked on its own in
-    # the list of the solver that searched, with the catalogue's entries
-    solvers = recording_solvers(monkeypatch)
+def reader_runs() -> None:
+    """Runs whose solvers read their lists, so each unbudgeted UNCOLORABLE
+    search adds its refuted prefix: the certify-families checks, and greedy
+    saturation from the empty graph, then the check of the graph it built,
+    for C5 (n = 10..24), K1,4 and P5 (n = 5..12)."""
     for g, pattern in [(wheel_construction(16).graph, cycle(4))] + [
             (ladder_construction(complete_graph(r), n).graph, complete_graph(r))
             for r, n in ((3, 33), (4, 13), (4, 14))]:
         assert is_rainbow_saturated(g, [pattern]).status is Verdict.SATURATED
-    sat_star_exact(7, [cycle(4)])
-    sat_star_exact(7, [complete_graph(4)])
-    for pattern in (path(4), cycle(4), complete_graph(3), star(3), path(5), cycle(5)):
-        for n in range(pattern.n, 8):
-            sat_star_exact(n, [pattern])
+    for pattern, sizes in ((cycle(5), range(10, 25)), (star(4), range(5, 13)),
+                           (path(5), range(5, 13))):
+        for n in sizes:
+            g = greedy_saturate(empty_graph(n), [pattern])
+            assert is_rainbow_saturated(g, [pattern]).status is Verdict.SATURATED
+
+
+def test_stored_graphs_are_uncolorable(monkeypatch):
+    # the refuted prefixes that the reader runs learn, each checked on its
+    # own in the list of the solver that searched, with the catalogue's
+    # entries
+    solvers = recording_solvers(monkeypatch)
+    reader_runs()
     assert sum(len(learned(solver)) for solver in solvers) > 20
     held = set()  # each graph of each list with its cores, checked once below
     for solver in solvers:
@@ -1265,10 +1272,11 @@ def test_stored_graphs_are_uncolorable(monkeypatch):
 def test_stored_graph_is_the_prefix_renumbered(host, pattern, untouched):
     # the graph that the search adds to its solver's list has the prefix's
     # edges and no other vertex; its vertex i is the i-th least host vertex
-    # the prefix touches.  With no catalogue the list starts empty: every
-    # host here but K9 contains a catalogue entry, which would keep its
-    # prefix out of the list
+    # the prefix touches.  The list is started by testing the host, as a
+    # reader does.  With no catalogue it starts empty: every host here but
+    # K9 contains a catalogue entry, which would refute it with no search
     solver = RainbowSolver([pattern])
+    assert not solver.contains_refuted(host)
     res = solver.colorability(host)
     assert res.status is Status.UNCOLORABLE
     [(cores, stored)] = learned(solver)
@@ -1282,15 +1290,48 @@ def test_stored_graph_is_the_prefix_renumbered(host, pattern, untouched):
 
 
 def test_solver_list_holds_one_graph_per_class(monkeypatch):
-    # the walk refutes exactly the catalogue's C4 obstructions on at most 7
-    # vertices, relabeled: a prefix that a listed graph with at most as many
-    # edges embeds in is left out, so the list keeps the 7 entries alone
+    # on reader traffic the graphs of each list are pairwise non-isomorphic:
+    # a prefix isomorphic to a listed graph would have that graph embed in
+    # the host it was learned from, which the reader tested first
+    solvers = recording_solvers(monkeypatch)
+    reader_runs()
+    assert sum(len(learned(solver)) for solver in solvers) > 20
+    for solver in solvers:
+        for graphs in solver._known.values():
+            assert len(graphs) == len({canonical_graph6(g) for g in graphs})
+
+
+def test_no_graph_listed_before_a_prefix_embeds_in_it(monkeypatch):
+    # each prefix is a subgraph of a host that its reader found no listed
+    # graph in, so the list needs no embedding test of its own
+    inserted = []
+    solve = RainbowSolver._solve
+
+    def recording(solver, g, cores):
+        before = list(solver._known.get(cores, ()))
+        res = solve(solver, g, cores)
+        ids = {id(s) for s in before}
+        inserted.extend((s, before) for s in solver._known.get(cores, ()) if id(s) not in ids)
+        return res
+
+    monkeypatch.setattr(RainbowSolver, "_solve", recording)
+    reader_runs()
+    assert len(inserted) > 20
+    for s, before in inserted:
+        assert not any(exists_embedding(s, t) for t in before), graph6_encode(s)
+
+
+def test_walk_starts_no_solver_list(monkeypatch):
+    # only contains_refuted starts a list, and no walk calls it: the walk's
+    # UNCOLORABLE searches, of the 7 catalogue entries of C4 relabeled, add
+    # nothing, and neither does a solver that only answers colorability
     solvers = recording_solvers(monkeypatch)
     all_rainbow_saturated(7, [cycle(4)])
     [solver] = solvers
-    [graphs] = solver._known.values()
-    assert len(graphs) == len({canonical_graph6(g) for g in graphs}) == 7
-    assert not learned(solver)
+    assert solver._known == {}
+    solver = RainbowSolver([cycle(4)])
+    assert solver.colorability(gadget("GA").graph).status is Status.UNCOLORABLE
+    assert solver._known == {}
 
 
 def test_each_solver_learns_its_own_refuted_graphs(monkeypatch):
@@ -1298,6 +1339,7 @@ def test_each_solver_learns_its_own_refuted_graphs(monkeypatch):
     # only the catalogue, which has no C5 entries
     k9 = complete_graph(9)
     solver = RainbowSolver([cycle(5)])
+    assert not solver.contains_refuted(k9)
     assert solver.colorability(k9).status is Status.UNCOLORABLE
     assert solver.contains_refuted(k9)
     assert not RainbowSolver([cycle(5)]).contains_refuted(k9)
@@ -1422,6 +1464,12 @@ CATALOGUED = {
 
 def canonical_graph6(g) -> str:
     return graph6_encode(g.relabel(canonical_form(g).relabeling))
+
+
+def catalogued(cores) -> list:
+    """The catalogue's entries for each of ``cores``, decoded."""
+    return [graph6_decode(text) for core in cores
+            for text in saturation._OBSTRUCTIONS.get(canonical_graph6(core), ())]
 
 
 def catalogue_entries(name) -> list:
