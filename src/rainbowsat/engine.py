@@ -327,90 +327,56 @@ def _maps_through(rows, plans, u: int, v: int):
             yield f, others
 
 
-def copy_through(rows, plans, u: int, v: int) -> bool:
-    """Whether some copy of one of the pattern graphs planned in ``plans``
-    (``_through_plans``) in g + uv uses the edge uv, g the graph with
-    adjacency rows ``rows``."""
-    for _ in _maps_through(rows, plans, u, v):
-        return True
-    return False
+def class_table(g: Graph, classes) -> list:
+    """The class table of a proper edge coloring of g, given as ``classes``
+    in g's edge order: a list holding the class of edge xy at x * n + y and
+    at y * n + x, and 0 at the other pairs.  ``extension`` reads any int
+    sequence so laid out: the ``sat*`` walk keeps bytes, which hold its
+    classes for n <= 9, and greedy addition, on up to 64 vertices, a list."""
+    n = g.n
+    color = [0] * (n * n)
+    for (x, y), c in zip(g.edges, classes):
+        color[x * n + y] = color[y * n + x] = c
+    return color
 
 
-class EdgeClasses:
-    """A proper edge coloring of a graph g on n vertices as its class table,
-    and the rule that extends it to one more edge.
+def extension(color, rows, plans, u: int, v: int):
+    """The least class for the new edge uv of g + uv that keeps g's coloring,
+    the class table ``color`` (``class_table``), proper and free of rainbow
+    copies of the cores planned in ``plans`` (``_through_plans``), given
+    that it is free of them on g; None if no class does.  ``rows`` are the
+    adjacency rows of g or of g + uv: the table's entry at uv is not read.
 
-    The table ``color`` holds the class of edge xy at x * n + y and at
-    y * n + x, and anything at the other pairs.  Any sequence of ints will
-    do: the ``sat*`` walk keeps bytes, which hold its classes for n <= 9,
-    and greedy addition, on up to 64 vertices, a list.  The constructor
-    wraps a table as it is; ``from_edges`` builds one from classes in g's
-    edge order.
+    The class is one used at neither u nor v, and, for each copy through uv
+    whose other edges already have pairwise distinct classes, one of those
+    classes.  Copies that avoid uv keep their classes from g.  The least
+    class used at neither end is at most the fresh one (one more than the
+    greatest class of g), since the classes at u and v are all below it, so
+    no bound on the classes is needed; and with no copy through uv the rule
+    always finds a class.
     """
-
-    __slots__ = ("n", "color")
-
-    def __init__(self, n: int, color):
-        self.n = n
-        self.color = color
-
-    @classmethod
-    def from_edges(cls, g: Graph, classes) -> "EdgeClasses":
-        """The table of g's classes ``classes``, given in g's edge order, as
-        a list."""
-        n = g.n
-        color = [0] * (n * n)
-        for (x, y), c in zip(g.edges, classes):
-            color[x * n + y] = color[y * n + x] = c
-        return cls(n, color)
-
-    def extension(self, rows, plans, u: int, v: int):
-        """The least class for the new edge uv of g + uv that keeps the
-        coloring proper and free of rainbow copies of the cores planned in
-        ``plans`` (``_through_plans``), given that it is free of them on g;
-        None if no class does.  ``rows`` are the adjacency rows of g or of
-        g + uv: the table's entry at uv is not read.
-
-        The class is one used at neither u nor v, and, for each copy through
-        uv whose other edges already have pairwise distinct classes, one of
-        those classes.  Copies that avoid uv keep their classes from g.  The
-        least class used at neither end is at most the fresh one (one more
-        than the greatest class of g), since the classes at u and v are all
-        below it, so no bound on the classes is needed; and with no copy
-        through uv the rule always finds a class.
-        """
-        n, color = self.n, self.color
-        used = 0  # the classes at u and v, over g's edges
-        for x, y in ((u, v), (v, u)):
-            row = rows[x] & ~(1 << y)
-            base = x * n
-            while row:
-                low = row & -row
-                used |= 1 << color[base + low.bit_length() - 1]
-                row ^= low
-        allowed = ~used
-        for f, others in _maps_through(rows, plans, u, v):
-            seen = 0
-            for p, q in others:
-                b = 1 << color[f[p] * n + f[q]]
-                if seen & b:
-                    break
-                seen |= b
-            else:
-                allowed &= seen
-                if not allowed:
-                    return None
-        return (allowed & -allowed).bit_length() - 1
-
-    def add(self, u: int, v: int, c: int) -> None:
-        """Color the new edge uv with class c, in place (a list table)."""
-        self.color[u * self.n + v] = self.color[v * self.n + u] = c
-
-    def child(self, u: int, v: int, c: int) -> bytes:
-        """The table of g + uv with class c on uv, as a new bytes."""
-        color = bytearray(self.color)
-        color[u * self.n + v] = color[v * self.n + u] = c
-        return bytes(color)
+    n = len(rows)
+    used = 0  # the classes at u and v, over g's edges
+    for x, y in ((u, v), (v, u)):
+        row = rows[x] & ~(1 << y)
+        base = x * n
+        while row:
+            low = row & -row
+            used |= 1 << color[base + low.bit_length() - 1]
+            row ^= low
+    allowed = ~used
+    for f, others in _maps_through(rows, plans, u, v):
+        seen = 0
+        for p, q in others:
+            b = 1 << color[f[p] * n + f[q]]
+            if seen & b:
+                break
+            seen |= b
+        else:
+            allowed &= seen
+            if not allowed:
+                return None
+    return (allowed & -allowed).bit_length() - 1
 
 
 def _copies(g: Graph, core: Graph, deadline=None) -> list:

@@ -62,11 +62,11 @@ represented by the first child to reach it, in its parent's labeling, so
 the table computes no canonical form; only the saturated classes a run
 reports are put in canonical form.  The table holds no verdict; each walk
 keeps its own, with a witness coloring per free class for ``sat*`` as its
-class table (``engine.EdgeClasses``), and asks the solver at most once per
-isomorphism class: not at all for a child of a free class that one class
-more on the parent's witness colors rainbow-free (the witness rule,
-``engine.EdgeClasses.extension``), which takes the parent's table with
-that class set on the new edge and builds no graph.
+class table (``engine.class_table``, kept as bytes), and asks the solver at
+most once per isomorphism class: not at all for a child of a free class
+that one class more on the parent's witness colors rainbow-free (the
+witness rule, ``engine.extension``), which copies the parent's table with
+that class set at the new edge's two entries and builds no graph.
 """
 from __future__ import annotations
 
@@ -84,12 +84,13 @@ from .engine import (
     EdgeColoring,
     Pattern,
     SearchStats,
-    EdgeClasses,
     Status,
+    _maps_through,
     _through_plans,
     as_pattern,
-    copy_through,
+    class_table,
     exists_embedding,
+    extension,
     first_fit_classes,
     rainbow_free_colorable,
 )
@@ -645,9 +646,9 @@ def _saturated_levels(n: int, root, rule):
     survives edge deletion.  It keeps a state for each free class of the
     current and the next level, in the labeling of the class's rep (for
     ``sat*``, a witness's class table), and False for a class that is not
-    free; ``root`` is the state of the empty graph.  ``rule(g, state)``
-    gives the function that decides the children of a free class g: called
-    with a non-edge (u, v) of g, it returns the state of g + uv in g's
+    free; ``root`` is the state of the empty graph.  ``rule(g, state, u,
+    v)``, called with a free class g, its state and a non-edge (u, v) of g
+    whose child is still undecided, returns the state of g + uv in g's
     labeling, or False.
 
     The walk reads ``enumerate_levels`` one level ahead, so each level is
@@ -682,14 +683,11 @@ def _saturated_levels(n: int, root, rule):
             if state is not False:
                 g = classes[i]
                 kids = range(start[i], start[i + 1])
-                decide = None
                 # every child is decided, saturated or not: they are the next level
                 for k in kids:
                     j = child[k]
                     if above[j] is None:
-                        if decide is None:
-                            decide = rule(g, state)
-                        above[j] = decide(*divmod(pairs[k], n))
+                        above[j] = rule(g, state, *divmod(pairs[k], n))
                 if all(above[child[k]] is False for k in kids):
                     hits.append(g)
         yield m, classes, hits
@@ -699,46 +697,41 @@ def _saturated_levels(n: int, root, rule):
 def _pattern_free_rule(pat: Pattern, n: int):
     """(root, rule) of ``_saturated_levels`` for freedom from the pattern
     ``pat`` on n vertices, with True as every free class's state: g + uv is
-    free iff no copy of the core goes through uv, which the maps through uv
-    decide from g's rows, planned once per walk."""
+    free iff no copy of the core goes through uv, that is, iff the maps
+    through uv (``engine._maps_through``), planned once per walk, find none
+    in g's rows."""
     plans = _through_plans([pat.core] if pat.order <= n else [], n)
-
-    def rule(g, _):
-        rows = g.adj
-        return lambda u, v: not copy_through(rows, plans, u, v)
-    return not exists_embedding(empty_graph(n), pat), rule
+    return (not exists_embedding(empty_graph(n), pat),
+            lambda g, _, u, v: next(_maps_through(g.adj, plans, u, v), None) is None)
 
 
 def _witness_rule(solver: RainbowSolver, n: int):
     """(root, rule) of ``_saturated_levels`` for rainbow-free colorability
     on n vertices.  A free class's state is a witness coloring as its class
-    table (``engine.EdgeClasses``): n * n bytes, the class of edge xy at
+    table (``engine.class_table``): n * n bytes, the class of edge xy at
     x * n + y and y * n + x, in the labeling of the class's rep.
 
-    A child g + uv of a free class g takes g's table with the class that
-    ``EdgeClasses.extension`` finds for uv over it set at uv's two entries,
-    with no search and no graph built: the rule reads g's rows and the maps
-    through uv planned once per walk.  Only when there is no such class does
-    the solver decide g + uv, and its witness is made a table once.  The
-    witnesses stay out of the solver's cache: they depend on which parent
-    reached a class first.
+    A child g + uv of a free class g takes a copy of g's bytes with the
+    class that ``engine.extension`` finds for uv over them set at uv's two
+    entries, with no search and no graph built: the rule reads g's rows and
+    the maps through uv planned once per walk.  Only when there is no such
+    class does the solver decide g + uv, and its witness is made a table
+    once.  The witnesses stay out of the solver's cache: they depend on
+    which parent reached a class first.
     """
     plans = _through_plans(solver.fitting_cores(n), n)
 
     def state(g, found):
-        return False if found is None else bytes(EdgeClasses.from_edges(g, found.classes).color)
+        return False if found is None else bytes(class_table(g, found.classes))
 
-    def rule(g, witness):
-        table = EdgeClasses(n, witness)
-        rows = g.adj
-
-        def decide(u, v):
-            c = table.extension(rows, plans, u, v)
-            if c is not None:
-                return table.child(u, v, c)
+    def rule(g, witness, u, v):
+        c = extension(witness, g.adj, plans, u, v)
+        if c is None:
             h = g.with_edge(u, v)
             return state(h, solver.witness(h))
-        return decide
+        table = bytearray(witness)
+        table[u * n + v] = table[v * n + u] = c
+        return bytes(table)
 
     empty = empty_graph(n)
     return state(empty, solver.witness(empty)), rule
@@ -816,21 +809,22 @@ def _add_greedily(g: Graph, pairs, solver: RainbowSolver, classes=None):
     caller of a ladder re-verifies the graph built), and stays so.
 
     ``classes`` is a witness of g, in its edge order, when one is known; it
-    is kept as a class table (``EdgeClasses.from_edges``), a list, as a host
-    of up to 64 vertices may use more classes than a byte holds.  Three
-    kinds of pair are settled unsearched.  A pair uv for which the witness
-    rule of the ``sat*`` walk (``EdgeClasses.extension``) finds a class over
-    the current witness is added, and the table gains that class on uv;
-    until a witness is known, no pair is.  A pair whose g + uv holds an
+    is kept as a class table (``engine.class_table``), a list, as a host of
+    up to 64 vertices may use more classes than a byte holds.  Three kinds
+    of pair are settled unsearched.  A pair uv for which the witness rule of
+    the ``sat*`` walk (``engine.extension``) finds a class over the current
+    witness is added, and the list gains that class at uv's two entries, in
+    place; until a witness is known, no pair is.  A pair whose g + uv holds an
     obstruction of the catalogue or a prefix that ``solver`` refuted
     (``RainbowSolver.contains_refuted``) is rejected.  Any other pair is
     searched, and if it is added the solver's witness of the grown graph
     becomes the current one.  A rejected uv settles every pair from u's and
     v's twin classes under the current g: isomorphic graphs, kept rejected
     by downward closure."""
-    cores = solver.fitting_cores(g.n)
+    n = g.n
+    cores = solver.fitting_cores(n)
     plans = None  # planned on the first pair tried over a witness
-    table = None if classes is None else EdgeClasses.from_edges(g, classes)
+    table = None if classes is None else class_table(g, classes)
     added, rejected = [], set()
     for u, v in pairs:
         if (u, v) in rejected:
@@ -839,10 +833,10 @@ def _add_greedily(g: Graph, pairs, solver: RainbowSolver, classes=None):
         c = None
         if table is not None:
             if plans is None:
-                plans = _through_plans(cores, g.n)
-            c = table.extension(g2.adj, plans, u, v)
+                plans = _through_plans(cores, n)
+            c = extension(table, g2.adj, plans, u, v)
         if c is not None:
-            table.add(u, v, c)
+            table[u * n + v] = table[v * n + u] = c
         else:
             found = None if solver.contains_refuted(g2) else solver.witness(g2)
             if found is None:
@@ -850,7 +844,7 @@ def _add_greedily(g: Graph, pairs, solver: RainbowSolver, classes=None):
                 rejected.update((a, b) if a < b else (b, a)
                                 for a in iter_bits(twins[u]) for b in iter_bits(twins[v]) if a != b)
                 continue
-            table = EdgeClasses.from_edges(g2, found.classes)
+            table = class_table(g2, found.classes)
         g = g2
         added.append((u, v))
     return g, added

@@ -38,9 +38,9 @@ from rainbowsat.engine import (
     _search_component,
     _search_order,
     _through_plans,
-    EdgeClasses,
     as_pattern,
-    copy_through,
+    class_table,
+    extension,
 )
 from rainbowsat.graphs import complete_bipartite, induced_subgraph, iter_bits
 from rainbowsat.oracle import brute_embeddings, naive_rainbow_free_colorable, set_partitions
@@ -410,18 +410,22 @@ def test_maps_through_are_the_pinned_reference_maps(name):
 
 @settings(max_examples=150, deadline=None)
 @given(graphs(min_n=2, max_n=8))
-def test_copy_through_matches_copies_containing_the_edge(g):
+def test_maps_through_meet_copies_containing_the_edge(g):
+    # some map through uv exists iff some copy uses the edge uv
+    def through(plans, u, v):
+        return next(_maps_through(g.adj, plans, u, v), None) is not None
+
     pats = [Pattern(p) for p in THROUGH_PATTERNS.values()]
     for e, (u, v) in enumerate(g.edges):
         anywhere = False
         for p in pats:
             plans = _through_plans([p.core] if p.order <= g.n else [], g.n)
             want = any(e in copy for copy in enumerate_embeddings(g, p))
-            assert copy_through(g.adj, plans, u, v) is want, (p, g.adj, u, v)
-            assert copy_through(g.adj, plans, v, u) is want
+            assert through(plans, u, v) is want, (p, g.adj, u, v)
+            assert through(plans, v, u) is want
             anywhere = anywhere or want
         every = _through_plans([p.core for p in pats if p.order <= g.n], g.n)
-        assert copy_through(g.adj, every, u, v) is anywhere
+        assert through(every, u, v) is anywhere
 
 
 @settings(max_examples=60, deadline=None)
@@ -436,7 +440,7 @@ def test_extension_is_the_least_class_that_keeps_the_witness(g):
         plans = _through_plans([p.core] if p.order <= g.n else [], g.n)
         for u, v in g.non_edges():
             h = g.with_edge(u, v)
-            table = EdgeClasses.from_edges(g, res.witness.classes)
+            table = class_table(g, res.witness.classes)
 
             def extended(c):
                 old = dict(zip(g.edges, res.witness.classes))
@@ -445,14 +449,14 @@ def test_extension_is_the_least_class_that_keeps_the_witness(g):
             fresh = max(res.witness.classes, default=-1) + 1
             want = next((c for c in range(fresh + 1) if is_proper(h, extended(c))
                          and find_rainbow_embedding(h, extended(c), p) is None), None)
-            # the rule reads the rows of g and of h alike
-            assert table.extension(h.adj, plans, u, v) == want, (p, g.adj, u, v)
-            assert table.extension(g.adj, plans, u, v) == want, (p, g.adj, u, v)
+            # the rule reads the rows of g and of h alike, over a list table
+            # and over its bytes
+            for color in (table, bytes(table)):
+                assert extension(color, h.adj, plans, u, v) == want, (p, g.adj, u, v)
+                assert extension(color, g.adj, plans, u, v) == want, (p, g.adj, u, v)
             if want is not None:
-                grown = EdgeClasses.from_edges(h, extended(want).classes)
-                assert table.child(u, v, want) == bytes(grown.color)
-                table.add(u, v, want)
-                assert table.color == grown.color
+                table[u * g.n + v] = table[v * g.n + u] = want
+                assert table == class_table(h, extended(want).classes)
 
 
 def test_arc_orbit_counts():

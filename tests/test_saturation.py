@@ -52,7 +52,7 @@ from rainbowsat.oracle import (
     naive_rainbow_free_colorable,
 )
 from rainbowsat import constructions, saturation
-from rainbowsat.engine import EdgeClasses, EdgeColoring, as_pattern
+from rainbowsat.engine import EdgeColoring, as_pattern
 from rainbowsat.graphs import (
     _Expired,
     canonical_form,
@@ -822,12 +822,11 @@ def reference_saturated_levels(n, root, rule):
         hits = []
         for g, state in zip(graphs, states):
             if state is not False:
-                decide = rule(g, state)
                 saturated = True
                 for u, v in g.non_edges():
                     code = canonical_form(g.with_edge(u, v)).encoding
                     if code not in children:
-                        children[code] = decide(u, v)
+                        children[code] = rule(g, state, u, v)
                     saturated = saturated and children[code] is False
                 if saturated:
                     hits.append(g)
@@ -845,14 +844,14 @@ def free_calls(levels, monkeypatch):
     order, and their results, with ``levels`` as the walk."""
     calls = []
     witness = RainbowSolver.witness
-    extension = EdgeClasses.extension
+    extension = saturation.extension
 
     def recording(solver, g):
         calls.append(("free", g.n, g.adj))
         return witness(solver, g)
 
-    def settling(table, rows, plans, u, v):
-        c = extension(table, rows, plans, u, v)
+    def settling(color, rows, plans, u, v):
+        c = extension(color, rows, plans, u, v)
         if c is not None:
             h = Graph._from_adj(len(rows), rows).with_edge(u, v)
             calls.append(("settled", h.n, h.adj))
@@ -860,7 +859,7 @@ def free_calls(levels, monkeypatch):
 
     with monkeypatch.context() as patch:
         patch.setattr(RainbowSolver, "witness", recording)
-        patch.setattr(EdgeClasses, "extension", settling)
+        patch.setattr(saturation, "extension", settling)
         patch.setattr(saturation, "_saturated_levels", levels)
         results = (sat_star_exact(6, [cycle(4)]), all_rainbow_saturated(6, [cycle(4)]))
     return calls, results
@@ -884,11 +883,9 @@ def test_walk_decides_each_class_on_its_rep():
     for n in range(8):
         decided = []
 
-        def rule(g, _):
-            def decide(u, v):
-                decided.append(g.with_edge(u, v).adj)
-                return True
-            return decide
+        def rule(g, _, u, v):
+            decided.append(g.with_edge(u, v).adj)
+            return True
 
         for m, _, _ in _saturated_levels(n, True, rule):
             assert decided == saturation._level(n, m + 1).reps, (n, m)
@@ -912,17 +909,13 @@ def settled_children(n, fam) -> list:
     root, rule = _witness_rule(solver, n)
     settled = []
 
-    def recording(g, state):
-        decide = rule(g, state)
-
-        def recorded(u, v):
-            before = solver.searched
-            out = decide(u, v)
-            if solver.searched == before:
-                h = g.with_edge(u, v)
-                settled.append((h, [out[x * n + y] for x, y in h.edges]))
-            return out
-        return recorded
+    def recording(g, state, u, v):
+        before = solver.searched
+        out = rule(g, state, u, v)
+        if solver.searched == before:
+            h = g.with_edge(u, v)
+            settled.append((h, [out[x * n + y] for x, y in h.edges]))
+        return out
 
     for _, _, hits in _saturated_levels(n, root, recording):
         if hits:
@@ -997,10 +990,10 @@ def test_aborted_run_shares_no_verdicts():
     assert sorted(res.witnesses) == ["FFz~w", "FJ^~w", "FJn~w", "FJ~vw", "FLv~w", "Fjm~w"]
 
 
-def below_nine_edges(g, _):
+def below_nine_edges(g, _, u, v):
     """A rule for walks that only need one: graphs with fewer than 9 edges
     are free."""
-    return lambda u, v: g.edge_count < 8
+    return g.edge_count < 8
 
 
 def test_yielded_levels_are_fresh_lists():
