@@ -24,7 +24,6 @@ from .graphs import (
 )
 from .engine import (
     ColorabilityResult,
-    EdgeColoring,
     Pattern,
     Status,
     enumerate_embeddings,

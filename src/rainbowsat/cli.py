@@ -76,6 +76,11 @@ def _emit(args, payload: dict, human: str):
         print(human)
 
 
+def _lines(g: Graph, coloring) -> str:
+    """A coloring's text form: one 'u v class' line per edge of g."""
+    return "\n".join(f"{u} {v} {c}" for (u, v), c in zip(g.edges, coloring))
+
+
 def _limits(args):
     return {
         "node_limit": args.nodes,
@@ -91,8 +96,8 @@ def cmd_colorable(args) -> int:
     payload = {"status": res.status.value}
     human = res.status.value
     if res.witness is not None:
-        payload["witness"] = res.witness.to_json()
-        human += "\n" + res.witness.as_lines(g)
+        payload["witness"] = {"classes": list(res.witness)}
+        human += "\n" + _lines(g, res.witness)
     _emit(args, payload, human)
     return EXIT_CODES[res.status]
 
@@ -109,12 +114,12 @@ def cmd_check(args) -> int:
     }
     human = f"{verdict.status.value}: {verdict.reason}"
     if verdict.witness_coloring is not None:
-        payload["witness_coloring"] = verdict.witness_coloring.to_json()
+        payload["witness_coloring"] = {"classes": list(verdict.witness_coloring)}
     if verdict.failing_edge is not None:
         payload["failing_edge"] = list(verdict.failing_edge)
         human += f" (failing edge {verdict.failing_edge})"
         if verdict.failing_coloring is not None:
-            payload["failing_coloring"] = verdict.failing_coloring.to_json()
+            payload["failing_coloring"] = {"classes": list(verdict.failing_coloring)}
     _emit(args, payload, human)
     return EXIT_CODES[verdict.status]
 
@@ -161,11 +166,11 @@ def cmd_construct(args) -> int:
         build, name = COLORED[args.kind]
         cg = build(args.n)
         g, coloring = cg.graph, cg.coloring
-        payload = {"graph6": graph6_encode(g), "coloring": coloring.to_json()}
+        payload = {"graph6": graph6_encode(g), "coloring": {"classes": list(coloring)}}
         family = [named_graph(name)]
     human = graph6_encode(g)
     if coloring is not None:
-        human += "\n" + coloring.as_lines(g)
+        human += "\n" + _lines(g, coloring)
     if args.verify:
         verdict = is_rainbow_saturated(g, family, **_limits(args))
         payload["verified"] = verdict.status.value

@@ -9,7 +9,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
-from .engine import EdgeColoring, as_pattern
+from .engine import as_pattern, normalized
 from .graphs import (
     Graph,
     complete_graph,
@@ -29,7 +29,7 @@ from .saturation import RainbowSolver, _add_greedily, _in_canonical_form, greedy
 @dataclass(frozen=True)
 class ColoredGraph:
     graph: Graph
-    coloring: EdgeColoring
+    coloring: tuple  # one class per edge of graph, in its edge order
 
 
 def ehm_graph(n: int, r: int) -> Graph:
@@ -68,8 +68,7 @@ def p4_construction(n: int) -> ColoredGraph:
         for k in range(4):
             classes[(o, o + k + 1)] = base + k
         base += 4
-    coloring = EdgeColoring(tuple(classes[e] for e in g.edges)).normalized()
-    return ColoredGraph(g, coloring)
+    return ColoredGraph(g, normalized(classes[e] for e in g.edges))
 
 
 def wheel_construction(n: int) -> ColoredGraph:
@@ -88,8 +87,7 @@ def wheel_construction(n: int) -> ColoredGraph:
         classes[(i, rim)] = i
         a, b = (i + 1) % rim, (i + 2) % rim
         classes[(min(a, b), max(a, b))] = i
-    coloring = EdgeColoring(tuple(classes[e] for e in g.edges)).normalized()
-    return ColoredGraph(g, coloring)
+    return ColoredGraph(g, normalized(classes[e] for e in g.edges))
 
 
 # -- gadgets -----------------------------------------------------------------

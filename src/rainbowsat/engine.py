@@ -2,9 +2,11 @@
 
 A proper edge coloring is treated as a partition of the edge set into
 matchings, enumerated exactly once per color renaming via restricted-growth
-assignment.  The central decision procedure answers: does a host graph admit
-a proper edge coloring in which no copy of any pattern in a family has all
-edge colors pairwise distinct ("rainbow")?
+assignment.  A coloring is the tuple of its classes, one per host edge in
+lexicographic edge order, with classes named in first-occurrence order
+(``normalized``).  The central decision procedure answers: does a host
+graph admit a proper edge coloring in which no copy of any pattern in a
+family has all edge colors pairwise distinct ("rainbow")?
 
 The search assigns classes edge by edge.  Edges that participate in no
 pattern copy can never make a copy rainbow, so the backtracking runs over the
@@ -55,42 +57,19 @@ class Status(Enum):
 # -- colorings ---------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class EdgeColoring:
-    """Class assignment per edge, indexed by the host's lexicographic edge order."""
-
-    classes: tuple
-
-    def normalized(self) -> "EdgeColoring":
-        """Relabel classes in first-occurrence order (restricted growth form)."""
-        remap = {}
-        out = []
-        for c in self.classes:
-            if c not in remap:
-                remap[c] = len(remap)
-            out.append(remap[c])
-        return EdgeColoring(tuple(out))
-
-    def to_json(self) -> dict:
-        return {"classes": list(self.classes)}
-
-    @classmethod
-    def from_json(cls, obj) -> "EdgeColoring":
-        return cls(tuple(int(c) for c in obj["classes"]))
-
-    def as_lines(self, g: Graph) -> str:
-        """One line per edge: 'u v class'."""
-        return "\n".join(f"{u} {v} {c}" for (u, v), c in zip(g.edges, self.classes))
+def normalized(classes) -> tuple:
+    """Classes renamed in first-occurrence order (restricted growth form)."""
+    remap = {}
+    return tuple(remap.setdefault(c, len(remap)) for c in classes)
 
 
-def is_proper(g: Graph, coloring: EdgeColoring) -> bool:
-    """True iff no two incident edges share a class."""
-    if len(coloring.classes) != len(g.edges):
-        raise ValueError(
-            f"coloring has {len(coloring.classes)} classes for {len(g.edges)} edges"
-        )
+def is_proper(g: Graph, coloring) -> bool:
+    """True iff no two incident edges share a class; ``coloring`` holds one
+    class per edge of g, in its lexicographic edge order."""
+    if len(coloring) != len(g.edges):
+        raise ValueError(f"coloring has {len(coloring)} classes for {len(g.edges)} edges")
     seen = [set() for _ in range(g.n)]
-    for (u, v), c in zip(g.edges, coloring.classes):
+    for (u, v), c in zip(g.edges, coloring):
         if c in seen[u] or c in seen[v]:
             return False
         seen[u].add(c)
@@ -420,7 +399,7 @@ def exists_embedding(g: Graph, pattern, deadline=None) -> bool:
     return False
 
 
-def find_rainbow_embedding(g: Graph, coloring: EdgeColoring, pattern):
+def find_rainbow_embedding(g: Graph, coloring, pattern):
     """First copy of the pattern whose edge classes are pairwise distinct.
 
     Requires a proper coloring; returns the edge-index tuple or None.
@@ -428,7 +407,7 @@ def find_rainbow_embedding(g: Graph, coloring: EdgeColoring, pattern):
     if not is_proper(g, coloring):
         raise ValueError("coloring is not proper")
     for emb in enumerate_embeddings(g, pattern):
-        classes = [coloring.classes[i] for i in emb]
+        classes = [coloring[i] for i in emb]
         if len(set(classes)) == len(classes):
             return emb
     return None
@@ -449,7 +428,7 @@ class SearchStats:
 @dataclass
 class ColorabilityResult:
     status: Status
-    witness: EdgeColoring | None
+    witness: tuple | None  # one class per host edge, in its edge order
     stats: SearchStats = field(default_factory=SearchStats)
 
 
@@ -663,5 +642,5 @@ def rainbow_free_colorable(
     except _Expired:
         return ColorabilityResult(Status.INDETERMINATE, None, SearchStats())
     status, classes, stats = _search_component(g, copies, node_limit, deadline)
-    witness = None if classes is None else EdgeColoring(tuple(classes)).normalized()
+    witness = None if classes is None else normalized(classes)
     return ColorabilityResult(status, witness, stats)

@@ -81,7 +81,6 @@ from typing import NamedTuple
 
 from .engine import (
     ColorabilityResult,
-    EdgeColoring,
     Pattern,
     SearchStats,
     Status,
@@ -92,6 +91,7 @@ from .engine import (
     exists_embedding,
     extension,
     first_fit_classes,
+    normalized,
     rainbow_free_colorable,
 )
 from .graphs import (
@@ -121,9 +121,9 @@ class Verdict(Enum):
 @dataclass
 class SaturationVerdict:
     status: Verdict
-    witness_coloring: EdgeColoring | None = None
+    witness_coloring: tuple | None = None
     failing_edge: tuple | None = None
-    failing_coloring: EdgeColoring | None = None
+    failing_coloring: tuple | None = None
     reason: str = ""
     nonedges_checked: int = 0
     nonedges_refuted: int = 0
@@ -229,14 +229,13 @@ class RainbowSolver:
             total.searches += res.stats.searches
             if res.status is not Status.COLORABLE:
                 return ColorabilityResult(res.status, None, total)
-            classes = res.witness.classes
-            for (u, v), c in zip(sub.edges, classes):
+            for (u, v), c in zip(sub.edges, res.witness):
                 merged[vmap[u], vmap[v]] = c + offset
-            offset += max(classes, default=-1) + 1
-        witness = EdgeColoring(tuple(merged[e] for e in g.edges)).normalized()
+            offset += max(res.witness, default=-1) + 1
+        witness = normalized(merged[e] for e in g.edges)
         return ColorabilityResult(Status.COLORABLE, witness, total)
 
-    def witness(self, g: Graph) -> EdgeColoring | None:
+    def witness(self, g: Graph) -> tuple | None:
         """The verdict of ``colorability``: its witness for COLORABLE, None
         for UNCOLORABLE.  An exhausted budget raises SearchAborted naming g."""
         res = self.colorability(g)
@@ -274,7 +273,7 @@ class RainbowSolver:
     def _solve(self, g: Graph, cores: tuple) -> ColorabilityResult:
         if not cores:
             # no pattern fits the host, so any proper coloring witnesses
-            witness = EdgeColoring(tuple(first_fit_classes(g, {})))
+            witness = tuple(first_fit_classes(g, {}))
             return ColorabilityResult(Status.COLORABLE, witness, SearchStats(searches=0))
 
         key = (g.adj, cores)
@@ -722,7 +721,7 @@ def _witness_rule(solver: RainbowSolver, n: int):
     plans = _through_plans(solver.fitting_cores(n), n)
 
     def state(g, found):
-        return False if found is None else bytes(class_table(g, found.classes))
+        return False if found is None else bytes(class_table(g, found))
 
     def rule(g, witness, u, v):
         c = extension(witness, g.adj, plans, u, v)
@@ -844,7 +843,7 @@ def _add_greedily(g: Graph, pairs, solver: RainbowSolver, classes=None):
                 rejected.update((a, b) if a < b else (b, a)
                                 for a in iter_bits(twins[u]) for b in iter_bits(twins[v]) if a != b)
                 continue
-            table = class_table(g2, found.classes)
+            table = class_table(g2, found)
         g = g2
         added.append((u, v))
     return g, added
@@ -865,7 +864,7 @@ def greedy_saturate(g0: Graph, family, *, node_limit=None, time_limit=None) -> G
     seed = solver.witness(g0)
     if seed is None:
         raise ValueError("seed graph has no rainbow-free proper coloring")
-    return _add_greedily(g0, g0.non_edges(), solver, seed.classes)[0]
+    return _add_greedily(g0, g0.non_edges(), solver, seed)[0]
 
 
 # -- closed-form oracles ---------------------------------------------------------

@@ -149,6 +149,23 @@ def test_check_json_matches_golden(graph, pattern, golden, capsys):
     assert code == 0 and out == (GOLDEN / golden).read_text()
 
 
+@pytest.mark.parametrize(
+    "argv, golden",
+    [
+        (("colorable", "K4", "P4"), "colorable-K4-P4.txt"),
+        (("colorable", "K4", "P4", "--json"), "colorable-K4-P4.json"),
+        (("construct", "wheel", "--n", "8", "--json"), "wheel-8.json"),
+        (("construct", "p4", "--n", "18"), "p4-18.txt"),
+    ],
+    ids=["colorable-K4-P4", "colorable-K4-P4-json", "wheel-8", "p4-18"],
+)
+def test_coloring_output_matches_golden(argv, golden, capsys):
+    # a coloring prints as one 'u v class' line per edge, or as
+    # {"classes": [...]} in JSON, byte for byte
+    code, out = run(capsys, *argv)
+    assert code == 0 and out == (GOLDEN / golden).read_text()
+
+
 @pytest.mark.parametrize("pattern, n", [("K4", "14"), ("K3", "33")], ids=["K4-14", "K3-33"])
 def test_construct_ladder_json_matches_golden(pattern, n, capsys):
     # the K4 ladder's patching rejects pairs through an obstruction of the

@@ -109,7 +109,7 @@ def test_wheel_coloring_pairs_spoke_with_shifted_rim_edge():
         spoke = idx[(i, rim)]
         a, b = (i + 1) % rim, (i + 2) % rim
         rim_edge = idx[(min(a, b), max(a, b))]
-        assert cg.coloring.classes[spoke] == cg.coloring.classes[rim_edge]
+        assert cg.coloring[spoke] == cg.coloring[rim_edge]
 
 
 def test_wheel_coloring_avoids_rainbow_c4():

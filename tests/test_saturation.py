@@ -52,7 +52,7 @@ from rainbowsat.oracle import (
     naive_rainbow_free_colorable,
 )
 from rainbowsat import constructions, saturation
-from rainbowsat.engine import EdgeColoring, as_pattern
+from rainbowsat.engine import as_pattern
 from rainbowsat.graphs import (
     _Expired,
     canonical_form,
@@ -109,6 +109,19 @@ def test_four_k4s_are_p4_saturated():
 def test_edgeless_pair_is_k2_saturated():
     assert is_rainbow_saturated(empty_graph(2), [complete_graph(2)]).status is Verdict.SATURATED
     assert is_rainbow_saturated(path(2), [complete_graph(2)]).status is Verdict.NOT_SATURATED
+
+
+def test_edgeless_witness_is_the_empty_tuple():
+    # an edgeless host's witness has no classes, and is falsy: it must still
+    # count as COLORABLE wherever a witness is tested against None
+    assert RainbowSolver([cycle(4)]).witness(empty_graph(5)) == ()
+    v = is_rainbow_saturated(empty_graph(5), [cycle(4)])
+    assert v.status is Verdict.NOT_SATURATED
+    assert v.witness_coloring == ()
+    assert v.failing_edge == (0, 1) and v.failing_coloring == (0,)
+    g = greedy_saturate(empty_graph(6), [cycle(4)])
+    assert g.edges == ((0, 1), (0, 2), (0, 3), (0, 4), (0, 5), (1, 2), (1, 3), (1, 4),
+                       (2, 3), (4, 5))
 
 
 def test_failing_coloring_merges_across_components():
@@ -928,8 +941,7 @@ def check_settled_children(n, fam) -> int:
     solver finds the child COLORABLE; returns the number of them."""
     settled = settled_children(n, fam)
     checker = RainbowSolver(fam)
-    for h, classes in settled:
-        coloring = EdgeColoring(tuple(classes))
+    for h, coloring in settled:
         assert is_proper(h, coloring), graph6_encode(h)
         assert all(find_rainbow_embedding(h, coloring, p) is None for p in fam), graph6_encode(h)
         assert checker.witness(h) is not None, graph6_encode(h)
