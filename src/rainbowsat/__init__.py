@@ -2,7 +2,6 @@
 
 from .graphs import (
     Graph,
-    CanonicalForm,
     are_isomorphic,
     automorphism_generators,
     canonical_form,
@@ -13,7 +12,6 @@ from .graphs import (
     empty_graph,
     graph6_decode,
     graph6_encode,
-    graph_from_json,
     graph_to_json,
     is_even_cycle_free,
     join,

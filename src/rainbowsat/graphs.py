@@ -10,7 +10,6 @@ that order.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
 from math import comb
@@ -349,19 +348,6 @@ def disjoint_union(gs) -> Graph:
 # -- canonical forms and isomorphism ----------------------------------------
 
 
-@dataclass(frozen=True)
-class CanonicalForm:
-    """Canonical encoding plus the relabeling that realizes it.
-
-    Two graphs are isomorphic iff their encodings are equal.  Applying
-    ``relabeling`` (original vertex -> canonical label) to the source graph
-    yields the canonical representative of its isomorphism class.
-    """
-
-    encoding: bytes
-    relabeling: tuple
-
-
 def _refine(adj, cells, dirty):
     """Equitable refinement of an ordered partition.
 
@@ -444,8 +430,8 @@ class _Expired(Exception):
 
 
 def _canonical_search(g: Graph, deadline=None):
-    """Minimum adjacency code over all refinement-compatible orderings, the
-    first ordering that reaches it, and generators of automorphisms met on
+    """The first ordering that reaches the minimum adjacency code over all
+    refinement-compatible orderings, and generators of automorphisms met on
     the way, each a list sending v to perm[v].
 
     The tree individualizes one vertex of the first non-singleton cell per
@@ -473,11 +459,11 @@ def _canonical_search(g: Graph, deadline=None):
     first child's orbit is either explored, and gives an automorphism
     mapping the first child's subtree onto its own, or skipped as an image
     of an explored one.  Past ``deadline`` (a ``time.monotonic`` value) the
-    search stops and returns None, None and the generators found so far.
+    search stops and returns None and the generators found so far.
     """
     n, adj = g.n, g.adj
     if n <= 1:
-        return 0, tuple(range(n)), []
+        return tuple(range(n)), []
     # twins (equal open or closed neighborhoods) are swapped by a
     # transposition automorphism, so one child per twin class suffices
     twins = g.twin_classes()
@@ -567,8 +553,8 @@ def _canonical_search(g: Graph, deadline=None):
     try:
         descend(_refine(adj, [list(range(n))], [True]))
     except _Expired:
-        return None, None, gens
-    return best, tuple(leaves[best][0]), gens
+        return None, gens
+    return tuple(leaves[best][0]), gens
 
 
 def _find(orbit, v):
@@ -608,15 +594,13 @@ def _join_orbits(orbit, gens, fixes, path):
 # the hits come from re-asking about the same few graphs, which 256
 # entries hold
 @lru_cache(maxsize=256)
-def canonical_form(g: Graph) -> CanonicalForm:
-    """Canonical form; encodings are equal iff the graphs are isomorphic."""
-    code, order, _ = _canonical_search(g)
-    relabel = [0] * g.n
-    for position, v in enumerate(order):
-        relabel[v] = position
-    nbits = comb(g.n, 2)
-    encoding = bytes([g.n]) + code.to_bytes((nbits + 7) // 8, "big")
-    return CanonicalForm(encoding, tuple(relabel))
+def canonical_form(g: Graph) -> Graph:
+    """The canonical graph of g's isomorphism class: g with each vertex
+    renamed to its position in the ordering of least adjacency code that
+    ``_canonical_search`` finds, so two graphs are isomorphic iff their
+    canonical graphs are equal."""
+    order, _ = _canonical_search(g)
+    return g.relabel(sorted(range(g.n), key=order.__getitem__))
 
 
 def automorphism_generators(g: Graph, deadline=None) -> list:
@@ -627,13 +611,13 @@ def automorphism_generators(g: Graph, deadline=None) -> list:
     each checked once more here to map every edge onto an edge.  Past
     ``deadline`` (a ``time.monotonic`` value) the search stops and the ones
     found by then are returned: fewer, but each still an automorphism."""
-    return [tuple(perm) for perm in _canonical_search(g, deadline)[2] if g.relabel(perm) == g]
+    return [tuple(perm) for perm in _canonical_search(g, deadline)[1] if g.relabel(perm) == g]
 
 
 def are_isomorphic(g: Graph, h: Graph) -> bool:
     if g.n != h.n or g.edge_count != h.edge_count:
         return False
-    return canonical_form(g).encoding == canonical_form(h).encoding
+    return canonical_form(g) == canonical_form(h)
 
 
 # -- independent sets --------------------------------------------------------
@@ -670,7 +654,7 @@ def is_even_cycle_free(g: Graph) -> bool:
     return True
 
 
-# -- graph6 and JSON interchange --------------------------------------------
+# -- graph6 I/O and JSON output ------------------------------------------
 
 _G6_HEADER = ">>graph6<<"
 
@@ -736,10 +720,6 @@ def graph6_decode(text: str) -> Graph:
 
 def graph_to_json(g: Graph) -> dict:
     return {"n": g.n, "edges": [list(e) for e in g.edges]}
-
-
-def graph_from_json(obj: dict) -> Graph:
-    return Graph(int(obj["n"]), [tuple(e) for e in obj["edges"]])
 
 
 # -- names -------------------------------------------------------------------

@@ -260,8 +260,7 @@ class RainbowSolver:
         if known is None:
             entries = []
             for core in cores:
-                key = graph6_encode(core.relabel(canonical_form(core).relabeling))
-                entries += _OBSTRUCTIONS.get(key, ())
+                entries += _OBSTRUCTIONS.get(graph6_encode(canonical_form(core)), ())
             known = self._known[cores] = sorted(
                 map(graph6_decode, dict.fromkeys(entries)), key=lambda s: s.edge_count)
         deadline = None if self.time_limit is None else time.monotonic() + self.time_limit
@@ -396,7 +395,7 @@ class _Level(NamedTuple):
     cached on one, outlives its caller.
     """
 
-    reps: list     # adjacency tuples, in order of first reach
+    reps: tuple    # adjacency tuples, in order of first reach
     pairs: bytes
     child: array
     start: array
@@ -415,7 +414,7 @@ def _level(n: int, m: int) -> _Level:
     graph has no children."""
     entry = _DAG.get(n)
     if entry is None:
-        bottom = _Level([empty_graph(n).adj], b"", array("I"), array("I", [0]))
+        bottom = _Level((empty_graph(n).adj,), b"", array("I"), array("I", [0]))
         entry = _DAG[n] = [graph_counts(n), [bottom], False, array("I", [0] * n)]
     levels = entry[1]
     while len(levels) <= m:
@@ -599,12 +598,13 @@ def _grow(n: int, entry: list) -> tuple:
             f"enumeration found {distinct} classes under {len(reps)} keys at n={n} "
             f"with {m} edges; Pólya's count is {count}"
         )
-    return _Level(reps, bytes(pairs), child, start), labels
+    return _Level(tuple(reps), bytes(pairs), child, start), labels
 
 
 def enumerate_levels(n: int):
     """Yield (edge count, representatives) in ascending edge order, from
-    the empty graph to the complete one.
+    the empty graph to the complete one; a level's representatives are the
+    table's own tuple of their adjacency tuples.
 
     Level m+1 is generated from level m by single-edge extension, so every
     isomorphism class appears exactly once, at its own edge count.  A class
@@ -622,14 +622,14 @@ def enumerate_levels(n: int):
     label sums (``_grow``).
 
     The levels of each n are built once per process, each in the ``next()``
-    that first yields it, and every walk reads them through this generator;
-    each level is yielded as a fresh list of fresh graphs.  So
-    ``islice(enumerate_levels(n), k + 1)`` builds levels 0 to k and no more.
+    that first yields it, and every walk reads them through this generator.
+    So ``islice(enumerate_levels(n), k + 1)`` builds levels 0 to k and no
+    more.
     """
     if not 0 <= n <= ENUMERATION_LIMIT:
         raise ValueError(f"exhaustive enumeration supports 0..{ENUMERATION_LIMIT} vertices")
     for m in range(comb(n, 2) + 1):
-        yield m, [Graph._from_adj(n, adj) for adj in _level(n, m).reps]
+        yield m, _level(n, m).reps
 
 
 # -- exact saturation numbers ---------------------------------------------------
@@ -638,8 +638,10 @@ def enumerate_levels(n: int):
 def _saturated_levels(n: int, root, rule):
     """Yield (edge count, classes, saturated classes) in ascending edge order,
     from the empty graph up to the first level with no free class, or the
-    complete graph; classes are the reps of ``enumerate_levels`` in its
-    order, as fresh lists of fresh graphs.
+    complete graph; classes are the rows of ``enumerate_levels``, and the
+    saturated ones a fresh list of graphs built from them.  A ``Graph`` is
+    built only for a free class that has a child still undecided, or that
+    is saturated.
 
     The walk decides a property of graphs on n vertices, "free", that
     survives edge deletion.  It keeps a state for each free class of the
@@ -670,7 +672,7 @@ def _saturated_levels(n: int, root, rule):
             # no class is free, so no child of one is: no later level holds one
             yield m, classes, []
             return
-        _, ahead = next(levels, (None, []))
+        _, ahead = next(levels, (None, ()))
         _, pairs, child, start = _level(n, m + 1)
         above = [None] * len(ahead)  # None until decided
         for i, state in enumerate(states):
@@ -680,15 +682,16 @@ def _saturated_levels(n: int, root, rule):
         hits = []
         for i, state in enumerate(states):
             if state is not False:
-                g = classes[i]
+                g = None  # built for the first undecided child, or as a hit
                 kids = range(start[i], start[i + 1])
                 # every child is decided, saturated or not: they are the next level
                 for k in kids:
                     j = child[k]
                     if above[j] is None:
+                        g = g or Graph._from_adj(n, classes[i])
                         above[j] = rule(g, state, *divmod(pairs[k], n))
                 if all(above[child[k]] is False for k in kids):
-                    hits.append(g)
+                    hits.append(g or Graph._from_adj(n, classes[i]))
         yield m, classes, hits
         classes, states = ahead, above
 
@@ -738,13 +741,8 @@ def _witness_rule(solver: RainbowSolver, n: int):
 
 def _in_canonical_form(graphs) -> list:
     """The canonical graphs of ``graphs``, one per isomorphism class, in
-    ascending canonical encoding: one canonical form per graph."""
-    forms = {}
-    for g in graphs:
-        cf = canonical_form(g)
-        if cf.encoding not in forms:
-            forms[cf.encoding] = g.relabel(cf.relabeling)
-    return [forms[k] for k in sorted(forms)]
+    ascending graph6: one canonical form per graph."""
+    return sorted(set(map(canonical_form, graphs)), key=graph6_encode)
 
 
 def _sat_number(n: int, patterns, root, rule, found=None) -> SatNumberResult:
@@ -753,7 +751,7 @@ def _sat_number(n: int, patterns, root, rule, found=None) -> SatNumberResult:
     yields is scanned and its saturated classes appended.  Only the
     saturated classes reported are put in canonical form: the witnesses are
     their graph6, and ``found`` gets the canonical graphs, each level's in
-    ascending canonical encoding."""
+    ascending graph6."""
     res = SatNumberResult(n, tuple(graph6_encode(p.graph) for p in patterns), None, (), 0, 0)
     for m, graphs, hits in _saturated_levels(n, root, rule):
         res.graphs_checked += len(graphs)

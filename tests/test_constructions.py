@@ -241,8 +241,8 @@ def test_ladder_levels_share_order_and_stay_even_cycle_free():
 def test_ladder_level_dedup_is_canonical():
     lad = build_family_ladder(complete_graph(4))
     for level in lad.levels:
-        encs = [canonical_form(f).encoding for f in level]
-        assert len(encs) == len(set(encs))
+        forms = [canonical_form(f) for f in level]
+        assert len(forms) == len(set(forms))
 
 
 # -- ladder construction ---------------------------------------------------------------

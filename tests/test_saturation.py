@@ -55,6 +55,7 @@ from rainbowsat import constructions, saturation
 from rainbowsat.engine import as_pattern
 from rainbowsat.graphs import (
     _Expired,
+    _leaf_code,
     canonical_form,
     complete_bipartite,
     graph6_encode,
@@ -71,6 +72,17 @@ from rainbowsat.saturation import (
 )
 
 from .strategies import flower, graphs
+
+
+def graphs_of(n, rows) -> list:
+    """The graphs on n vertices with the adjacency tuples ``rows``."""
+    return [Graph._from_adj(n, adj) for adj in rows]
+
+
+def graph_levels(n):
+    """``enumerate_levels(n)`` with each level's rows built into graphs."""
+    for m, rows in enumerate_levels(n):
+        yield m, graphs_of(n, rows)
 
 
 def naive_is_rainbow_saturated(g, pats):
@@ -136,7 +148,7 @@ def test_failing_coloring_merges_across_components():
 def test_saturated_verdicts_match_naive_oracle():
     # independent re-verification on hosts with few edges
     pats = [path(4)]
-    for m, level in islice(enumerate_levels(5), 6):
+    for m, level in islice(graph_levels(5), 6):
         for g in level:
             fast = is_rainbow_saturated(g, pats).status is Verdict.SATURATED
             assert fast == naive_is_rainbow_saturated(g, pats)
@@ -297,7 +309,7 @@ def test_classical_matches_brute_force():
 
 def enumerate_nonisomorphic_graphs(n):
     """One representative per isomorphism class, ascending edge count."""
-    for _, graphs in enumerate_levels(n):
+    for _, graphs in graph_levels(n):
         yield from graphs
 
 
@@ -318,16 +330,15 @@ def test_enumeration_counts_match_graph_atlas():
 
 
 def test_level_reps_are_the_atlas_classes():
-    # an oracle independent of the table: the canonical encodings of each
+    # an oracle independent of the table: the canonical graphs of each
     # level's reps are those of the atlas graphs with n vertices and m edges
     atlas = {}
     for h in nx.graph_atlas_g():
         g = Graph(h.number_of_nodes(), h.edges())
-        atlas.setdefault((g.n, g.edge_count), []).append(canonical_form(g).encoding)
+        atlas.setdefault((g.n, g.edge_count), Counter())[canonical_form(g)] += 1
     for n in range(8):
-        for m, level in enumerate_levels(n):
-            codes = sorted(canonical_form(g).encoding for g in level)
-            assert codes == sorted(atlas[n, m]), (n, m)
+        for m, level in graph_levels(n):
+            assert Counter(map(canonical_form, level)) == atlas[n, m], (n, m)
 
 
 def test_polya_totals():
@@ -456,7 +467,7 @@ def test_coarse_key_builds_every_level_at_eight():
 def fine_keyed_reps(n, top):
     """Reference: the reps of levels 0..top on n vertices, with children
     told apart by the fine key at every level."""
-    below = [empty_graph(n).adj]
+    below = (empty_graph(n).adj,)
     yield below
     for _ in range(top):
         index = {}  # fine key -> the first child to reach it
@@ -465,7 +476,7 @@ def fine_keyed_reps(n, top):
             keys = saturation._child_keys(rows, saturation._labels(rows), pairs, True)
             for (u, v), key in zip(pairs, keys):
                 index.setdefault(key, child_rows(n, rows, u, v))
-        below = list(index.values())
+        below = tuple(index.values())
         yield below
 
 
@@ -509,7 +520,7 @@ def test_inexact_class_key_raises(key, refined, monkeypatch):
     # no failed level is left behind: every kept level is whole
     kept = saturation._DAG[6][1]
     assert 0 < len(kept) < len(whole)
-    assert [[Graph._from_adj(6, adj) for adj in level.reps] for level in kept] == whole[:len(kept)]
+    assert [level.reps for level in kept] == whole[:len(kept)]
 
 
 def test_class_key_splitting_one_class_and_merging_two_raises(monkeypatch):
@@ -593,17 +604,23 @@ def test_walks_read_the_table_through_enumerate_levels(walk, monkeypatch):
 def test_canonical_sort_keeps_one_graph_per_class():
     # the reported witnesses and the ladder levels go through this sort:
     # relabeled copies collapse to the canonical graph of their class, in
-    # ascending canonical encoding
+    # ascending graph6, which orders by vertex count and then by the
+    # upper-triangle code that the canonical search minimizes, graph6's
+    # long header from 63 vertices on included
+    def key(g):
+        return g.n, _leaf_code(g.adj, range(g.n))
+
     rng = random.Random(67)
     atlas = [Graph(h.number_of_nodes(), h.edges()) for h in nx.graph_atlas_g()]
+    large = [Graph(n, rng.sample(list(combinations(range(n), 2)), 150))
+             for n in (62, 63, 64) for _ in range(2)]
     for _ in range(40):
-        picked = rng.sample(atlas, 6)
+        picked = rng.sample(atlas, 6) + rng.sample(large, 2)
         copies = [g.relabel(rng.sample(range(g.n), g.n)) for g in picked for _ in range(3)]
         rng.shuffle(copies)
         got = saturation._in_canonical_form(copies)
-        codes = [canonical_form(g).encoding for g in got]
-        assert codes == sorted(canonical_form(g).encoding for g in picked)
-        assert all(c.relabel(canonical_form(c).relabeling) in got for c in copies)
+        assert [key(g) for g in got] == sorted(key(canonical_form(g)) for g in picked)
+        assert all(canonical_form(c) in got for c in copies)
     # the atlas is pairwise non-isomorphic, so nothing is dropped
     assert len(saturation._in_canonical_form(atlas)) == len(atlas)
 
@@ -629,29 +646,29 @@ def test_level_table_leaves_the_canonical_cache_bounded(monkeypatch):
 
 def canonical_keyed_levels(n):
     """Reference for the level table: children deduplicated by canonical
-    encoding, each class represented by the first child to reach it."""
-    below = [empty_graph(n).adj]
+    graph, each class represented by the first child to reach it."""
+    below = (empty_graph(n).adj,)
     yield below, b"", [], [0]
     while below:
-        index = {}  # canonical encoding -> (class index in order of first reach, rep)
+        index = {}  # canonical graph -> (class index in order of first reach, rep)
         pairs, child, start = bytearray(), [], [0]
         for rows in below:
             g = Graph._from_adj(n, rows)
             for u, v in g.orbit_non_edges():
                 h = g.with_edge(u, v)
-                code = canonical_form(h).encoding
-                if code not in index:
-                    index[code] = (len(index), h.adj)
+                form = canonical_form(h)
+                if form not in index:
+                    index[form] = (len(index), h.adj)
                 pairs.append(u * n + v)
-                child.append(index[code][0])
+                child.append(index[form][0])
             start.append(len(child))
-        below = [rep for _, rep in index.values()]
+        below = tuple(rep for _, rep in index.values())
         yield below, bytes(pairs), child, start
 
 
 @pytest.mark.extended
 def test_level_table_matches_canonical_keyed_build_at_eight():
-    # the reference keeps one rep per canonical encoding, so equal reps also
+    # the reference keeps one rep per canonical graph, so equal reps also
     # audit that each level's reps are pairwise non-isomorphic
     reference = list(canonical_keyed_levels(8))
     assert len(reference) == comb(8, 2) + 2
@@ -689,7 +706,7 @@ def test_enumeration_complete_against_brute_force():
 def test_enumeration_budget_and_range():
     # the generator builds each level in the next() that yields it, so
     # islice takes the first levels alone
-    first = [(m, {g.edge_count for g in level}) for m, level in islice(enumerate_levels(5), 3)]
+    first = [(m, {g.edge_count for g in level}) for m, level in islice(graph_levels(5), 3)]
     assert first == [(0, {0}), (1, {1}), (2, {2})]
     assert [m for m, _ in enumerate_levels(5)] == list(range(11))
     for n in (-1, 10, 11):
@@ -719,7 +736,7 @@ def test_sat_star_p4_cross_checked():
     for code in res.witnesses:
         assert naive_is_rainbow_saturated(graph6_decode(code), pats)
     # and no graph with fewer edges is
-    for m, level in islice(enumerate_levels(5), res.value):
+    for m, level in islice(graph_levels(5), res.value):
         for g in level:
             assert not naive_is_rainbow_saturated(g, pats)
 
@@ -781,7 +798,7 @@ def test_saturated_levels_match_per_graph_filter(name):
         yielded = list(walk)
         assert [m for m, _, _ in yielded] == list(range(len(yielded)))
         for m, level in levels.items():
-            want = [g for g in level if saturated(g)]
+            want = [g for g in graphs_of(n, level) if saturated(g)]
             if m < len(yielded):
                 assert yielded[m][1] == level
                 assert yielded[m][2] == want, (name, n, m)
@@ -806,12 +823,12 @@ def reference_levels(n):
     level = [empty_graph(n)]
     m = 0
     while level:
-        yield m, level
-        nxt = {}  # canonical encoding -> the first child to reach it
+        yield m, tuple(g.adj for g in level)
+        nxt = {}  # canonical graph -> the first child to reach it
         for g in level:
             for u, v in g.non_edges():
                 h = g.with_edge(u, v)
-                nxt.setdefault(canonical_form(h).encoding, h)
+                nxt.setdefault(canonical_form(h), h)
         m += 1
         level = list(nxt.values())
 
@@ -821,34 +838,36 @@ def reference_saturated_levels(n, root, rule):
     class is decided by ``rule`` on the first child to reach it.  As the
     walk does, it stops after the first level with no free class."""
     levels = reference_levels(n)
-    m, graphs = next(levels)
+    m, rows = next(levels)
+    graphs = graphs_of(n, rows)
     states = [root]
     while True:
         if all(state is False for state in states):
-            yield m, graphs, []
+            yield m, rows, []
             return
         children = {}
         for g, state in zip(graphs, states):
             if state is False:
                 for u, v in g.non_edges():
-                    children[canonical_form(g.with_edge(u, v)).encoding] = False
+                    children[canonical_form(g.with_edge(u, v))] = False
         hits = []
         for g, state in zip(graphs, states):
             if state is not False:
                 saturated = True
                 for u, v in g.non_edges():
-                    code = canonical_form(g.with_edge(u, v)).encoding
-                    if code not in children:
-                        children[code] = rule(g, state, u, v)
-                    saturated = saturated and children[code] is False
+                    form = canonical_form(g.with_edge(u, v))
+                    if form not in children:
+                        children[form] = rule(g, state, u, v)
+                    saturated = saturated and children[form] is False
                 if saturated:
                     hits.append(g)
-        yield m, graphs, hits
+        yield m, rows, hits
         upper = next(levels, None)
         if upper is None:
             return
-        m, graphs = upper
-        states = [children[canonical_form(g).encoding] for g in graphs]
+        m, rows = upper
+        graphs = graphs_of(n, rows)
+        states = [children[canonical_form(g)] for g in graphs]
 
 
 def free_calls(levels, monkeypatch):
@@ -901,7 +920,7 @@ def test_walk_decides_each_class_on_its_rep():
             return True
 
         for m, _, _ in _saturated_levels(n, True, rule):
-            assert decided == saturation._level(n, m + 1).reps, (n, m)
+            assert tuple(decided) == saturation._level(n, m + 1).reps, (n, m)
             decided.clear()
 
 
@@ -1008,26 +1027,55 @@ def below_nine_edges(g, _, u, v):
     return g.edge_count < 8
 
 
-def test_yielded_levels_are_fresh_lists():
+def test_yielded_levels_are_read_only():
+    # a level is the table's own tuple of adjacency tuples, which no reader
+    # can change; a walk's saturated classes are a fresh list
     for _, level in enumerate_levels(6):
-        level.reverse()
+        assert all(type(rows) is tuple for rows in level)
+        with pytest.raises(AttributeError):
+            level.reverse()
     for _, classes, hits in _saturated_levels(6, True, below_nine_edges):
-        classes.clear()
+        with pytest.raises(AttributeError):
+            classes.clear()
         hits.append(empty_graph(6))
     assert list(enumerate_levels(6)) == list(reference_levels(6))
 
 
 def test_yielded_graphs_are_fresh():
-    # the table keeps adjacency tuples, so nothing cached on a yielded graph
-    # outlives it
+    # the table keeps adjacency tuples and yields them as they are, and a
+    # walk builds a fresh graph for each saturated class it yields, so
+    # nothing cached on one outlives its reader
     first, second = list(enumerate_levels(6)), list(enumerate_levels(6))
-    assert first == second
-    for (_, a), (_, b) in zip(first, second):
-        assert all(g is not h for g, h in zip(a, b))
+    assert all(a is b for (_, a), (_, b) in zip(first, second))
     walks = [list(_saturated_levels(6, True, below_nine_edges)) for _ in range(2)]
     assert walks[0] == walks[1]
-    for (_, a, _), (_, b, _) in zip(*walks):
-        assert all(g is not h for g, h in zip(a, b))
+    assert any(hits for _, _, hits in walks[0])
+    for (_, a, x), (_, b, y) in zip(*walks):
+        assert a is b
+        assert all(g is not h for g, h in zip(x, y))
+
+
+def test_walk_builds_graphs_only_for_the_rule_and_the_hits(monkeypatch):
+    # a class that is not free, or free with every child decided through an
+    # earlier parent, is counted from its rows and never built into a graph
+    list(enumerate_levels(6))  # the table, built beforehand
+    built, ruled = [], set()
+    from_adj = Graph._from_adj
+
+    def counting(n, adj):
+        built.append(adj)
+        return from_adj(n, adj)
+
+    def rule(g, state, u, v):
+        ruled.add(g.adj)
+        return below_nine_edges(g, state, u, v)
+
+    monkeypatch.setattr(Graph, "_from_adj", staticmethod(counting))
+    walk = list(_saturated_levels(6, True, rule))
+    hits = {g.adj for _, _, level in walk for g in level}
+    assert hits and len(built) == len(set(built))
+    assert set(built) == ruled | hits
+    assert len(built) < sum(graph_counts(6)[:9])  # the free classes
 
 
 def test_import_builds_no_levels():
@@ -1468,7 +1516,7 @@ CATALOGUED = {
 
 
 def canonical_graph6(g) -> str:
-    return graph6_encode(g.relabel(canonical_form(g).relabeling))
+    return graph6_encode(canonical_form(g))
 
 
 def catalogued(cores) -> list:
